@@ -11,62 +11,3 @@ parameters.
 """
 
 __version__ = "0.1.0"
-
-from .units import (
-    HBAR,
-    G_NEWTON,
-    ApparatusParams,
-    MeasurementConfig,
-    FdivSpec,
-    Scales,
-    CriteriaReport,
-    omega_grav,
-    classicality_report,
-    to_dimensionless,
-    from_dimensionless,
-)
-from .analytic import (
-    CoherentBranch,
-    CoherentTwoBranchState,
-    SmoothCoefficients,
-    total_force,
-    mean_trajectory,
-    equilibrium_splitting,
-    smooth_initial_condition,
-    common_center_initial_condition,
-    smooth_coefficients,
-    evolve as evolve_analytic,
-)
-from .grid import (
-    GridSpec,
-    GridState,
-    Moments,
-    NumericalError,
-    init_gaussian,
-    moments,
-    step,
-    energy,
-    evolve as evolve_grid,
-)
-from .montecarlo import (
-    McTrialResult,
-    McSummary,
-    TwoDetectorTable,
-    trial_seed,
-    sample_fdiv,
-    run_trial,
-    run_ensemble,
-    two_detector_table,
-    wilson_interval,
-)
-from .io import (
-    TRAJECTORY_HEADER,
-    ConfigError,
-    LoadedConfig,
-    TrajectoryTable,
-    load_config,
-    emit_trajectory,
-    write_manifest,
-    verify_manifest,
-    file_digest,
-)

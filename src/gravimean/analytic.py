@@ -24,27 +24,17 @@ optionally damped at rate gamma (a phenomenological knob, default 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class CoherentBranch:
-    """One coherent packet: center and velocity, width pinned to 1.
-
-    The phase field is bookkeeping only; no observable in this module
-    depends on it.
-    """
+    """One coherent packet of width 1: its center and velocity."""
 
     center: float
     velocity: float
-    width: float = 1.0
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.width != 1.0:
-            raise ValueError("coherent branches have width 1 in packet units")
 
 
 @dataclass(frozen=True)
@@ -78,15 +68,6 @@ class CoherentTwoBranchState:
     def splitting(self) -> float:
         """Branch separation d = x_plus - x_minus."""
         return self.plus.center - self.minus.center
-
-
-@dataclass(frozen=True)
-class SmoothCoefficients:
-    """xbar(t) = A + B t + C t^2 with C equal to half the total force."""
-
-    A: float
-    B: float
-    C: float
 
 
 def total_force(p: float, f_meas: float, f_div: float) -> float:
@@ -132,18 +113,6 @@ def common_center_initial_condition(p: float, xbar0: float = 0.0,
         p=p)
 
 
-def smooth_coefficients(state: CoherentTwoBranchState, f_meas: float,
-                        f_div: float) -> SmoothCoefficients:
-    return SmoothCoefficients(A=state.com, B=state.vbar,
-                              C=0.5 * total_force(state.p, f_meas, f_div))
-
-
-def mean_trajectory(state: CoherentTwoBranchState, f_meas: float, f_div: float, t):
-    """xbar(t), exact for every initial condition. Accepts scalar or array t."""
-    c = smooth_coefficients(state, f_meas, f_div)
-    return c.A + c.B * t + c.C * t * t
-
-
 def _relax(a0, s0, gamma: float, t):
     """Solve a'' = -a - gamma a' with a(0) = a0, a'(0) = s0.
 
@@ -177,35 +146,6 @@ def _relax(a0, s0, gamma: float, t):
     return c1 * e1 + c2 * e2, c1 * r1 * e1 + c2 * r2 * e2
 
 
-def evolve(state: CoherentTwoBranchState, f_meas: float, f_div: float, t: float,
-           gamma: float = 0.0) -> CoherentTwoBranchState:
-    """Propagate the state to time t in closed form.
-
-    The mean follows the exact quadratic; each offset relaxes around its
-    equilibrium, undamped for gamma = 0. Damping acts on the offsets only,
-    never on the mean. Phases are carried through unchanged.
-    """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma!r}")
-    force = total_force(state.p, f_meas, f_div)
-    m0, v0 = state.com, state.vbar
-    m_t = m0 + v0 * t + 0.5 * force * t * t
-    v_t = v0 + force * t
-    d_plus_eq, d_minus_eq, _ = equilibrium_splitting(state.p, f_meas)
-
-    branches = []
-    for branch, d_eq in ((state.plus, d_plus_eq), (state.minus, d_minus_eq)):
-        a0 = (branch.center - m0) - d_eq
-        s0 = branch.velocity - v0
-        a, s = _relax(a0, s0, gamma, t)
-        branches.append(replace(branch,
-                                center=float(m_t + d_eq + a),
-                                velocity=float(v_t + s)))
-    return CoherentTwoBranchState(plus=branches[0], minus=branches[1], p=state.p)
-
-
 def trajectory(state: CoherentTwoBranchState, f_meas: float, f_div: float,
                times, gamma: float = 0.0) -> dict:
     """Sample the closed form on an array of times.
@@ -231,3 +171,18 @@ def trajectory(state: CoherentTwoBranchState, f_meas: float, f_div: float,
         out[f"x_{name}"] = m_t + d_eq + a
         out[f"v_{name}"] = v_t + s
     return out
+
+
+def evolve(state: CoherentTwoBranchState, f_meas: float, f_div: float, t: float,
+           gamma: float = 0.0) -> CoherentTwoBranchState:
+    """Propagate the state to time t in closed form: trajectory() at one time.
+
+    The mean follows the exact quadratic; each offset relaxes around its
+    equilibrium, undamped for gamma = 0. Damping acts on the offsets only,
+    never on the mean.
+    """
+    out = trajectory(state, f_meas, f_div, [t], gamma=gamma)
+    return CoherentTwoBranchState(
+        plus=CoherentBranch(float(out["x_plus"][0]), float(out["v_plus"][0])),
+        minus=CoherentBranch(float(out["x_minus"][0]), float(out["v_minus"][0])),
+        p=state.p)

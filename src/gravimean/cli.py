@@ -19,20 +19,48 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .analytic import (common_center_initial_condition, equilibrium_splitting,
+from .analytic import (common_center_initial_condition,
                        smooth_initial_condition, trajectory)
 from .grid import GridSpec, GridState, NumericalError, init_gaussian
 from .grid import evolve as evolve_grid
-from .io import (ConfigError, LoadedConfig, TrajectoryTable, emit_trajectory,
-                 load_config, write_manifest)
+from .io import (ConfigError, LoadedConfig, emit_trajectory, load_config,
+                 write_manifest)
 from .montecarlo import MC_GRID, run_ensemble, two_detector_table
 from .units import classicality_report
 
 THREAD_CAP_ENV = "GRAVIMEAN_THREADS"
+
+# Default (grid, sample_every) of evolve and compare, and of born-mc, whose
+# trials sample only their start and end.
+EVOLVE_GRID = (GridSpec(half_length=32.0, n=1024, dt=1e-3), 10)
+BORN_MC_GRID = (MC_GRID, None)
+
+# (grid block key, argparse dest of the flag that overrides it)
+_GRID_FLAGS = (("n", "grid_n"), ("l", "grid_l"), ("dt", "dt"),
+               ("sample_every", "sample_every"))
+
+
+def _finite(text: str) -> float:
+    """argparse type of the float flags: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type of durations: a finite number > 0."""
+    value = _finite(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--mode", choices=("analytic", "grid"), default=None,
                       help="engine; defaults to the config's engine key, "
                            "then analytic")
-    p_ev.add_argument("--t-max", type=float, required=True,
+    p_ev.add_argument("--t-max", type=_positive, required=True,
                       help="duration in units of 1/omega")
-    p_ev.add_argument("--dt-sample", type=float, default=0.1,
+    p_ev.add_argument("--dt-sample", type=_positive, default=0.1,
                       help="analytic-mode output spacing")
     _add_grid_args(p_ev)
     _add_ic_args(p_ev)
@@ -66,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare",
                            help="grid vs analytic discrepancy report")
     p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--t-max", type=float, required=True)
+    p_cmp.add_argument("--t-max", type=_positive, required=True)
     _add_grid_args(p_cmp)
     _add_ic_args(p_cmp)
     p_cmp.add_argument("--out", default=None, help="also write the JSON here")
@@ -84,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_td = sub.add_parser("two-detector",
                           help="joint outcome tables for two detectors")
-    p_td.add_argument("--p", type=float, required=True)
+    p_td.add_argument("--p", type=_finite, required=True)
     p_td.set_defaults(func=cmd_two_detector)
 
     return parser
@@ -93,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_grid_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--grid-n", type=int, default=None,
                      help="grid points (power of two)")
-    sub.add_argument("--grid-l", type=float, default=None,
+    sub.add_argument("--grid-l", type=_finite, default=None,
                      help="half length of the box in packet widths")
-    sub.add_argument("--dt", type=float, default=None, help="grid time step")
+    sub.add_argument("--dt", type=_finite, default=None, help="grid time step")
     sub.add_argument("--sample-every", type=int, default=None,
                      help="record every k-th grid step")
 
@@ -104,23 +132,26 @@ def _add_ic_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ic", choices=("smooth", "common"), default="smooth",
                      help="smooth: branches at their equilibrium offsets; "
                           "common: both branches at the same center")
-    sub.add_argument("--xbar0", type=float, default=0.0)
-    sub.add_argument("--vbar0", type=float, default=0.0)
+    sub.add_argument("--xbar0", type=_finite, default=0.0)
+    sub.add_argument("--vbar0", type=_finite, default=0.0)
 
 
 def _command_line(argv) -> list:
     return ["gravimean"] + list(argv if argv is not None else sys.argv[1:])
 
 
-def _grid_from_args(loaded: LoadedConfig, args) -> tuple[GridSpec, int]:
-    spec = GridSpec(
-        half_length=args.grid_l if args.grid_l is not None else loaded.grid.half_length,
-        n=args.grid_n if args.grid_n is not None else loaded.grid.n,
-        dt=args.dt if args.dt is not None else loaded.grid.dt)
-    sample_every = (args.sample_every if args.sample_every is not None
-                    else loaded.sample_every)
-    if sample_every < 1:
-        raise ConfigError(f"sample-every: must be >= 1, got {sample_every}")
+def _grid(loaded: LoadedConfig, args,
+          defaults: tuple[GridSpec, int | None]) -> tuple[GridSpec, int | None]:
+    """The (grid, sample_every) a run uses: flags override the config's grid
+    block, and the command's defaults fill the keys neither sets."""
+    default, sample_every = defaults
+    block = dict(loaded.grid)
+    block.update((key, getattr(args, flag)) for key, flag in _GRID_FLAGS
+                 if getattr(args, flag, None) is not None)
+    spec = GridSpec(half_length=block.get("l", default.half_length),
+                    n=block.get("n", default.n), dt=block.get("dt", default.dt))
+    if sample_every is not None:  # grid.evolve rejects values below 1
+        sample_every = block.get("sample_every", sample_every)
     return spec, sample_every
 
 
@@ -137,20 +168,7 @@ def _worker_cap(requested: int) -> int:
     return min(requested, cap)
 
 
-def _grid_initial_state(loaded: LoadedConfig, args,
-                        spec: GridSpec) -> GridState:
-    p = loaded.measurement.p
-    if args.ic == "smooth":
-        d_plus, d_minus, _ = equilibrium_splitting(
-            p, loaded.f_meas_dimensionless)
-    else:
-        d_plus = d_minus = 0.0
-    psi_plus = init_gaussian(spec, args.xbar0 + d_plus, velocity=args.vbar0)
-    psi_minus = init_gaussian(spec, args.xbar0 + d_minus, velocity=args.vbar0)
-    return GridState(psi_plus=psi_plus, psi_minus=psi_minus, p=p)
-
-
-def _analytic_initial_state(loaded: LoadedConfig, args):
+def _initial_state(loaded: LoadedConfig, args):
     p = loaded.measurement.p
     if args.ic == "smooth":
         return smooth_initial_condition(p, loaded.f_meas_dimensionless,
@@ -160,15 +178,23 @@ def _analytic_initial_state(loaded: LoadedConfig, args):
 
 
 def _sample_times(t_max: float, dt_sample: float) -> np.ndarray:
-    if t_max <= 0.0:
-        raise ConfigError(f"t-max: must be > 0, got {t_max!r}")
-    if dt_sample <= 0.0:
-        raise ConfigError(f"dt-sample: must be > 0, got {dt_sample!r}")
     n = int(math.floor(t_max / dt_sample + 1e-9))
     times = np.arange(n + 1) * dt_sample
     if times[-1] < t_max * (1.0 - 1e-12):
         times = np.append(times, t_max)
     return times
+
+
+def _report(result: dict, args, argv, loaded: LoadedConfig, grid,
+            master_seed: int | None = None) -> int:
+    """Print the JSON result and, with --out, write it and its manifest."""
+    text = json.dumps(result, indent=2, sort_keys=True)
+    print(text)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+        write_manifest([args.out], _command_line(argv), loaded, grid,
+                       master_seed=master_seed)
+    return 0
 
 
 def cmd_criteria(args, argv=None) -> int:
@@ -178,49 +204,47 @@ def cmd_criteria(args, argv=None) -> int:
     return 0 if report.all_ok else 2
 
 
-def _run_grid(loaded: LoadedConfig, args):
-    spec, sample_every = _grid_from_args(loaded, args)
-    state = _grid_initial_state(loaded, args, spec)
-    return evolve_grid(state, loaded.f_meas_dimensionless,
-                       loaded.f_div_dimensionless(), args.t_max, spec,
-                       sample_every=sample_every) + (spec,)
+def _run_grid(loaded: LoadedConfig, state, grid, t_max: float):
+    """Evolve the closed form's initial state on the grid."""
+    if loaded.gamma != 0.0:
+        raise ConfigError("gamma: the grid engine has no damping; "
+                          "use the analytic engine for gamma > 0")
+    spec, sample_every = grid
+    psi_plus, psi_minus = (init_gaussian(spec, b.center, velocity=b.velocity)
+                           for b in (state.plus, state.minus))
+    traj, _final = evolve_grid(GridState(psi_plus, psi_minus, state.p),
+                               loaded.f_meas_dimensionless,
+                               loaded.f_div_dimensionless(), t_max, spec,
+                               sample_every=sample_every)
+    return traj
 
 
 def cmd_evolve(args, argv=None) -> int:
     loaded = load_config(args.config)
-    mode = args.mode or loaded.engine or "analytic"
-    if mode == "analytic":
-        times = _sample_times(args.t_max, args.dt_sample)
-        state = _analytic_initial_state(loaded, args)
+    state = _initial_state(loaded, args)
+    if (args.mode or loaded.engine or "analytic") == "analytic":
+        grid = None
         traj = trajectory(state, loaded.f_meas_dimensionless,
-                          loaded.f_div_dimensionless(), times,
+                          loaded.f_div_dimensionless(),
+                          _sample_times(args.t_max, args.dt_sample),
                           gamma=loaded.gamma)
-        table = TrajectoryTable.from_analytic(traj)
+        table = SimpleNamespace(**traj)
     else:
-        if loaded.gamma != 0.0:
-            raise ConfigError("gamma: the grid engine has no damping; "
-                              "use the analytic engine for gamma > 0")
-        if args.t_max <= 0.0:
-            raise ConfigError(f"t-max: must be > 0, got {args.t_max!r}")
-        traj, _final, _spec = _run_grid(loaded, args)
-        table = TrajectoryTable.from_grid(traj)
+        grid = _grid(loaded, args, EVOLVE_GRID)
+        table = _run_grid(loaded, state, grid, args.t_max)
     emit_trajectory(table, args.out)
-    write_manifest([args.out], _command_line(argv), loaded.resolved,
-                   loaded.scales)
+    write_manifest([args.out], _command_line(argv), loaded, grid)
     return 0
 
 
 def cmd_compare(args, argv=None) -> int:
     loaded = load_config(args.config)
-    if loaded.gamma != 0.0:
-        raise ConfigError("gamma: compare runs the grid engine, which has "
-                          "no damping; set gamma to 0")
-    if args.t_max <= 0.0:
-        raise ConfigError(f"t-max: must be > 0, got {args.t_max!r}")
-    grid_traj, _final, spec = _run_grid(loaded, args)
-    state = _analytic_initial_state(loaded, args)
+    state = _initial_state(loaded, args)
+    grid = _grid(loaded, args, EVOLVE_GRID)
+    grid_traj = _run_grid(loaded, state, grid, args.t_max)
     exact = trajectory(state, loaded.f_meas_dimensionless,
                        loaded.f_div_dimensionless(), grid_traj.t)
+    spec = grid[0]
     report = {
         "t_max": args.t_max,
         "n_samples": int(len(grid_traj.t)),
@@ -231,32 +255,18 @@ def cmd_compare(args, argv=None) -> int:
             "x_minus": float(np.max(np.abs(grid_traj.x_minus - exact["x_minus"]))),
         },
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        write_manifest([args.out], _command_line(argv), loaded.resolved,
-                       loaded.scales)
-    return 0
+    return _report(report, args, argv, loaded, grid)
 
 
 def cmd_born_mc(args, argv=None) -> int:
     loaded = load_config(args.config)
     engine = args.engine or loaded.engine or "analytic"
-    workers = _worker_cap(args.workers)
-    grid_spec = loaded.grid if loaded.grid_explicit else MC_GRID
+    grid = _grid(loaded, args, BORN_MC_GRID)
     summary = run_ensemble(loaded.measurement, engine, args.trials, args.seed,
-                           workers=workers, scales=loaded.scales,
-                           grid=grid_spec)
-    text = json.dumps(summary.to_dict(), indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        write_manifest([args.out], _command_line(argv), loaded.resolved,
-                       loaded.scales, master_seed=args.seed)
-    return 0
+                           workers=_worker_cap(args.workers),
+                           scales=loaded.scales, grid=grid[0])
+    return _report(summary.to_dict(), args, argv, loaded,
+                   grid if engine == "grid" else None, master_seed=args.seed)
 
 
 def cmd_two_detector(args, argv=None) -> int:

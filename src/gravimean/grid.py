@@ -124,26 +124,26 @@ class GridTrajectory:
     energy: np.ndarray
 
 
-def init_gaussian(grid: GridSpec, center: float, velocity: float = 0.0,
-                  width: float = 1.0) -> np.ndarray:
-    """Normalized Gaussian packet with a momentum boost.
+def init_gaussian(grid: GridSpec, center: float,
+                  velocity: float = 0.0) -> np.ndarray:
+    """Normalized width-1 Gaussian packet with a momentum boost.
 
-    The density |psi|^2 has standard deviation width / sqrt(2), so a width-1
-    packet has variance 1/2: the ground state of the unit-frequency
-    oscillator that the self-consistent potential presents to each branch.
+    The density |psi|^2 has variance 1/2: the ground state of the
+    unit-frequency oscillator that the self-consistent potential presents to
+    each branch.
     """
-    if width <= 0.0:
-        raise ValueError(f"width must be > 0, got {width!r}")
-    margin = 5.0 * width
-    if not (-grid.half_length + margin < center < grid.half_length - margin):
+    if not (-grid.half_length + 5.0 < center < grid.half_length - 5.0):
         raise ValueError(
-            f"packet at {center!r} (width {width!r}) sits too close to the "
-            f"domain edge +/-{grid.half_length!r}")
+            f"packet at {center!r} sits too close to the domain edge "
+            f"+/-{grid.half_length!r}")
     x = grid.x()
-    psi = (np.pi * width**2) ** -0.25 * np.exp(
-        -((x - center) ** 2) / (2.0 * width**2) + 1j * velocity * x)
+    psi = np.pi ** -0.25 * np.exp(-((x - center) ** 2) / 2.0 + 1j * velocity * x)
     psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
     return psi
+
+
+def _norm(psi: np.ndarray, grid: GridSpec) -> float:
+    return float(np.sum(np.abs(psi) ** 2) * grid.dx)
 
 
 def _branch_stats(psi: np.ndarray, grid: GridSpec) -> tuple[float, float, float]:
@@ -156,20 +156,26 @@ def _branch_stats(psi: np.ndarray, grid: GridSpec) -> tuple[float, float, float]
     return norm, mean, second
 
 
+def _stats(state: GridState, grid: GridSpec) -> tuple[tuple, tuple, float, float]:
+    """Stats of the plus and minus branches, then the weighted xbar and x2bar."""
+    plus = _branch_stats(state.psi_plus, grid)
+    minus = _branch_stats(state.psi_minus, grid)
+    p = state.p
+    return (plus, minus, p * plus[1] + (1.0 - p) * minus[1],
+            p * plus[2] + (1.0 - p) * minus[2])
+
+
 def moments(state: GridState, grid: GridSpec) -> Moments:
     """Weighted moments of the two-branch density.
 
     Branch norms must hold to 1e-6; a larger deviation means the run has
     already gone numerically bad and is reported as such.
     """
-    np_, mp, sp = _branch_stats(state.psi_plus, grid)
-    nm, mm, sm = _branch_stats(state.psi_minus, grid)
-    for label, n in (("plus", np_), ("minus", nm)):
+    plus, minus, xbar, x2bar = _stats(state, grid)
+    for label, (n, _, _) in (("plus", plus), ("minus", minus)):
         if abs(n - 1.0) > 1e-6:
             raise NumericalError(f"{label} branch norm {n!r} deviates from 1 by more than 1e-6")
-    p = state.p
-    return Moments(xbar=p * mp + (1.0 - p) * mm,
-                   x2bar=p * sp + (1.0 - p) * sm)
+    return Moments(xbar=xbar, x2bar=x2bar)
 
 
 def step(state: GridState, f_meas: float, f_div: float, grid: GridSpec,
@@ -185,8 +191,8 @@ def step(state: GridState, f_meas: float, f_div: float, grid: GridSpec,
     x = grid.x()
     dt = grid.dt
 
-    n_plus_in, _, _ = _branch_stats(state.psi_plus, grid)
-    n_minus_in, _, _ = _branch_stats(state.psi_minus, grid)
+    n_plus_in = _norm(state.psi_plus, grid)
+    n_minus_in = _norm(state.psi_minus, grid)
 
     psi_p = np.fft.ifft(np.fft.fft(state.psi_plus) * kin)
     psi_m = np.fft.ifft(np.fft.fft(state.psi_minus) * kin)
@@ -201,7 +207,7 @@ def step(state: GridState, f_meas: float, f_div: float, grid: GridSpec,
 
     for label, before, psi in (("plus", n_plus_in, psi_p),
                                ("minus", n_minus_in, psi_m)):
-        after = float(np.sum(np.abs(psi) ** 2) * grid.dx)
+        after = _norm(psi, grid)
         if abs(after - before) > 1e-8:
             raise NumericalError(
                 f"{label} branch norm drifted by {abs(after - before)!r} in one step")
@@ -253,10 +259,8 @@ def _required_half_length(state: GridState, f_meas: float, f_div: float,
     The mean excursion is the exact quadratic bound; branch offsets and
     oscillation amplitudes live inside the fixed margin of 8.
     """
-    np_, mp, sp = _branch_stats(state.psi_plus, grid)
-    nm, mm, sm = _branch_stats(state.psi_minus, grid)
+    (_, mp, sp), (_, mm, sm), xbar0, _ = _stats(state, grid)
     p = state.p
-    xbar0 = p * mp + (1.0 - p) * mm
     k = grid.k()
     vbar0 = 0.0
     for weight, psi in ((p, state.psi_plus), ((1.0 - p), state.psi_minus)):
@@ -300,12 +304,10 @@ def evolve(state0: GridState, f_meas: float, f_div: float, t_max: float,
 
     def sample(s: GridState) -> None:
         _edge_check(s, grid)
-        np_, mp, sp = _branch_stats(s.psi_plus, grid)
-        nm, mm, sm = _branch_stats(s.psi_minus, grid)
-        p = s.p
+        (np_, mp, _), (nm, mm, _), xbar, x2bar = _stats(s, grid)
         rows["t"].append(s.t)
-        rows["xbar"].append(p * mp + (1.0 - p) * mm)
-        rows["x2bar"].append(p * sp + (1.0 - p) * sm)
+        rows["xbar"].append(xbar)
+        rows["x2bar"].append(x2bar)
         rows["x_plus"].append(mp)
         rows["x_minus"].append(mm)
         rows["norm_plus"].append(np_)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .grid import GridSpec, GridTrajectory
+from .grid import GridSpec
 from .units import (ApparatusParams, FdivSpec, G_NEWTON, MeasurementConfig,
                     Scales)
 
@@ -28,8 +27,11 @@ _TOP_KEYS = {"mass_kg", "radius_m", "density_kgm3", "G", "p", "F_meas_N",
              "tau_meas_s", "l0_m", "F_div", "grid", "gamma", "engine"}
 _REQUIRED_KEYS = {"p", "F_meas_N", "tau_meas_s", "l0_m", "F_div"}
 _GRID_KEYS = {"n", "l", "dt", "sample_every"}
-
-GRID_DEFAULTS = {"n": 1024, "l": 32.0, "dt": 1e-3, "sample_every": 10}
+# (MeasurementConfig field, its SI config key, the Scales attribute that
+# makes it dimensionless; p already is)
+_MEASUREMENT_KEYS = (("p", "p", None), ("f_meas", "F_meas_N", "force"),
+                     ("tau_meas", "tau_meas_s", "time"),
+                     ("l0", "l0_m", "length"))
 
 
 class ConfigError(ValueError):
@@ -38,23 +40,20 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class LoadedConfig:
+    """A validated config. grid holds the keys of the config's grid block
+    (n and sample_every as int, l and dt as float); the command that runs
+    fills in the rest."""
+
     apparatus: ApparatusParams
     measurement: MeasurementConfig
     scales: Scales
-    grid: GridSpec
-    sample_every: int
-    grid_explicit: bool
+    grid: dict
     gamma: float
     engine: str | None
-    resolved: dict
 
     @property
     def f_meas_dimensionless(self) -> float:
         return self.measurement.f_meas / self.scales.force
-
-    @property
-    def tau_dimensionless(self) -> float:
-        return self.measurement.tau_meas / self.scales.time
 
     def f_div_dimensionless(self) -> float:
         """Fixed diverting force in packet units; rejects the uniform kind."""
@@ -64,6 +63,31 @@ class LoadedConfig:
                 '"value_N": ...}; the uniform kind is for ensembles')
         return self.measurement.f_div.value / self.scales.force
 
+    def manifest_config(self, grid: tuple[GridSpec, int | None] | None) -> dict:
+        """The config as a manifest records it: every value after defaults,
+        in SI and in packet units, and the (GridSpec, sample_every) the run
+        used (None if it used no grid)."""
+        a, m = self.apparatus, self.measurement
+        record = None
+        if grid is not None:
+            spec, sample_every = grid
+            record = {"n": spec.n, "l": spec.half_length, "dt": spec.dt,
+                      "sample_every": sample_every}
+        fixed = m.f_div.kind == "fixed"
+        si = {"mass_kg": a.mass, "radius_m": a.radius,
+              "density_kgm3": a.density, "G": a.big_g,
+              "F_div": ({"kind": "fixed", "value_N": m.f_div.value} if fixed
+                        else {"kind": "uniform"}),
+              "gamma": self.gamma, "engine": self.engine, "grid": record}
+        dimensionless = {"gamma": self.gamma,
+                         "f_div": (self.f_div_dimensionless() if fixed
+                                   else "uniform")}
+        for field, key, scale in _MEASUREMENT_KEYS:
+            si[key] = value = getattr(m, field)
+            dimensionless[field] = (value / getattr(self.scales, scale)
+                                    if scale else value)
+        return {"si": si, "dimensionless": dimensionless}
+
 
 def _require_number(obj: dict, key: str, path: str = "") -> float:
     where = f"{path}{key}"
@@ -72,15 +96,20 @@ def _require_number(obj: dict, key: str, path: str = "") -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def load_config(path) -> LoadedConfig:
     """Read and fully validate a JSON config file.
 
-    Returns the apparatus, measurement settings, unit scales, numerical
-    options, and a resolved-config dict (all defaults applied) for the
-    manifest.
+    Returns the apparatus, measurement settings, unit scales, the grid
+    block as given, damping and default engine.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -106,6 +135,8 @@ def load_config(path) -> LoadedConfig:
         raise ConfigError(
             "need at least two of mass_kg, radius_m, density_kgm3")
     big_g = _require_number(raw, "G") if "G" in raw else G_NEWTON
+    if not big_g > 0.0:
+        raise ConfigError(f"G: must be > 0, got {big_g!r}")
     try:
         apparatus = ApparatusParams.derive(mass=body.get("mass_kg"),
                                            radius=body.get("radius_m"),
@@ -131,16 +162,14 @@ def load_config(path) -> LoadedConfig:
         raise ConfigError(f"F_div.kind: expected 'uniform' or 'fixed', got {kind!r}")
 
     try:
-        measurement = MeasurementConfig(p=_require_number(raw, "p"),
-                                        f_meas=_require_number(raw, "F_meas_N"),
-                                        tau_meas=_require_number(raw, "tau_meas_s"),
-                                        l0=_require_number(raw, "l0_m"),
-                                        f_div=fdiv)
+        measurement = MeasurementConfig(
+            f_div=fdiv, **{field: _require_number(raw, key)
+                           for field, key, _ in _MEASUREMENT_KEYS})
     except ValueError as exc:
         msg = str(exc)
-        key = msg.split(" ", 1)[0]
-        rename = {"f_meas": "F_meas_N", "tau_meas": "tau_meas_s", "l0": "l0_m"}
-        raise ConfigError(f"{rename.get(key, key)}: {msg}")
+        field = msg.split(" ", 1)[0]
+        rename = {field: key for field, key, _ in _MEASUREMENT_KEYS}
+        raise ConfigError(f"{rename.get(field, field)}: {msg}")
 
     grid_raw = raw.get("grid", {})
     if not isinstance(grid_raw, dict):
@@ -148,17 +177,20 @@ def load_config(path) -> LoadedConfig:
     unknown = sorted(set(grid_raw) - _GRID_KEYS)
     if unknown:
         raise ConfigError(f"grid.{unknown[0]}: unknown key")
-    grid_opts = dict(GRID_DEFAULTS)
-    for key in grid_raw:
-        grid_opts[key] = _require_number(grid_raw, key, "grid.")
-    if grid_opts["n"] != int(grid_opts["n"]):
-        raise ConfigError(f"grid.n: expected an integer, got {grid_opts['n']!r}")
-    if grid_opts["sample_every"] != int(grid_opts["sample_every"]) or grid_opts["sample_every"] < 1:
+    grid = {key: _require_number(grid_raw, key, "grid.") for key in grid_raw}
+    for key in ("n", "sample_every"):
+        if key in grid:
+            if grid[key] != int(grid[key]):
+                raise ConfigError(f"grid.{key}: expected an integer, got {grid[key]!r}")
+            grid[key] = int(grid[key])
+    if grid.get("sample_every", 1) < 1:
         raise ConfigError(
-            f"grid.sample_every: expected a positive integer, got {grid_opts['sample_every']!r}")
+            f"grid.sample_every: expected a positive integer, got {grid['sample_every']!r}")
     try:
-        grid = GridSpec(half_length=grid_opts["l"], n=int(grid_opts["n"]),
-                        dt=grid_opts["dt"])
+        # GridSpec checks each field on its own, so the placeholders let
+        # only the keys the block sets fail
+        GridSpec(half_length=grid.get("l", 1.0), n=grid.get("n", 1),
+                 dt=grid.get("dt", 1.0))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}")
 
@@ -169,82 +201,29 @@ def load_config(path) -> LoadedConfig:
     if engine is not None and engine not in ("analytic", "grid"):
         raise ConfigError(f"engine: expected 'analytic' or 'grid', got {engine!r}")
 
-    scales = Scales.from_apparatus(apparatus)
-    fdiv_resolved = ({"kind": "uniform"} if fdiv.kind == "uniform"
-                     else {"kind": "fixed", "value_N": fdiv.value})
-    resolved = {
-        "si": {
-            "mass_kg": apparatus.mass,
-            "radius_m": apparatus.radius,
-            "density_kgm3": apparatus.density,
-            "G": apparatus.big_g,
-            "p": measurement.p,
-            "F_meas_N": measurement.f_meas,
-            "tau_meas_s": measurement.tau_meas,
-            "l0_m": measurement.l0,
-            "F_div": fdiv_resolved,
-            "gamma": gamma,
-            "engine": engine,
-            "grid": {"n": grid.n, "l": grid.half_length, "dt": grid.dt,
-                     "sample_every": int(grid_opts["sample_every"])},
-        },
-        "dimensionless": {
-            "p": measurement.p,
-            "f_meas": measurement.f_meas / scales.force,
-            "tau_meas": measurement.tau_meas / scales.time,
-            "l0": measurement.l0 / scales.length,
-            "f_div": (fdiv.value / scales.force if fdiv.kind == "fixed"
-                      else "uniform"),
-            "gamma": gamma,
-        },
-    }
     return LoadedConfig(apparatus=apparatus, measurement=measurement,
-                        scales=scales, grid=grid,
-                        sample_every=int(grid_opts["sample_every"]),
-                        grid_explicit="grid" in raw, gamma=gamma,
-                        engine=engine, resolved=resolved)
-
-
-@dataclass
-class TrajectoryTable:
-    """Column set of the trajectory CSV; None columns emit empty cells."""
-
-    t: np.ndarray
-    xbar: np.ndarray
-    x_plus: np.ndarray
-    x_minus: np.ndarray
-    d: np.ndarray
-    x2bar: np.ndarray | None = None
-    norm_plus: np.ndarray | None = None
-    norm_minus: np.ndarray | None = None
-    energy: np.ndarray | None = None
-
-    @classmethod
-    def from_grid(cls, traj: GridTrajectory) -> "TrajectoryTable":
-        return cls(t=traj.t, xbar=traj.xbar, x_plus=traj.x_plus,
-                   x_minus=traj.x_minus, d=traj.x_plus - traj.x_minus,
-                   x2bar=traj.x2bar, norm_plus=traj.norm_plus,
-                   norm_minus=traj.norm_minus, energy=traj.energy)
-
-    @classmethod
-    def from_analytic(cls, traj: dict) -> "TrajectoryTable":
-        return cls(t=traj["t"], xbar=traj["xbar"], x_plus=traj["x_plus"],
-                   x_minus=traj["x_minus"],
-                   d=traj["x_plus"] - traj["x_minus"])
+                        scales=Scales.from_apparatus(apparatus), grid=grid,
+                        gamma=gamma, engine=engine)
 
 
 def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def emit_trajectory(table: TrajectoryTable, path) -> None:
+def emit_trajectory(table, path) -> None:
     """Write the trajectory CSV: fixed header and column order, 17 significant
-    digits, '\\n' line endings, one trailing newline."""
+    digits, '\\n' line endings, one trailing newline.
+
+    table carries one array per column as attributes, a GridTrajectory or the
+    closed form's columns; d is x_plus - x_minus, and a column table lacks
+    (the grid-only ones, for the closed form) is written as empty cells.
+    """
     n = len(table.t)
     if n == 0:
         raise ValueError("trajectory is empty")
-    columns = (table.t, table.xbar, table.x2bar, table.x_plus, table.x_minus,
-               table.d, table.norm_plus, table.norm_minus, table.energy)
+    columns = [table.x_plus - table.x_minus if name == "d"
+               else getattr(table, name, None)
+               for name in TRAJECTORY_HEADER.split(",")]
     lines = [TRAJECTORY_HEADER]
     for i in range(n):
         lines.append(",".join("" if col is None else _fmt(col[i])
@@ -256,27 +235,28 @@ def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def manifest_path_for(output_path) -> Path:
-    return Path(str(output_path) + ".manifest.json")
+def write_manifest(output_paths, command, loaded: LoadedConfig,
+                   grid: tuple[GridSpec, int | None] | None = None,
+                   master_seed: int | None = None) -> Path:
+    """Write a manifest next to the first output, covering all of them.
 
-
-def write_manifest(output_paths, command, resolved_config: dict,
-                   scales: Scales, master_seed: int | None = None) -> Path:
-    """Write a manifest next to the first output, covering all of them."""
+    grid is the (GridSpec, sample_every) the run used, None if it used none.
+    """
     outputs = [{"path": Path(p).name, "sha256": file_digest(p)}
                for p in output_paths]
+    scales = loaded.scales
     manifest = {
         "tool": "gravimean",
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "command": list(command),
         "master_seed": master_seed,
-        "config": resolved_config,
+        "config": loaded.manifest_config(grid),
         "scales": {"length_m": scales.length, "time_s": scales.time,
                    "force_N": scales.force, "energy_J": scales.energy},
         "outputs": outputs,
     }
-    path = manifest_path_for(output_paths[0])
+    path = Path(str(output_paths[0]) + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 

@@ -44,9 +44,9 @@ RIGHT = "right"
 LEFT = "left"
 UNDECIDED = "undecided"
 
-# Grid used for grid-engine trials unless the caller supplies one: lighter
-# than the solver default because each trial only needs the sign of a mean
-# displacement, which the stepping reproduces exactly at any stable dt.
+# Default grid of grid-engine trials: lighter than the solver default
+# because each trial only needs the sign of a mean displacement, which the
+# stepping reproduces exactly at any stable dt.
 MC_GRID = GridSpec(half_length=20.0, n=512, dt=4e-3)
 
 
@@ -190,7 +190,7 @@ def _grid_displacement(p: float, f_meas: float, f_div: float, tau: float,
 
 def run_trial(cfg: MeasurementConfig, engine: str = "analytic",
               seed: int = 0, *, scales: Scales | None = None,
-              grid: GridSpec | None = None,
+              grid: GridSpec = MC_GRID,
               f_div: float | None = None, index: int = 0) -> McTrialResult:
     """One measurement trial under a frozen diverting force.
 
@@ -217,8 +217,7 @@ def run_trial(cfg: MeasurementConfig, engine: str = "analytic",
         outcome = classify(f_total)
     else:
         try:
-            displacement = _grid_displacement(cfg.p, f_meas, f_div, tau,
-                                              grid or MC_GRID)
+            displacement = _grid_displacement(cfg.p, f_meas, f_div, tau, grid)
         except NumericalError as exc:
             raise NumericalError(f"trial {index}: {exc}") from exc
         outcome = classify(displacement)
@@ -252,7 +251,7 @@ def _chunk_counts(args) -> tuple[int, int, int]:
 def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
                  master_seed: int, workers: int = 1, *,
                  scales: Scales | None = None,
-                 grid: GridSpec | None = None) -> McSummary:
+                 grid: GridSpec = MC_GRID) -> McSummary:
     """Run n_trials independent trials and tally outcomes.
 
     Counts are a pure function of (cfg, engine, n_trials, master_seed):
@@ -268,11 +267,10 @@ def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     if cfg.f_div.kind != "uniform":
         raise ValueError("ensembles need F_div kind 'uniform'")
-    grid_spec = grid or MC_GRID
 
     chunk = max(1, math.ceil(n_trials / (workers * 4)))
     bounds = [(s, min(s + chunk, n_trials)) for s in range(0, n_trials, chunk)]
-    jobs = [(cfg, engine, master_seed, start, stop, scales, grid_spec)
+    jobs = [(cfg, engine, master_seed, start, stop, scales, grid)
             for start, stop in bounds]
     if workers == 1 or len(jobs) == 1:
         parts = [_chunk_counts(job) for job in jobs]

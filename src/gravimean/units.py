@@ -43,19 +43,17 @@ class ApparatusParams:
     radius: float       # m
     density: float      # kg m^-3
     big_g: float        # m^3 kg^-1 s^-2
-    hbar: float         # J s
     omega_grav: float   # rad s^-1
     x0: float           # m, coherent packet width
 
     @classmethod
     def derive(cls, mass: float | None = None, radius: float | None = None,
-               density: float | None = None, big_g: float = G_NEWTON,
-               hbar: float = HBAR) -> "ApparatusParams":
+               density: float | None = None,
+               big_g: float = G_NEWTON) -> "ApparatusParams":
         """Build from any two of mass, radius, density.
 
         All three may be supplied only if mutually consistent to a relative
-        1e-12. G and hbar are overridable so unit-system configurations
-        (G = hbar = 1) can be exercised directly.
+        1e-12. G is overridable because configs may set it.
         """
         given = [v is not None for v in (mass, radius, density)]
         if sum(given) < 2:
@@ -73,12 +71,10 @@ class ApparatusParams:
             raise ValueError(
                 "mass, radius, density are mutually inconsistent: "
                 f"mass={mass!r} but (4/3) pi R^3 rho = {expected!r}")
-        if big_g <= 0.0 or hbar <= 0.0:
-            raise ValueError("G and hbar must be > 0")
-        omega = omega_grav(mass, radius, big_g)
-        x0 = math.sqrt(hbar / (mass * omega))
+        omega = omega_grav(mass, radius, big_g)  # rejects G <= 0
+        x0 = math.sqrt(HBAR / (mass * omega))
         return cls(mass=mass, radius=radius, density=density, big_g=big_g,
-                   hbar=hbar, omega_grav=omega, x0=x0)
+                   omega_grav=omega, x0=x0)
 
 
 @dataclass(frozen=True)
@@ -96,22 +92,7 @@ class Scales:
         return cls(length=params.x0,
                    time=1.0 / w,
                    force=params.mass * w * w * params.x0,
-                   energy=params.hbar * w)
-
-
-_SCALE_KINDS = ("length", "time", "force", "energy")
-
-
-def to_dimensionless(value: float, kind: str, scales: Scales) -> float:
-    if kind not in _SCALE_KINDS:
-        raise ValueError(f"unknown scale kind {kind!r}, expected one of {_SCALE_KINDS}")
-    return value / getattr(scales, kind)
-
-
-def from_dimensionless(value: float, kind: str, scales: Scales) -> float:
-    if kind not in _SCALE_KINDS:
-        raise ValueError(f"unknown scale kind {kind!r}, expected one of {_SCALE_KINDS}")
-    return value * getattr(scales, kind)
+                   energy=HBAR * w)
 
 
 @dataclass(frozen=True)
@@ -188,11 +169,11 @@ class CriteriaReport:
         }
 
 
-def classicality_report(params: ApparatusParams, cfg: MeasurementConfig,
-                        small_ratio: float = SMALL_RATIO) -> CriteriaReport:
+def classicality_report(params: ApparatusParams,
+                        cfg: MeasurementConfig) -> CriteriaReport:
     """Evaluate the pointer criteria for one apparatus and measurement setup.
 
-    sizebound: packet width well under the radius (ratio < small_ratio) and
+    sizebound: packet width well under the radius (ratio < SMALL_RATIO) and
     splitting estimate under the radius. displacement: the measurement force
     moves the apparatus at least l0 within tau (non-strict). timing: the
     apparatus must respond faster than the landscape scale allows,
@@ -201,7 +182,7 @@ def classicality_report(params: ApparatusParams, cfg: MeasurementConfig,
     w2 = params.omega_grav**2
     d_est = cfg.f_meas / (params.mass * w2)
     d_derived = 2.0 * d_est
-    sizebound_ok = (params.x0 < small_ratio * params.radius) and (d_est < params.radius)
+    sizebound_ok = (params.x0 < SMALL_RATIO * params.radius) and (d_est < params.radius)
     displacement_ok = (cfg.f_meas / params.mass) * cfg.tau_meas**2 >= cfg.l0
     wt2 = (params.omega_grav * cfg.tau_meas) ** 2
     timing_ok = wt2 > cfg.l0 / params.radius

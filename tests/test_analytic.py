@@ -11,7 +11,6 @@ import pytest
 from gravimean.analytic import (CoherentBranch, CoherentTwoBranchState,
                                 common_center_initial_condition,
                                 equilibrium_splitting, evolve,
-                                mean_trajectory, smooth_coefficients,
                                 smooth_initial_condition, total_force,
                                 trajectory)
 from oracles import rk4_centers
@@ -61,16 +60,16 @@ class TestBuildingBlocks:
         assert st.plus.velocity == st.minus.velocity == pytest.approx(0.2)
         assert st.splitting == pytest.approx(0.0)
 
-    def test_fixed_width_enforced(self):
-        with pytest.raises(ValueError):
-            CoherentBranch(0.0, 0.0, width=2.0)
-
     def test_smooth_coefficients(self):
+        # xbar(t) = A + B t + C t^2: A and B from the values at t = 0, and
+        # C from the second difference, which is 2 C h^2 for a quadratic
         st = smooth_initial_condition(0.7, 1.0, xbar0=0.2, vbar0=0.4)
-        co = smooth_coefficients(st, 1.0, 0.3)
-        assert co.A == pytest.approx(0.2)
-        assert co.B == pytest.approx(0.4)
-        assert co.C == pytest.approx(0.5 * total_force(0.7, 1.0, 0.3))
+        traj = trajectory(st, 1.0, 0.3, [0.0, 1.0, 2.0])
+        assert traj["xbar"][0] == pytest.approx(0.2)
+        assert 0.7 * traj["v_plus"][0] + 0.3 * traj["v_minus"][0] == \
+            pytest.approx(0.4)
+        c = 0.5 * (traj["xbar"][2] - 2.0 * traj["xbar"][1] + traj["xbar"][0])
+        assert c == pytest.approx(0.5 * total_force(0.7, 1.0, 0.3))
 
 
 class TestFrozenOracleValues:
@@ -158,7 +157,7 @@ class TestAgainstRk4Sweep:
             expect = st.com + st.vbar * t + 0.5 * force * t * t
             out = evolve(st, f, fd, t)
             assert out.com == pytest.approx(expect, abs=1e-12)
-            assert mean_trajectory(st, f, fd, t) == pytest.approx(
+            assert trajectory(st, f, fd, [t])["xbar"][0] == pytest.approx(
                 expect, abs=1e-12)
 
     def test_mean_stays_quadratic_with_damping(self):

@@ -10,7 +10,8 @@ import pytest
 from gravimean.analytic import smooth_initial_condition, trajectory
 from gravimean.cli import main
 from gravimean.io import TRAJECTORY_HEADER, file_digest, verify_manifest
-from gravimean.montecarlo import run_ensemble
+from gravimean.grid import GridSpec
+from gravimean.montecarlo import MC_GRID, run_ensemble
 from gravimean.units import (ApparatusParams, FdivSpec, MeasurementConfig,
                              Scales)
 
@@ -35,6 +36,10 @@ def write_cfg(tmp_path, name="cfg.json", drop=(), **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def manifest_grid(out):
+    return json.loads(open(out + ".manifest.json").read())["config"]["si"]["grid"]
 
 
 def read_csv(path):
@@ -96,6 +101,9 @@ class TestConfigValidation:
     def test_negative_gamma(self, tmp_path, capsys):
         self.check_rejected(tmp_path, capsys, "gamma", gamma=-0.5)
 
+    def test_nonpositive_g(self, tmp_path, capsys):
+        self.check_rejected(tmp_path, capsys, "G: must be > 0", G=-1.0)
+
     def test_bad_engine(self, tmp_path, capsys):
         self.check_rejected(tmp_path, capsys, "engine", engine="exact")
 
@@ -121,6 +129,26 @@ class TestConfigValidation:
         path.write_text("{not json")
         assert main(["criteria", "--config", str(path)]) == 1
         assert "JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), 10**400],
+                             ids=["nan", "inf", "-inf", "int-1e400"])
+    @pytest.mark.parametrize("where", ["F_meas_N", "F_div.value_N",
+                                       "grid.dt", "gamma"])
+    def test_non_finite_rejected(self, tmp_path, capsys, value, where):
+        # json writes these as NaN, Infinity, -Infinity and a 401-digit
+        # integer, which the parser accepts
+        overrides = {"F_meas_N": {"F_meas_N": value},
+                     "F_div.value_N": {"F_div": {"kind": "fixed",
+                                                 "value_N": value}},
+                     "grid.dt": {"grid": {"dt": value}},
+                     "gamma": {"gamma": value}}[where]
+        cfg = write_cfg(tmp_path, **overrides)
+        out = str(tmp_path / "x.csv")
+        assert main(["evolve", "--config", cfg, "--mode", "analytic",
+                     "--t-max", "1.0", "--out", out]) == 1
+        assert f"{where}: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["criteria", "--config", str(tmp_path / "nope.json")]) == 1
@@ -170,6 +198,7 @@ class TestEvolveAnalytic:
         assert verify_manifest(manifest_path) == []
         manifest = json.loads(open(manifest_path).read())
         assert manifest["tool"] == "gravimean"
+        assert manifest["config"]["si"]["grid"] is None
         assert manifest["config"]["si"]["G"] == 6.674e-11
         assert manifest["config"]["dimensionless"]["f_meas"] == 1.0
         assert manifest["command"][0] == "gravimean"
@@ -218,6 +247,39 @@ class TestEvolveAnalytic:
         assert "uniform" in capsys.readouterr().err
 
 
+class TestFlagValidation:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--t-max", "--dt-sample", "--grid-l",
+                                      "--dt", "--xbar0", "--vbar0"])
+    def test_non_finite_evolve_flag(self, tmp_path, capsys, flag, value):
+        # --flag=value, because argparse reads a bare -inf as a flag
+        cfg = write_cfg(tmp_path)
+        assert main(["evolve", "--config", cfg, "--mode", "analytic",
+                     "--t-max", "1.0", f"{flag}={value}",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_p(self, capsys, value):
+        assert main(["two-detector", f"--p={value}"]) == 1
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("evolve", "--t-max", "0"), ("evolve", "--t-max", "-1"),
+        ("evolve", "--dt-sample", "0"), ("compare", "--t-max", "0"),
+        ("compare", "--t-max", "-1"),
+    ])
+    def test_durations_must_be_positive(self, tmp_path, capsys, command,
+                                        flag, value):
+        cfg = write_cfg(tmp_path)
+        argv = [command, "--config", cfg, "--t-max", "1.0", f"{flag}={value}"]
+        if command == "evolve":
+            argv += ["--mode", "grid", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 1
+        assert "must be > 0" in capsys.readouterr().err
+
+
 class TestEvolveGrid:
     def test_basic_run(self, tmp_path):
         cfg = write_cfg(tmp_path, p=0.7)
@@ -240,6 +302,47 @@ class TestEvolveGrid:
         assert main(["evolve", "--config", cfg, "--mode", "grid",
                      "--t-max", "0.2", "--out", out]) == 0
         assert len(read_csv(out)) == 1 + 3  # steps 0, 50, 100
+
+    def test_manifest_records_grid_used(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "grid.csv")
+        assert main(["evolve", "--config", cfg, "--mode", "grid",
+                     "--t-max", "0.2", "--grid-n", "256", "--grid-l", "16",
+                     "--dt", "2e-3", "--out", out]) == 0
+        assert manifest_grid(out) == {"n": 256, "l": 16.0, "dt": 2e-3,
+                                      "sample_every": 10}
+
+    def test_flags_override_config_block(self, tmp_path):
+        cfg = write_cfg(tmp_path, grid={"n": 512, "l": 16.0, "dt": 2e-3,
+                                        "sample_every": 50})
+        out = str(tmp_path / "grid.csv")
+        assert main(["evolve", "--config", cfg, "--mode", "grid",
+                     "--t-max", "0.2", "--grid-n", "256", "--out", out]) == 0
+        assert manifest_grid(out) == {"n": 256, "l": 16.0, "dt": 2e-3,
+                                      "sample_every": 50}
+
+    @pytest.mark.parametrize("ic", ["common", "smooth"])
+    def test_engines_share_initial_state(self, tmp_path, ic):
+        cfg = write_cfg(tmp_path, p=0.7)
+        first = {}
+        for mode in ("analytic", "grid"):
+            out = str(tmp_path / f"{mode}.csv")
+            assert main(["evolve", "--config", cfg, "--mode", mode,
+                         "--ic", ic, "--xbar0", "1.5", "--vbar0", "0.2",
+                         "--t-max", "0.01", "--grid-n", "256",
+                         "--grid-l", "16", "--dt", "1e-3", "--out", out]) == 0
+            cells = read_csv(out)[1].split(",")
+            first[mode] = (float(cells[3]), float(cells[4]))
+        assert first["grid"] == pytest.approx(first["analytic"], abs=1e-12)
+
+    def test_sample_every_must_be_positive(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "x.csv"
+        assert main(["evolve", "--config", cfg, "--mode", "grid",
+                     "--t-max", "0.2", "--grid-n", "256", "--grid-l", "16",
+                     "--sample-every", "0", "--out", str(out)]) == 1
+        assert "sample_every" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gamma_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, gamma=0.3)
@@ -335,6 +438,39 @@ class TestBornMc:
         out = json.loads(capsys.readouterr().out)
         assert out["engine"] == "grid"
         assert out["n_trials"] == 6
+
+    def test_grid_manifest_records_mc_grid(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, p=0.8, F_div={"kind": "uniform"},
+                        tau_meas_s=0.5 / APP.omega_grav)
+        out = str(tmp_path / "mc.json")
+        assert main(["born-mc", "--config", cfg, "--engine", "grid",
+                     "--trials", "2", "--seed", "3", "--out", out]) == 0
+        assert manifest_grid(out) == {"n": MC_GRID.n, "l": MC_GRID.half_length,
+                                      "dt": MC_GRID.dt, "sample_every": None}
+
+    def test_partial_grid_block_filled_from_mc_grid(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, p=0.8, F_div={"kind": "uniform"},
+                        tau_meas_s=0.5 / APP.omega_grav, grid={"n": 256})
+        out = str(tmp_path / "mc.json")
+        assert main(["born-mc", "--config", cfg, "--engine", "grid",
+                     "--trials", "4", "--seed", "3", "--out", out]) == 0
+        assert manifest_grid(out) == {"n": 256, "l": MC_GRID.half_length,
+                                      "dt": MC_GRID.dt, "sample_every": None}
+        ref = run_ensemble(
+            MeasurementConfig(p=0.8, f_meas=1.0, tau_meas=0.5, l0=1e-9,
+                              f_div=FdivSpec("uniform")),
+            "grid", 4, 3,
+            grid=GridSpec(half_length=MC_GRID.half_length, n=256,
+                          dt=MC_GRID.dt))
+        assert json.loads(capsys.readouterr().out) == ref.to_dict()
+
+    def test_analytic_manifest_has_no_grid(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, F_div={"kind": "uniform"},
+                        grid={"n": 256})
+        out = str(tmp_path / "mc.json")
+        assert main(["born-mc", "--config", cfg, "--trials", "10",
+                     "--out", out]) == 0
+        assert manifest_grid(out) is None
 
     def test_engine_default_from_config(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, F_div={"kind": "uniform"},

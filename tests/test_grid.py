@@ -61,12 +61,6 @@ class TestInitGaussian:
         k_mean = np.sum(SPEC.k() * weights) / np.sum(weights)
         assert k_mean == pytest.approx(v, abs=1e-11)
 
-    def test_width_parameter(self):
-        psi = init_gaussian(SPEC, 0.0, width=1.5)
-        x = SPEC.x()
-        var = np.sum(x * x * np.abs(psi) ** 2) * SPEC.dx
-        assert var == pytest.approx(1.5**2 / 2.0, abs=1e-10)
-
     def test_rejects_packet_near_edge(self):
         with pytest.raises(ValueError):
             init_gaussian(SPEC, 12.0)
