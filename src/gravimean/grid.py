@@ -17,6 +17,14 @@ constant, so it is accumulated exactly as a scalar global phase instead of
 being folded into the array multiplication; densities and all other
 observables are unaffected by construction.
 
+One core advances a block of B independent runs held as one array of shape
+(B, 2, n): row b holds the plus and minus branch of run b. The runs share
+the grid, p and f_meas and each has its own f_div. Every half kinetic step is
+one batched FFT pair along the last axis, and the norms, means and second
+moments of all rows come from one product |psi|^2 @ [1, x, x^2]^T dx. No
+operation mixes rows, so a run evolves the same in a block of any size.
+evolve is the block of one.
+
 The domain is periodic, which the physics never probes as long as the packets
 stay away from the edges; a density guard aborts the run otherwise.
 """
@@ -28,9 +36,20 @@ from functools import lru_cache
 
 import numpy as np
 
+# Branch signs of the measurement force, plus then minus, as a column.
+_SIGN = np.array([[1.0], [-1.0]])
+_BRANCH = ("plus", "minus")
+
 
 class NumericalError(RuntimeError):
-    """Numerical-failure conditions: norm drift, edge leakage, bad moments."""
+    """Numerical-failure conditions: norm drift, edge leakage, bad moments.
+
+    row is the index, within its block, of the run that failed.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -42,11 +61,12 @@ class GridSpec:
     dt: float
 
     def __post_init__(self):
-        if self.half_length <= 0.0:
+        # written so that NaN fails every check
+        if not self.half_length > 0.0:
             raise ValueError(f"half_length must be > 0, got {self.half_length!r}")
         if self.n <= 0 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a positive power of two, got {self.n!r}")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt!r}")
 
     @property
@@ -60,25 +80,37 @@ class GridSpec:
         return _grid_k(self)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=16)
 def _grid_x(spec: GridSpec) -> np.ndarray:
-    x = -spec.half_length + spec.dx * np.arange(spec.n)
-    x.flags.writeable = False
-    return x
+    return _frozen(-spec.half_length + spec.dx * np.arange(spec.n))
 
 
 @lru_cache(maxsize=16)
 def _grid_k(spec: GridSpec) -> np.ndarray:
-    k = 2.0 * np.pi * np.fft.fftfreq(spec.n, d=spec.dx)
-    k.flags.writeable = False
-    return k
+    return _frozen(2.0 * np.pi * np.fft.fftfreq(spec.n, d=spec.dx))
 
 
 @lru_cache(maxsize=16)
 def _kinetic_half(spec: GridSpec) -> np.ndarray:
-    kin = np.exp(-0.25j * _grid_k(spec) ** 2 * spec.dt)
-    kin.flags.writeable = False
-    return kin
+    return _frozen(np.exp(-0.25j * _grid_k(spec) ** 2 * spec.dt))
+
+
+@lru_cache(maxsize=16)
+def _moment_weights(spec: GridSpec) -> np.ndarray:
+    """Columns 1, x and x^2 times dx, shape (n, 3)."""
+    x = _grid_x(spec)
+    return _frozen(np.stack([np.ones_like(x), x, x * x], axis=1) * spec.dx)
+
+
+@lru_cache(maxsize=16)
+def _outer(spec: GridSpec) -> np.ndarray:
+    """Mask of the outer 5% of the box, where the edge guard looks."""
+    return _frozen(np.abs(_grid_x(spec)) >= 0.95 * spec.half_length)
 
 
 @dataclass
@@ -112,7 +144,10 @@ class Moments:
 
 @dataclass
 class GridTrajectory:
-    """Observables sampled along one evolution, one array entry per sample."""
+    """Observables sampled along one evolution, one array entry per sample.
+
+    For a block of runs every column but t has shape (samples, B).
+    """
 
     t: np.ndarray
     xbar: np.ndarray
@@ -142,40 +177,131 @@ def init_gaussian(grid: GridSpec, center: float,
     return psi
 
 
-def _norm(psi: np.ndarray, grid: GridSpec) -> float:
-    return float(np.sum(np.abs(psi) ** 2) * grid.dx)
+def _rows(state: GridState) -> np.ndarray:
+    """The state as a block of one, shape (1, 2, n)."""
+    return np.stack([state.psi_plus, state.psi_minus], dtype=complex)[None]
 
 
-def _branch_stats(psi: np.ndarray, grid: GridSpec) -> tuple[float, float, float]:
-    """Norm, mean position, and mean squared position of one branch."""
-    rho = np.abs(psi) ** 2
+def _density(psi: np.ndarray) -> np.ndarray:
+    return psi.real ** 2 + psi.imag ** 2
+
+
+def _stats(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Norm, first and second moment (not divided by the norm) of every row
+    and branch of psi (B, 2, n): |psi|^2 @ [1, x, x^2]^T dx, shape (B, 2, 3).
+
+    The product stays stacked, one (2, n) @ (n, 3) per row: a single
+    (2B, n) product rounds a row differently depending on where it sits in
+    the block, and then a run would not evolve bit for bit the same in
+    blocks of different sizes.
+    """
+    return _density(psi) @ _moment_weights(grid)
+
+
+def _norms(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Norm of every row and branch, shape (B, 2)."""
+    v = psi.view(np.float64)
+    return np.einsum("...i,...i->...", v, v) * grid.dx
+
+
+def _when(step_no: int | None, t: float) -> str:
+    return f"t={t!r}" if step_no is None else f"step {step_no}, t={t!r}"
+
+
+def _first_bad(bad: np.ndarray) -> tuple:
+    return tuple(int(i) for i in np.argwhere(bad)[0])
+
+
+def _weighted(stats: np.ndarray, p: float, step_no: int | None,
+              t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """xbar (B,), x2bar (B,) and the branch means (B, 2) from the stats.
+
+    Branch norms must hold to 1e-6; a larger deviation means the run has
+    already gone numerically bad and is reported as such, and so is a
+    weighted variance below -1e-12.
+    """
+    norm = stats[..., 0]
+    bad = ~(np.abs(norm - 1.0) <= 1e-6)
+    if bad.any():
+        row, branch = _first_bad(bad)
+        raise NumericalError(
+            f"{_BRANCH[branch]} branch norm {float(norm[row, branch])!r} deviates "
+            f"from 1 by more than 1e-6 at {_when(step_no, t)}", row)
+    per_branch = stats[..., 1:] / norm[..., None]
+    weighted = np.array([p, 1.0 - p]) @ per_branch
+    xbar, x2bar = weighted[:, 0], weighted[:, 1]
+    bad = ~(x2bar >= xbar * xbar - 1e-12)
+    if bad.any():
+        (row,) = _first_bad(bad)
+        raise NumericalError(
+            f"negative variance at {_when(step_no, t)}: x2bar {float(x2bar[row])!r} "
+            f"< xbar^2 {float(xbar[row]) ** 2!r}", row)
+    return xbar, x2bar, per_branch[..., 0]
+
+
+def _check_drift(before: np.ndarray, after: np.ndarray, step_no: int | None,
+                 t: float) -> None:
+    drift = np.abs(after - before)
+    bad = ~(drift <= 1e-8)
+    if bad.any():
+        row, branch = _first_bad(bad)
+        raise NumericalError(
+            f"{_BRANCH[branch]} branch norm drifted by {float(drift[row, branch])!r} "
+            f"in one step at {_when(step_no, t)}", row)
+
+
+def _edge_check(psi: np.ndarray, grid: GridSpec, t: float) -> None:
+    """Abort if a branch of any row puts real density in the outer 5% of the box."""
+    leaked = _density(psi[..., _outer(grid)]).sum(axis=-1) * grid.dx
+    bad = ~(leaked <= 1e-8)
+    if bad.any():
+        row, branch = _first_bad(bad)
+        raise NumericalError(
+            f"{_BRANCH[branch]} branch density {float(leaked[row, branch])!r} in the "
+            f"outer 5% of the domain at t={t!r}; enlarge half_length or "
+            f"shorten the run", row)
+
+
+def _potential(f_meas: float, grid: GridSpec) -> np.ndarray:
+    """Phase of the row-independent potential x^2/2 -/+ f_meas x over one
+    dt, shape (2, n)."""
     x = grid.x()
-    norm = float(np.sum(rho) * grid.dx)
-    mean = float(np.sum(x * rho) * grid.dx / norm)
-    second = float(np.sum(x * x * rho) * grid.dx / norm)
-    return norm, mean, second
+    return np.exp(-1j * grid.dt * (0.5 * x * x - _SIGN * f_meas * x))
 
 
-def _stats(state: GridState, grid: GridSpec) -> tuple[tuple, tuple, float, float]:
-    """Stats of the plus and minus branches, then the weighted xbar and x2bar."""
-    plus = _branch_stats(state.psi_plus, grid)
-    minus = _branch_stats(state.psi_minus, grid)
-    p = state.p
-    return (plus, minus, p * plus[1] + (1.0 - p) * minus[1],
-            p * plus[2] + (1.0 - p) * minus[2])
+def _strang(psi: np.ndarray, p: float, f_div: np.ndarray,
+            potential: np.ndarray, grid: GridSpec, step_no: int | None,
+            t: float) -> tuple[np.ndarray, np.ndarray]:
+    """One Strang step of every row: returns the new block and the
+    midpoint x2bar of each row."""
+    kin = _kinetic_half(grid)
+    psi = np.fft.ifft(np.fft.fft(psi) * kin)
+    xbar, x2bar, _ = _weighted(_stats(psi, grid), p, step_no, t)
+    psi *= potential
+    psi *= np.exp(1j * grid.dt * (xbar + f_div)[:, None] * grid.x())[:, None, :]
+    return np.fft.ifft(np.fft.fft(psi) * kin), x2bar
+
+
+def _energy(psi: np.ndarray, stats: np.ndarray, xbar: np.ndarray,
+            x2bar: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
+            grid: GridSpec) -> np.ndarray:
+    """Energy of every row from its stats and one batched FFT."""
+    k = grid.k()
+    kinetic = _density(np.fft.fft(psi)) @ (0.5 * k * k * grid.dx / grid.n)
+    force = (-_SIGN[:, 0] * f_meas - f_div[:, None]) * stats[..., 1]
+    return 0.5 * (x2bar - xbar**2) + (kinetic + force) @ np.array([p, 1.0 - p])
 
 
 def moments(state: GridState, grid: GridSpec) -> Moments:
     """Weighted moments of the two-branch density.
 
-    Branch norms must hold to 1e-6; a larger deviation means the run has
-    already gone numerically bad and is reported as such.
+    Branch norms must hold to 1e-6 and the weighted variance must not be
+    negative; either failure means the run has already gone numerically bad
+    and raises NumericalError.
     """
-    plus, minus, xbar, x2bar = _stats(state, grid)
-    for label, (n, _, _) in (("plus", plus), ("minus", minus)):
-        if abs(n - 1.0) > 1e-6:
-            raise NumericalError(f"{label} branch norm {n!r} deviates from 1 by more than 1e-6")
-    return Moments(xbar=xbar, x2bar=x2bar)
+    xbar, x2bar, _ = _weighted(_stats(_rows(state), grid), state.p, None,
+                               state.t)
+    return Moments(xbar=float(xbar[0]), x2bar=float(x2bar[0]))
 
 
 def step(state: GridState, f_meas: float, f_div: float, grid: GridSpec,
@@ -187,36 +313,17 @@ def step(state: GridState, f_meas: float, f_div: float, grid: GridSpec,
     x2bar/2 term goes into global_phase (see module docstring);
     include_x2_phase=False drops it, which can change nothing observable.
     """
-    kin = _kinetic_half(grid)
-    x = grid.x()
-    dt = grid.dt
-
-    n_plus_in = _norm(state.psi_plus, grid)
-    n_minus_in = _norm(state.psi_minus, grid)
-
-    psi_p = np.fft.ifft(np.fft.fft(state.psi_plus) * kin)
-    psi_m = np.fft.ifft(np.fft.fft(state.psi_minus) * kin)
-
-    mid = moments(GridState(psi_p, psi_m, state.p), grid)
-    common = 0.5 * x * x - (mid.xbar + f_div) * x
-    psi_p = psi_p * np.exp(-1j * dt * (common - f_meas * x))
-    psi_m = psi_m * np.exp(-1j * dt * (common + f_meas * x))
-
-    psi_p = np.fft.ifft(np.fft.fft(psi_p) * kin)
-    psi_m = np.fft.ifft(np.fft.fft(psi_m) * kin)
-
-    for label, before, psi in (("plus", n_plus_in, psi_p),
-                               ("minus", n_minus_in, psi_m)):
-        after = _norm(psi, grid)
-        if abs(after - before) > 1e-8:
-            raise NumericalError(
-                f"{label} branch norm drifted by {abs(after - before)!r} in one step")
-
+    psi = _rows(state)
+    t = state.t + grid.dt
+    before = _norms(psi, grid)
+    psi, x2bar = _strang(psi, state.p, np.array([float(f_div)]),
+                         _potential(f_meas, grid), grid, None, t)
+    _check_drift(before, _norms(psi, grid), None, t)
     phase = state.global_phase
     if include_x2_phase:
-        phase -= 0.5 * mid.x2bar * dt
-    return GridState(psi_plus=psi_p, psi_minus=psi_m, p=state.p,
-                     t=state.t + dt, global_phase=phase)
+        phase -= 0.5 * float(x2bar[0]) * grid.dt
+    return GridState(psi_plus=psi[0, 0], psi_minus=psi[0, 1], p=state.p,
+                     t=t, global_phase=phase)
 
 
 def energy(state: GridState, f_meas: float, f_div: float, grid: GridSpec) -> float:
@@ -227,99 +334,114 @@ def energy(state: GridState, f_meas: float, f_div: float, grid: GridSpec) -> flo
     to (x2bar - xbar^2) / 2. The constant-phase part of the potential does
     not enter.
     """
-    x = grid.x()
-    k = grid.k()
-    mom = moments(state, grid)
-    total = 0.5 * (mom.x2bar - mom.xbar**2)
-    for weight, psi, sign in ((state.p, state.psi_plus, +1.0),
-                              ((1.0 - state.p), state.psi_minus, -1.0)):
-        psi_hat = np.fft.fft(psi)
-        kinetic = 0.5 * float(np.sum(k * k * np.abs(psi_hat) ** 2)) * grid.dx / grid.n
-        force = float(np.sum((-sign * f_meas - f_div) * x * np.abs(psi) ** 2)) * grid.dx
-        total += weight * (kinetic + force)
-    return total
+    psi = _rows(state)
+    stats = _stats(psi, grid)
+    xbar, x2bar, _ = _weighted(stats, state.p, None, state.t)
+    return float(_energy(psi, stats, xbar, x2bar, state.p, f_meas,
+                         np.array([float(f_div)]), grid)[0])
 
 
-def _edge_check(state: GridState, grid: GridSpec) -> None:
-    """Abort if either branch puts real density in the outer 5% of the box."""
-    x = grid.x()
-    outer = np.abs(x) >= 0.95 * grid.half_length
-    for label, psi in (("plus", state.psi_plus), ("minus", state.psi_minus)):
-        leaked = float(np.sum(np.abs(psi[outer]) ** 2) * grid.dx)
-        if leaked > 1e-8:
-            raise NumericalError(
-                f"{label} branch density {leaked!r} in the outer 5% of the domain "
-                f"at t={state.t!r}; enlarge half_length or shorten the run")
-
-
-def _required_half_length(state: GridState, f_meas: float, f_div: float,
-                          t_max: float, grid: GridSpec) -> float:
-    """Box size needed for this run: margin + mean excursion + packet width.
+def _required_half_length(psi: np.ndarray, stats: np.ndarray, p: float,
+                          f_meas: float, f_div: np.ndarray, t_max: float,
+                          grid: GridSpec) -> np.ndarray:
+    """Box size each row needs: margin + mean excursion + packet width.
 
     The mean excursion is the exact quadratic bound; branch offsets and
     oscillation amplitudes live inside the fixed margin of 8.
     """
-    (_, mp, sp), (_, mm, sm), xbar0, _ = _stats(state, grid)
-    p = state.p
-    k = grid.k()
-    vbar0 = 0.0
-    for weight, psi in ((p, state.psi_plus), ((1.0 - p), state.psi_minus)):
-        psi_hat = np.fft.fft(psi)
-        dens = np.abs(psi_hat) ** 2
-        vbar0 += weight * float(np.sum(k * dens) / np.sum(dens))
+    weights = np.array([p, 1.0 - p])
+    per_branch = stats[..., 1:] / stats[..., :1]
+    xbar0 = per_branch[..., 0] @ weights
+    dens = _density(np.fft.fft(psi))
+    vbar0 = ((dens @ grid.k()) / dens.sum(axis=-1)) @ weights
     force = 2.0 * (p - 0.5) * f_meas + f_div
-    candidates = [0.0, t_max]
-    if force != 0.0:
+    with np.errstate(divide="ignore", invalid="ignore"):
         vertex = -vbar0 / force
-        if 0.0 < vertex < t_max:
-            candidates.append(vertex)
-    max_mean = max(abs(xbar0 + vbar0 * t + 0.5 * force * t * t) for t in candidates)
-    width_p = np.sqrt(2.0 * max(sp - mp * mp, 0.0))
-    width_m = np.sqrt(2.0 * max(sm - mm * mm, 0.0))
-    return 8.0 + max_mean + 3.0 * max(width_p, width_m)
+    vertex = np.where((vertex > 0.0) & (vertex < t_max), vertex, 0.0)
+    max_mean = np.max([np.abs(xbar0 + vbar0 * t + 0.5 * force * t * t)
+                       for t in (0.0, t_max, vertex)], axis=0)
+    variance = per_branch[..., 1] - per_branch[..., 0] ** 2
+    width = np.sqrt(2.0 * np.maximum(variance, 0.0)).max(axis=-1)
+    return 8.0 + max_mean + 3.0 * width
 
 
-def evolve(state0: GridState, f_meas: float, f_div: float, t_max: float,
-           grid: GridSpec, sample_every: int = 10,
-           include_x2_phase: bool = True) -> tuple[GridTrajectory, GridState]:
-    """Run repeated steps to t_max, sampling observables every few steps.
+def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
+                 t_max: float, grid: GridSpec, sample_every: int = 10,
+                 include_x2_phase: bool = True, t0: float = 0.0,
+                 phase0: float = 0.0
+                 ) -> tuple[GridTrajectory, np.ndarray, np.ndarray]:
+    """Run a block of B runs, psi of shape (B, 2, n) and f_div of shape (B,),
+    to t_max, sampling observables every few steps.
 
     Samples land on step boundaries: step 0, every sample_every-th step, and
-    the final step. Returns the sampled trajectory and the final state.
+    the final step. Every run's box is checked before the first step, and
+    norms, moments and the edge guard while stepping. Returns the sampled
+    trajectory (columns of shape (samples, B)), the final block and the
+    global phase of each row.
     """
-    if t_max <= 0.0:
+    if not t_max > 0.0:
         raise ValueError(f"t_max must be > 0, got {t_max!r}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
-    needed = float(_required_half_length(state0, f_meas, f_div, t_max, grid))
-    if grid.half_length < needed:
+    stats = _stats(psi, grid)
+    needed = float(np.max(_required_half_length(psi, stats, p, f_meas, f_div,
+                                                t_max, grid)))
+    if not grid.half_length >= needed:
         raise ValueError(
             f"half_length {grid.half_length!r} too small for this run; "
             f"need at least {needed:.1f}")
 
     n_steps = max(1, int(round(t_max / grid.dt)))
-    t0 = state0.t
+    potential = _potential(f_meas, grid)
+    phase = np.full(len(psi), phase0)
     rows = {name: [] for name in ("t", "xbar", "x2bar", "x_plus", "x_minus",
                                   "norm_plus", "norm_minus", "energy")}
 
-    def sample(s: GridState) -> None:
-        _edge_check(s, grid)
-        (np_, mp, _), (nm, mm, _), xbar, x2bar = _stats(s, grid)
-        rows["t"].append(s.t)
-        rows["xbar"].append(xbar)
-        rows["x2bar"].append(x2bar)
-        rows["x_plus"].append(mp)
-        rows["x_minus"].append(mm)
-        rows["norm_plus"].append(np_)
-        rows["norm_minus"].append(nm)
-        rows["energy"].append(energy(s, f_meas, f_div, grid))
+    def sample(psi: np.ndarray, stats: np.ndarray, step_no: int,
+               t: float) -> None:
+        xbar, x2bar, means = _weighted(stats, p, step_no, t)
+        _edge_check(psi, grid, t)
+        for name, value in (("t", t), ("xbar", xbar), ("x2bar", x2bar),
+                            ("x_plus", means[:, 0]), ("x_minus", means[:, 1]),
+                            ("norm_plus", stats[:, 0, 0]),
+                            ("norm_minus", stats[:, 1, 0]),
+                            ("energy", _energy(psi, stats, xbar, x2bar, p,
+                                               f_meas, f_div, grid))):
+            rows[name].append(value)
 
-    state = state0
-    sample(state)
+    sample(psi, stats, 0, t0)
+    norms = stats[..., 0]
     for i in range(1, n_steps + 1):
-        state = step(state, f_meas, f_div, grid, include_x2_phase=include_x2_phase)
-        state.t = t0 + i * grid.dt
-        if i % sample_every == 0 or i == n_steps:
-            sample(state)
+        t = t0 + i * grid.dt
+        psi, x2bar = _strang(psi, p, f_div, potential, grid, i, t)
+        if include_x2_phase:
+            phase -= 0.5 * x2bar * grid.dt
+        sampled = i % sample_every == 0 or i == n_steps
+        if sampled:
+            stats = _stats(psi, grid)
+            after = stats[..., 0]
+        else:
+            after = _norms(psi, grid)
+        _check_drift(norms, after, i, t)
+        norms = after
+        if sampled:
+            sample(psi, stats, i, t)
     traj = GridTrajectory(**{name: np.array(vals) for name, vals in rows.items()})
-    return traj, state
+    return traj, psi, phase
+
+
+def evolve(state0: GridState, f_meas: float, f_div: float, t_max: float,
+           grid: GridSpec, sample_every: int = 10,
+           include_x2_phase: bool = True) -> tuple[GridTrajectory, GridState]:
+    """Run one evolution to t_max, sampling observables every few steps: the
+    block of one of evolve_block. Returns the sampled trajectory and the
+    final state."""
+    traj, psi, phase = evolve_block(
+        _rows(state0), state0.p, f_meas, np.array([float(f_div)]), t_max,
+        grid, sample_every, include_x2_phase, t0=state0.t,
+        phase0=state0.global_phase)
+    traj = GridTrajectory(t=traj.t, **{name: column[:, 0] for name, column
+                                       in vars(traj).items() if name != "t"})
+    final = GridState(psi_plus=psi[0, 0], psi_minus=psi[0, 1], p=state0.p,
+                      t=float(traj.t[-1]), global_phase=float(phase[0]))
+    return traj, final

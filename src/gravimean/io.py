@@ -142,7 +142,7 @@ def load_config(path) -> LoadedConfig:
                                            radius=body.get("radius_m"),
                                            density=body.get("density_kgm3"),
                                            big_g=big_g)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # radius**3 can underflow
         raise ConfigError(f"mass_kg/radius_m/density_kgm3: {exc}")
 
     fdiv_raw = raw["F_div"]
@@ -201,9 +201,32 @@ def load_config(path) -> LoadedConfig:
     if engine is not None and engine not in ("analytic", "grid"):
         raise ConfigError(f"engine: expected 'analytic' or 'grid', got {engine!r}")
 
+    scales = _packet_scales(apparatus, measurement)
     return LoadedConfig(apparatus=apparatus, measurement=measurement,
-                        scales=Scales.from_apparatus(apparatus), grid=grid,
-                        gamma=gamma, engine=engine)
+                        scales=scales, grid=grid, gamma=gamma, engine=engine)
+
+
+def _packet_scales(apparatus: ApparatusParams,
+                   measurement: MeasurementConfig) -> Scales:
+    """The unit scales, after checking that they and every value the run
+    uses in packet units are finite: a finite SI value can still overflow
+    there."""
+    scales = Scales.from_apparatus(apparatus)
+    for name, value in vars(scales).items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(
+                f"mass_kg/radius_m/density_kgm3/G: the {name} scale is "
+                f"{value!r}, not a finite positive number")
+    derived = [(key, getattr(measurement, field), getattr(scales, scale))
+               for field, key, scale in _MEASUREMENT_KEYS if scale]
+    if measurement.f_div.kind == "fixed":
+        derived.append(("F_div.value_N", measurement.f_div.value, scales.force))
+    for key, value, scale in derived:
+        if not math.isfinite(value / scale):
+            raise ConfigError(
+                f"{key}: {value!r} is {value / scale!r} in packet units; "
+                f"expected a finite number")
+    return scales
 
 
 def _fmt(value) -> str:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import analytic
 from . import grid as gridmod
-from .grid import GridSpec, GridState, NumericalError
+from .grid import GridSpec, NumericalError
 from .units import MeasurementConfig, Scales
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -48,6 +48,14 @@ UNDECIDED = "undecided"
 # because each trial only needs the sign of a mean displacement, which the
 # stepping reproduces exactly at any stable dt.
 MC_GRID = GridSpec(half_length=20.0, n=512, dt=4e-3)
+
+# Trials per block. A grid block of B trials is one (B, 2, n) array; per
+# trial cost on MC_GRID is flat from B=16 to 64 and rises from B=128, and the
+# point cap keeps a block of a fine grid as small as one of MC_GRID. The
+# analytic cap bounds the sampler's arrays whatever the trial count.
+GRID_BLOCK = 64
+GRID_BLOCK_POINTS = GRID_BLOCK * MC_GRID.n
+ANALYTIC_BLOCK = 2**16
 
 
 def mix64(z: int) -> int:
@@ -174,18 +182,29 @@ def _dimensionless_setup(cfg: MeasurementConfig,
     return cfg.f_meas / scales.force, cfg.tau_meas / scales.time
 
 
-def _grid_displacement(p: float, f_meas: float, f_div: float, tau: float,
-                       grid_spec: GridSpec) -> float:
-    """Mean displacement over one grid-engine trial, started from rest at the
-    equilibrium splitting so the motion reflects the total force alone."""
+def _tally(values: np.ndarray) -> tuple[int, int, int]:
+    """(right, left, undecided): values > 0, < 0, and neither (0 or nan)."""
+    right = int(np.count_nonzero(values > 0.0))
+    left = int(np.count_nonzero(values < 0.0))
+    return right, left, len(values) - right - left
+
+
+def _grid_displacements(p: float, f_meas: float, f_div: np.ndarray, tau: float,
+                        grid_spec: GridSpec, first: int) -> np.ndarray:
+    """Mean displacement of each trial of one block, trial first + b under
+    f_div[b], started from rest at the equilibrium splitting so the motion
+    reflects the total force alone."""
     d_plus, d_minus, _ = analytic.equilibrium_splitting(p, f_meas)
-    state = GridState(psi_plus=gridmod.init_gaussian(grid_spec, d_plus),
-                      psi_minus=gridmod.init_gaussian(grid_spec, d_minus),
-                      p=p)
+    psi = np.stack([gridmod.init_gaussian(grid_spec, d_plus),
+                    gridmod.init_gaussian(grid_spec, d_minus)])
     n_steps = max(1, int(round(tau / grid_spec.dt)))
-    traj, _ = gridmod.evolve(state, f_meas, f_div, tau, grid_spec,
-                             sample_every=n_steps)
-    return float(traj.xbar[-1] - traj.xbar[0])
+    try:
+        traj, _, _ = gridmod.evolve_block(
+            np.repeat(psi[None], len(f_div), axis=0), p, f_meas, f_div, tau,
+            grid_spec, sample_every=n_steps)
+    except NumericalError as exc:
+        raise NumericalError(f"trial {first + exc.row}: {exc}", exc.row) from exc
+    return traj.xbar[-1] - traj.xbar[0]
 
 
 def run_trial(cfg: MeasurementConfig, engine: str = "analytic",
@@ -196,11 +215,11 @@ def run_trial(cfg: MeasurementConfig, engine: str = "analytic",
 
     The analytic engine classifies by the sign of the total force, which the
     closed form shows is the sign of the mean displacement for any duration.
-    The grid engine evolves the equilibrium state from rest to tau and
-    classifies by the sign of the mean displacement it actually measures.
-    f_div (dimensionless) can be forced explicitly for boundary tests;
-    otherwise it is sampled from the trial seed, which requires the config's
-    uniform diverting-force kind.
+    The grid engine evolves the equilibrium state from rest to tau, as a
+    block of one, and classifies by the sign of the mean displacement it
+    actually measures. f_div (dimensionless) can be forced explicitly for
+    boundary tests; otherwise it is sampled from the trial seed, which
+    requires the config's uniform diverting-force kind.
     """
     if engine not in ("analytic", "grid"):
         raise ValueError(f"engine must be 'analytic' or 'grid', got {engine!r}")
@@ -216,36 +235,35 @@ def run_trial(cfg: MeasurementConfig, engine: str = "analytic",
         displacement = 0.5 * f_total * tau * tau
         outcome = classify(f_total)
     else:
-        try:
-            displacement = _grid_displacement(cfg.p, f_meas, f_div, tau, grid)
-        except NumericalError as exc:
-            raise NumericalError(f"trial {index}: {exc}") from exc
+        displacement = float(_grid_displacements(
+            cfg.p, f_meas, np.array([float(f_div)]), tau, grid, index)[0])
         outcome = classify(displacement)
     return McTrialResult(index=index, f_div_sample=f_div, f_total=f_total,
                          outcome=outcome, final_displacement=displacement)
 
 
+def _grid_block(grid_spec: GridSpec) -> int:
+    """Trials per grid block: GRID_BLOCK, fewer on grids so fine that the
+    block would hold more than GRID_BLOCK_POINTS points per branch."""
+    return max(1, min(GRID_BLOCK, GRID_BLOCK_POINTS // grid_spec.n))
+
+
 def _chunk_counts(args) -> tuple[int, int, int]:
-    """(right, left, undecided) over one contiguous index range."""
+    """(right, left, undecided) over one contiguous index range, walked in
+    blocks so that memory does not grow with the range."""
     cfg, engine, master_seed, start, stop, scales, grid_spec = args
     f_meas, tau = _dimensionless_setup(cfg, scales)
-    if engine == "analytic":
-        f_div = _sample_fdiv_block(master_seed, start, stop, f_meas)
-        f_total = 2.0 * (cfg.p - 0.5) * f_meas + f_div
-        right = int(np.count_nonzero(f_total > 0.0))
-        left = int(np.count_nonzero(f_total < 0.0))
-        return right, left, (stop - start) - right - left
-    right = left = undecided = 0
-    for i in range(start, stop):
-        res = run_trial(cfg, engine, trial_seed(master_seed, i),
-                        scales=scales, grid=grid_spec, index=i)
-        if res.outcome == RIGHT:
-            right += 1
-        elif res.outcome == LEFT:
-            left += 1
+    block = ANALYTIC_BLOCK if engine == "analytic" else _grid_block(grid_spec)
+    counts = (0, 0, 0)
+    for lo in range(start, stop, block):
+        hi = min(lo + block, stop)
+        f_div = _sample_fdiv_block(master_seed, lo, hi, f_meas)
+        if engine == "analytic":
+            values = 2.0 * (cfg.p - 0.5) * f_meas + f_div
         else:
-            undecided += 1
-    return right, left, undecided
+            values = _grid_displacements(cfg.p, f_meas, f_div, tau, grid_spec, lo)
+        counts = tuple(a + b for a, b in zip(counts, _tally(values)))
+    return counts
 
 
 def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
@@ -255,8 +273,9 @@ def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
     """Run n_trials independent trials and tally outcomes.
 
     Counts are a pure function of (cfg, engine, n_trials, master_seed):
-    trial i always uses trial_seed(master_seed, i), so worker count and
-    chunking cannot change the result. Undecided trials stay in the tally;
+    trial i always uses trial_seed(master_seed, i) and evolves on its own
+    row of a block, so worker count, chunking and blocking cannot change the
+    result. Undecided trials stay in the tally;
     the frequency denominator excludes them.
     """
     if n_trials < 1:
@@ -268,12 +287,14 @@ def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
     if cfg.f_div.kind != "uniform":
         raise ValueError("ensembles need F_div kind 'uniform'")
 
-    chunk = max(1, math.ceil(n_trials / (workers * 4)))
+    # one worker walks the whole range in blocks; a pool gets four chunks
+    # per worker to even out the load
+    chunk = n_trials if workers == 1 else math.ceil(n_trials / (workers * 4))
     bounds = [(s, min(s + chunk, n_trials)) for s in range(0, n_trials, chunk)]
     jobs = [(cfg, engine, master_seed, start, stop, scales, grid)
             for start, stop in bounds]
-    if workers == 1 or len(jobs) == 1:
-        parts = [_chunk_counts(job) for job in jobs]
+    if len(jobs) == 1:
+        parts = [_chunk_counts(jobs[0])]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_chunk_counts, jobs))

@@ -127,13 +127,14 @@ class MeasurementConfig:
     f_div: FdivSpec = FdivSpec("uniform")
 
     def __post_init__(self):
+        # written so that NaN fails every check
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p!r}")
-        if self.f_meas < 0.0:
+        if not self.f_meas >= 0.0:
             raise ValueError(f"f_meas must be >= 0, got {self.f_meas!r}")
-        if self.tau_meas <= 0.0:
+        if not self.tau_meas > 0.0:
             raise ValueError(f"tau_meas must be > 0, got {self.tau_meas!r}")
-        if self.l0 <= 0.0:
+        if not self.l0 > 0.0:
             raise ValueError(f"l0 must be > 0, got {self.l0!r}")
 
 

@@ -7,6 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from gravimean import grid as gridmod
 from gravimean.analytic import smooth_initial_condition, trajectory
 from gravimean.cli import main
 from gravimean.io import TRAJECTORY_HEADER, file_digest, verify_manifest
@@ -149,6 +150,36 @@ class TestConfigValidation:
                      "--t-max", "1.0", "--out", out]) == 1
         assert f"{where}: expected a finite number" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command, where", [
+        ("evolve", "F_meas_N"), ("evolve", "F_div.value_N"),
+        ("born-mc", "F_meas_N")])
+    def test_overflow_in_packet_units_rejected(self, tmp_path, capsys,
+                                               command, where):
+        # 1e300 N is finite but overflows to inf in units of M omega^2 x0
+        overrides = {"F_meas_N": {"F_meas_N": 1e300},
+                     "F_div.value_N": {"F_div": {"kind": "fixed",
+                                                 "value_N": 1e300}}}[where]
+        if command == "born-mc":
+            overrides["F_div"] = {"kind": "uniform"}
+        cfg = write_cfg(tmp_path, **overrides)
+        out = str(tmp_path / "x.out")
+        args = (["evolve", "--mode", "analytic", "--t-max", "1.0"]
+                if command == "evolve" else ["born-mc", "--trials", "10"])
+        assert main(args + ["--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert f"{where}: 1e+300 is inf in packet units" in err
+        assert not (tmp_path / "x.out").exists()
+
+    def test_non_finite_scale_rejected(self, tmp_path, capsys):
+        # G M overflows, so omega is inf and the length scale 0
+        self.check_rejected(tmp_path, capsys, "the length scale is 0.0",
+                            drop=("density_kgm3",), mass_kg=1e300, G=1e300)
+
+    def test_radius_cube_underflow_rejected(self, tmp_path, capsys):
+        self.check_rejected(tmp_path, capsys, "mass_kg/radius_m/density_kgm3",
+                            drop=("density_kgm3",), mass_kg=1e-50,
+                            radius_m=1e-120)
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["criteria", "--config", str(tmp_path / "nope.json")]) == 1
@@ -359,6 +390,24 @@ class TestEvolveGrid:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
         assert "outer" in capsys.readouterr().err
+
+
+    def test_negative_variance_exits_3(self, tmp_path, capsys, monkeypatch):
+        real = gridmod._stats
+
+        def negative_second_moment(psi, grid):
+            stats = real(psi, grid)
+            stats[..., 2] = -stats[..., 0]
+            return stats
+
+        monkeypatch.setattr(gridmod, "_stats", negative_second_moment)
+        cfg = write_cfg(tmp_path)
+        code = main(["evolve", "--config", cfg, "--mode", "grid",
+                     "--t-max", "0.1", "--grid-n", "256", "--grid-l", "16",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert "negative variance at step 0, t=0.0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestCompare:

@@ -11,6 +11,7 @@ import pytest
 from gravimean.analytic import (common_center_initial_condition,
                                 equilibrium_splitting,
                                 smooth_initial_condition, trajectory)
+from gravimean import grid as gridmod
 from gravimean.grid import (GridSpec, GridState, Moments, NumericalError,
                             energy, evolve, init_gaussian, moments, step)
 
@@ -42,6 +43,13 @@ class TestGridSpec:
         base = {"half_length": 16.0, "n": 512, "dt": 1e-3}
         base.update(kwargs)
         with pytest.raises(ValueError):
+            GridSpec(**base)
+
+    @pytest.mark.parametrize("field", ["half_length", "dt"])
+    def test_rejects_nan(self, field):
+        base = {"half_length": 16.0, "n": 512, "dt": 1e-3}
+        base[field] = float("nan")
+        with pytest.raises(ValueError, match=field):
             GridSpec(**base)
 
 
@@ -257,3 +265,40 @@ class TestAgainstAnalytic:
         traj, final = evolve(state, 1.0, 0.0, 0.3, SPEC, sample_every=50)
         m = moments(final, SPEC)
         assert m.xbar == pytest.approx(traj.xbar[-1], abs=1e-14)
+
+
+def corrupt_stats(monkeypatch, after_calls, row=None):
+    """Make grid._stats report a second moment of -1 in every branch (or in
+    the given row only) from call after_calls + 1 on: a negative variance."""
+    real = gridmod._stats
+    calls = []
+
+    def fake(psi, grid):
+        stats = real(psi, grid)
+        calls.append(None)
+        if len(calls) > after_calls:
+            target = stats if row is None else stats[row]
+            target[..., 2] = -target[..., 0]
+        return stats
+
+    monkeypatch.setattr(gridmod, "_stats", fake)
+
+
+class TestNegativeVariance:
+    """A negative weighted variance is a numerical failure, not bad input."""
+
+    def test_moments(self, monkeypatch):
+        state = two_branch(SPEC, 1.0, -1.0, 0.5)
+        corrupt_stats(monkeypatch, 0)
+        with pytest.raises(NumericalError, match=r"negative variance at t=0\.0"):
+            moments(state, SPEC)
+
+    def test_while_stepping_names_step_and_t(self, monkeypatch):
+        # call 1 is the initial state, calls 2 and 3 the midpoints of steps
+        # 1 and 2
+        state = smooth_grid_state(SPEC, 0.3, 1.0)
+        corrupt_stats(monkeypatch, 2)
+        with pytest.raises(NumericalError,
+                           match=r"negative variance at step 2, t=0\.002: "
+                                 r"x2bar -1\.0 < xbar\^2"):
+            evolve(state, 1.0, 0.3, 0.1, SPEC)

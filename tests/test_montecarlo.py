@@ -12,11 +12,17 @@ import math
 import numpy as np
 import pytest
 
-from gravimean.montecarlo import (LEFT, MC_GRID, RIGHT, UNDECIDED, McSummary,
-                                  classify, mix64, run_ensemble, run_trial,
-                                  sample_fdiv, trial_seed, two_detector_table,
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
+
+from gravimean import montecarlo
+from gravimean.montecarlo import (ANALYTIC_BLOCK, GRID_BLOCK, LEFT, MC_GRID,
+                                  RIGHT, UNDECIDED, McSummary, classify, mix64,
+                                  run_ensemble, run_trial, sample_fdiv,
+                                  trial_seed, two_detector_table,
                                   wilson_interval)
-from gravimean.grid import GridSpec
+from gravimean.grid import GridSpec, NumericalError
 from gravimean.units import FdivSpec, MeasurementConfig
 
 
@@ -228,6 +234,116 @@ class TestEnsembles:
         assert summary.engine == "grid"
         # p = 0.8 leans right; with 40 trials expect a clear majority
         assert summary.n_right > summary.n_left
+
+
+# Small grid for block tests: 125 steps of 128 points per trial.
+SMALL_GRID = GridSpec(half_length=12.0, n=128, dt=4e-3)
+
+
+def chunk_counts(engine, seed, start, stop, p=0.6, grid=SMALL_GRID):
+    cfg = dimensionless_cfg(p, tau=0.5)
+    return montecarlo._chunk_counts((cfg, engine, seed, start, stop, None,
+                                     grid))
+
+
+@lru_cache(maxsize=None)
+def whole_range_counts(engine, seed, n):
+    return chunk_counts(engine, seed, 0, n)
+
+
+@st.composite
+def partitions(draw, n):
+    """[0, n) cut into contiguous chunks at a few random points."""
+    cuts = draw(st.lists(st.integers(1, n - 1), unique=True, max_size=4))
+    edges = [0] + sorted(cuts) + [n]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+class TestBlocks:
+    """Ensembles walk their index range in bounded blocks; how the range is
+    cut into chunks and blocks changes nothing."""
+
+    @staticmethod
+    def record_blocks(monkeypatch):
+        sizes = []
+        real = montecarlo._sample_fdiv_block
+
+        def recording(master_seed, start, stop, f_meas):
+            sizes.append(stop - start)
+            return real(master_seed, start, stop, f_meas)
+
+        monkeypatch.setattr(montecarlo, "_sample_fdiv_block", recording)
+        return sizes
+
+    def test_analytic_blocks_bounded(self, monkeypatch):
+        sizes = self.record_blocks(monkeypatch)
+        n = 3 * ANALYTIC_BLOCK + 5
+        summary = run_ensemble(dimensionless_cfg(0.4), "analytic", n,
+                               master_seed=8)
+        assert sizes == [ANALYTIC_BLOCK] * 3 + [5]
+        assert summary.n_right + summary.n_left + summary.n_undecided == n
+
+    @pytest.mark.parametrize("n_points, cap", [(MC_GRID.n, GRID_BLOCK),
+                                               (8 * MC_GRID.n, GRID_BLOCK // 8)])
+    def test_grid_blocks_bounded(self, monkeypatch, n_points, cap):
+        # a stand-in for the grid work: the sign of f_div decides
+        sizes = self.record_blocks(monkeypatch)
+        monkeypatch.setattr(montecarlo, "_grid_displacements",
+                            lambda p, f_meas, f_div, tau, grid, first: f_div)
+        grid = GridSpec(half_length=20.0, n=n_points, dt=4e-3)
+        run_ensemble(dimensionless_cfg(0.5), "grid", 2 * cap + 3,
+                     master_seed=1, grid=grid)
+        assert sizes == [cap, cap, 3]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), block=st.integers(1, 700),
+           data=st.data())
+    def test_analytic_counts_independent_of_partition(self, seed, block, data):
+        n = 2000
+        parts = data.draw(partitions(n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "ANALYTIC_BLOCK", block)
+            got = [chunk_counts("analytic", seed, lo, hi) for lo, hi in parts]
+        assert tuple(map(sum, zip(*got))) == whole_range_counts("analytic",
+                                                                seed, n)
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 3), block=st.integers(1, 8), data=st.data())
+    def test_grid_counts_independent_of_partition(self, seed, block, data):
+        n = 12
+        parts = data.draw(partitions(n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "GRID_BLOCK", block)
+            got = [chunk_counts("grid", seed, lo, hi) for lo, hi in parts]
+        assert tuple(map(sum, zip(*got))) == whole_range_counts("grid", seed, n)
+
+    def test_block_displacements_match_run_trial(self):
+        cfg = dimensionless_cfg(0.6, tau=0.5)
+        n = 16
+        ref = np.array([run_trial(cfg, "grid", trial_seed(77, i),
+                                  grid=SMALL_GRID, index=i).final_displacement
+                        for i in range(n)])
+        f_div = montecarlo._sample_fdiv_block(77, 0, n, 1.0)
+        for block in (1, 3, 16):
+            got = np.concatenate([
+                montecarlo._grid_displacements(0.6, 1.0, f_div[lo:lo + block],
+                                               0.5, SMALL_GRID, lo)
+                for lo in range(0, n, block)])
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_edge_hit_names_trial(self):
+        # the branches sit 7 from the mean; trial 11's force carries its mean
+        # to 8.8 by t = 2, which the box admits, and its plus branch into
+        # the outer 5%, while its neighbours stay clear
+        grid = GridSpec(half_length=20.0, n=256, dt=4e-3)
+        with pytest.raises(NumericalError,
+                           match=r"^trial 11: plus branch density .* outer 5%"):
+            montecarlo._grid_displacements(0.5, 7.0,
+                                           np.array([0.0, 4.4, -1.0]), 2.0,
+                                           grid, 10)
+        clear = montecarlo._grid_displacements(0.5, 7.0, np.array([0.0, -1.0]),
+                                               2.0, grid, 10)
+        assert clear[1] == pytest.approx(-2.0, abs=1e-9)
 
 
 class TestWilsonInterval:

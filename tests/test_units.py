@@ -122,6 +122,13 @@ class TestMeasurementConfig:
         with pytest.raises(ValueError):
             MeasurementConfig(**base)
 
+    @pytest.mark.parametrize("field", ["p", "f_meas", "tau_meas", "l0"])
+    def test_rejects_nan(self, field):
+        base = {"p": 0.5, "f_meas": 1.0, "tau_meas": 1.0, "l0": 1e-9}
+        base[field] = float("nan")
+        with pytest.raises(ValueError, match=field):
+            MeasurementConfig(**base)
+
     def test_fdiv_kinds(self):
         assert FdivSpec("uniform").kind == "uniform"
         assert FdivSpec("fixed", 1e-20).value == 1e-20
