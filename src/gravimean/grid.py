@@ -19,11 +19,16 @@ observables are unaffected by construction.
 
 One core advances a block of B independent runs held as one array of shape
 (B, 2, n): row b holds the plus and minus branch of run b. The runs share
-the grid, p and f_meas and each has its own f_div. Every half kinetic step is
-one batched FFT pair along the last axis, and the norms, means and second
-moments of all rows come from one product |psi|^2 @ [1, x, x^2]^T dx. No
-operation mixes rows, so a run evolves the same in a block of any size.
-evolve is the block of one.
+the grid, p and f_meas and each has its own f_div. The block is carried in
+k-space from step to step: the second half kinetic step of one step and the
+first of the next combine into one full kinetic factor, so a step costs one
+batched FFT pair along the last axis, an ifft to the midpoint and an fft
+back. The block returns to x-space only at samples. The norms, means and
+second moments of all rows come from one midpoint product
+|psi|^2 @ [1, x, x^2]^T dx, and the end-of-step norm for the drift check is
+read off the k-space block by Parseval (the kinetic factor has unit
+modulus). No operation mixes rows, so a run evolves the same in a block of
+any size. evolve is the block of one, and step runs the same helper.
 
 The domain is periodic, which the physics never probes as long as the packets
 stay away from the edges; a density guard aborts the run otherwise.
@@ -269,17 +274,22 @@ def _potential(f_meas: float, grid: GridSpec) -> np.ndarray:
     return np.exp(-1j * grid.dt * (0.5 * x * x - _SIGN * f_meas * x))
 
 
-def _strang(psi: np.ndarray, p: float, f_div: np.ndarray,
-            potential: np.ndarray, grid: GridSpec, step_no: int | None,
-            t: float) -> tuple[np.ndarray, np.ndarray]:
-    """One Strang step of every row: returns the new block and the
-    midpoint x2bar of each row."""
-    kin = _kinetic_half(grid)
-    psi = np.fft.ifft(np.fft.fft(psi) * kin)
+def _kspace_norms(phi: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Norm of every row and branch of a k-space block, by Parseval."""
+    return _norms(phi, grid) / grid.n
+
+
+def _advance(phi: np.ndarray, p: float, f_div: np.ndarray,
+             potential: np.ndarray, grid: GridSpec, step_no: int | None,
+             t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The middle of one Strang step of every row. phi is the k-space block
+    after the first half kinetic step; returns the k-space block before the
+    second one and the midpoint x2bar of each row."""
+    psi = np.fft.ifft(phi)
     xbar, x2bar, _ = _weighted(_stats(psi, grid), p, step_no, t)
     psi *= potential
     psi *= np.exp(1j * grid.dt * (xbar + f_div)[:, None] * grid.x())[:, None, :]
-    return np.fft.ifft(np.fft.fft(psi) * kin), x2bar
+    return np.fft.fft(psi), x2bar
 
 
 def _energy(psi: np.ndarray, stats: np.ndarray, xbar: np.ndarray,
@@ -315,10 +325,13 @@ def step(state: GridState, f_meas: float, f_div: float, grid: GridSpec,
     """
     psi = _rows(state)
     t = state.t + grid.dt
+    kin = _kinetic_half(grid)
     before = _norms(psi, grid)
-    psi, x2bar = _strang(psi, state.p, np.array([float(f_div)]),
-                         _potential(f_meas, grid), grid, None, t)
-    _check_drift(before, _norms(psi, grid), None, t)
+    phi, x2bar = _advance(np.fft.fft(psi) * kin, state.p,
+                          np.array([float(f_div)]), _potential(f_meas, grid),
+                          grid, None, t)
+    _check_drift(before, _kspace_norms(phi, grid), None, t)
+    psi = np.fft.ifft(phi * kin)
     phase = state.global_phase
     if include_x2_phase:
         phase -= 0.5 * float(x2bar[0]) * grid.dt
@@ -411,21 +424,24 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
 
     sample(psi, stats, 0, t0)
     norms = stats[..., 0]
+    # The block stays in k-space between steps: the second half kinetic step
+    # of one step and the first of the next are one full kinetic step.
+    kin = _kinetic_half(grid)
+    kin2 = kin**2
+    phi = np.fft.fft(psi) * kin
     for i in range(1, n_steps + 1):
         t = t0 + i * grid.dt
-        psi, x2bar = _strang(psi, p, f_div, potential, grid, i, t)
+        phi, x2bar = _advance(phi, p, f_div, potential, grid, i, t)
         if include_x2_phase:
             phase -= 0.5 * x2bar * grid.dt
-        sampled = i % sample_every == 0 or i == n_steps
-        if sampled:
-            stats = _stats(psi, grid)
-            after = stats[..., 0]
-        else:
-            after = _norms(psi, grid)
+        after = _kspace_norms(phi, grid)
         _check_drift(norms, after, i, t)
         norms = after
-        if sampled:
-            sample(psi, stats, i, t)
+        if i % sample_every == 0 or i == n_steps:
+            psi = np.fft.ifft(phi * kin)
+            sample(psi, _stats(psi, grid), i, t)
+        if i < n_steps:
+            phi *= kin2
     traj = GridTrajectory(**{name: np.array(vals) for name, vals in rows.items()})
     return traj, psi, phase
 

@@ -287,16 +287,17 @@ def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
     if cfg.f_div.kind != "uniform":
         raise ValueError("ensembles need F_div kind 'uniform'")
 
-    # one worker walks the whole range in blocks; a pool gets four chunks
-    # per worker to even out the load
-    chunk = n_trials if workers == 1 else math.ceil(n_trials / (workers * 4))
+    # one chunk per worker: trials of an engine all cost the same, and a
+    # grid block of few trials costs more per trial than one of many
+    chunk = math.ceil(n_trials / workers)
     bounds = [(s, min(s + chunk, n_trials)) for s in range(0, n_trials, chunk)]
     jobs = [(cfg, engine, master_seed, start, stop, scales, grid)
             for start, stop in bounds]
     if len(jobs) == 1:
         parts = [_chunk_counts(jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             parts = list(pool.map(_chunk_counts, jobs))
 
     right = sum(p[0] for p in parts)

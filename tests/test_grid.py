@@ -302,3 +302,60 @@ class TestNegativeVariance:
                            match=r"negative variance at step 2, t=0\.002: "
                                  r"x2bar -1\.0 < xbar\^2"):
             evolve(state, 1.0, 0.3, 0.1, SPEC)
+
+
+class TestKSpaceStepping:
+    """evolve_block carries the block in k-space between steps."""
+
+    @pytest.mark.parametrize("factor", ["_potential", "_kinetic_half"])
+    def test_drift_checked_between_samples(self, monkeypatch, factor):
+        # a phase factor of modulus 1 - 1e-7 loses about 2e-7 of norm in one
+        # step: the drift check must catch it at step 1, which is no sample
+        real = getattr(gridmod, factor)
+        monkeypatch.setattr(gridmod, factor,
+                            lambda *args: real(*args) * (1.0 - 1e-7))
+        state = smooth_grid_state(SPEC, 0.3, 1.0)
+        with pytest.raises(NumericalError,
+                           match=r"norm drifted by .* at step 1, t=0\.001"):
+            gridmod.evolve_block(gridmod._rows(state), 0.3, 1.0,
+                                 np.array([0.3]), 0.1, SPEC, sample_every=10)
+
+    def test_one_fft_pair_per_step(self, monkeypatch):
+        calls = []
+        for name in ("fft", "ifft"):
+            real = getattr(np.fft, name)
+
+            def counted(*args, _real=real, **kwargs):
+                calls.append(None)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        state = smooth_grid_state(SPEC, 0.3, 1.0)
+        n_steps, every = 100, 10
+        traj, _, _ = gridmod.evolve_block(
+            np.repeat(gridmod._rows(state), 3, axis=0), 0.3, 1.0,
+            np.array([-0.2, 0.0, 0.3]), n_steps * SPEC.dt, SPEC,
+            sample_every=every)
+        samples = len(traj.t)
+        assert samples == n_steps // every + 1
+        # two per step; at most two per sample (back to x-space, energy);
+        # two more for the box pre-flight and the first transform
+        assert len(calls) <= 2 * n_steps + 2 * samples + 2
+
+    def test_evolve_matches_step_loop(self):
+        state = smooth_grid_state(SPEC, 0.3, 1.0, xbar0=0.5)
+        n_steps = 40
+        traj, final = evolve(state, 1.0, 0.3, n_steps * SPEC.dt, SPEC,
+                             sample_every=1)
+        x = SPEC.x()
+        for i in range(1, n_steps + 1):
+            state = step(state, 1.0, 0.3, SPEC)
+            for psi, mean, norm in ((state.psi_plus, traj.x_plus, traj.norm_plus),
+                                    (state.psi_minus, traj.x_minus,
+                                     traj.norm_minus)):
+                rho = np.abs(psi) ** 2 * SPEC.dx
+                assert abs(rho.sum() - norm[i]) <= 1e-12
+                assert abs((rho @ x) / rho.sum() - mean[i]) <= 1e-12
+        assert abs(state.global_phase - final.global_phase) <= 1e-12
+        assert final.global_phase < 0.0
+        assert np.max(np.abs(state.psi_plus - final.psi_plus)) <= 1e-12

@@ -226,6 +226,43 @@ class TestEnsembles:
             run_ensemble(dimensionless_cfg(0.5, kind="fixed", value=0.1),
                          "analytic", 10, master_seed=0)
 
+    @pytest.mark.parametrize("n_trials, workers, bounds", [
+        (16, 2, [(0, 8), (8, 16)]),
+        (10, 4, [(0, 3), (3, 6), (6, 9), (9, 10)]),
+        (3, 8, [(0, 1), (1, 2), (2, 3)]),
+    ])
+    def test_pool_one_chunk_per_worker_and_no_idle_workers(
+            self, monkeypatch, n_trials, workers, bounds):
+        # a stub pool runs the jobs in this process and records what a real
+        # one would get; no worker process is started
+        pools = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                self.bounds = [(job[3], job[4]) for job in jobs]
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", StubPool)
+        cfg = dimensionless_cfg(0.4)
+        s = run_ensemble(cfg, "analytic", n_trials, master_seed=7,
+                         workers=workers)
+        (pool,) = pools
+        assert pool.bounds == bounds
+        assert pool.max_workers == len(bounds)
+        ref = run_ensemble(cfg, "analytic", n_trials, master_seed=7)
+        assert (s.n_right, s.n_left, s.n_undecided) == (
+            ref.n_right, ref.n_left, ref.n_undecided)
+
     def test_grid_engine_small_ensemble(self):
         summary = run_ensemble(dimensionless_cfg(0.8, tau=0.5), "grid", 40,
                                master_seed=11,
