@@ -27,8 +27,14 @@ back. The block returns to x-space only at samples. The norms, means and
 second moments of all rows come from one midpoint product
 |psi|^2 @ [1, x, x^2]^T dx, and the end-of-step norm for the drift check is
 read off the k-space block by Parseval (the kinetic factor has unit
-modulus). No operation mixes rows, so a run evolves the same in a block of
-any size. evolve is the block of one, and step runs the same helper.
+modulus). The per-row linear phase exp(i dt (xbar + f_div) x) is built as
+the outer product of two tables of about sqrt(n) exponentials each. The
+x-space block, its density and the phase live in arrays allocated once per
+call and the FFTs write into them, so no step allocates an array the size
+of the block. Runs end at exactly t_max: when dt does not divide t_max the
+last step is shortened. No operation mixes rows, so a run evolves the same
+in a block of any size. evolve is the block of one, and step runs the same
+helper.
 
 The domain is periodic, which the physics never probes as long as the packets
 stay away from the edges; a density guard aborts the run otherwise.
@@ -36,8 +42,10 @@ stay away from the edges; a density guard aborts the run otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,20 +195,42 @@ def _rows(state: GridState) -> np.ndarray:
     return np.stack([state.psi_plus, state.psi_minus], dtype=complex)[None]
 
 
-def _density(psi: np.ndarray) -> np.ndarray:
-    return psi.real ** 2 + psi.imag ** 2
+class _Work(NamedTuple):
+    """Arrays that one evolve_block call allocates once and every step
+    reuses, so that no step allocates an array the size of the block."""
+
+    psi: np.ndarray      # the x-space block, (B, 2, n) complex
+    density: np.ndarray  # re^2 and im^2 planes of psi, (2, B, 2, n)
+    phase: np.ndarray    # the linear phase of every row, (B, n) complex
 
 
-def _stats(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _work(shape: tuple) -> _Work:
+    return _Work(np.empty(shape, dtype=complex), np.empty((2,) + shape),
+                 np.empty((shape[0], shape[-1]), dtype=complex))
+
+
+def _density(psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """re^2 + im^2 of every point of psi, computed in the planes of out,
+    shape (2,) + psi.shape, which are allocated when not given."""
+    if out is None:
+        out = np.empty((2,) + psi.shape)
+    np.square(psi.real, out=out[0])
+    np.square(psi.imag, out=out[1])
+    return np.add(out[0], out[1], out=out[0])
+
+
+def _stats(psi: np.ndarray, grid: GridSpec,
+           scratch: np.ndarray | None = None) -> np.ndarray:
     """Norm, first and second moment (not divided by the norm) of every row
     and branch of psi (B, 2, n): |psi|^2 @ [1, x, x^2]^T dx, shape (B, 2, 3).
+    scratch is the density buffer of _density.
 
     The product stays stacked, one (2, n) @ (n, 3) per row: a single
     (2B, n) product rounds a row differently depending on where it sits in
     the block, and then a run would not evolve bit for bit the same in
     blocks of different sizes.
     """
-    return _density(psi) @ _moment_weights(grid)
+    return _density(psi, scratch) @ _moment_weights(grid)
 
 
 def _norms(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -279,17 +309,36 @@ def _kspace_norms(phi: np.ndarray, grid: GridSpec) -> np.ndarray:
     return _norms(phi, grid) / grid.n
 
 
+def _linear_phase(theta: np.ndarray, grid: GridSpec,
+                  out: np.ndarray) -> np.ndarray:
+    """exp(i theta_b x_j) for every row b, into out of shape (B, n).
+
+    With j = m h + l and m = 2^floor(log2(n)/2) it is the outer product of
+    exp(i theta_b x_{mh}), shape (B, n/m), and exp(i theta_b dx l), shape
+    (B, m): 2 sqrt(n) complex exponentials per row instead of n. Each row is
+    computed on its own, so a run gets the same phase in any block.
+    """
+    n = grid.n
+    m = 1 << (n.bit_length() - 1) // 2
+    coarse = np.exp(1j * (theta[:, None] * grid.x()[::m]))
+    fine = np.exp(1j * (theta[:, None] * (grid.dx * np.arange(m))))
+    np.multiply(coarse[:, :, None], fine[:, None, :],
+                out=out.reshape(len(theta), n // m, m))
+    return out
+
+
 def _advance(phi: np.ndarray, p: float, f_div: np.ndarray,
              potential: np.ndarray, grid: GridSpec, step_no: int | None,
-             t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The middle of one Strang step of every row. phi is the k-space block
-    after the first half kinetic step; returns the k-space block before the
-    second one and the midpoint x2bar of each row."""
-    psi = np.fft.ifft(phi)
-    xbar, x2bar, _ = _weighted(_stats(psi, grid), p, step_no, t)
+             t: float, work: _Work) -> np.ndarray:
+    """The middle of one Strang step of every row, in place: phi, the
+    k-space block after the first half kinetic step, becomes the block
+    before the second one. Returns the midpoint x2bar of each row."""
+    psi = np.fft.ifft(phi, out=work.psi)
+    xbar, x2bar, _ = _weighted(_stats(psi, grid, work.density), p, step_no, t)
     psi *= potential
-    psi *= np.exp(1j * grid.dt * (xbar + f_div)[:, None] * grid.x())[:, None, :]
-    return np.fft.fft(psi), x2bar
+    psi *= _linear_phase(grid.dt * (xbar + f_div), grid, work.phase)[:, None, :]
+    np.fft.fft(psi, out=phi)
+    return x2bar
 
 
 def _energy(psi: np.ndarray, stats: np.ndarray, xbar: np.ndarray,
@@ -327,9 +376,9 @@ def step(state: GridState, f_meas: float, f_div: float, grid: GridSpec,
     t = state.t + grid.dt
     kin = _kinetic_half(grid)
     before = _norms(psi, grid)
-    phi, x2bar = _advance(np.fft.fft(psi) * kin, state.p,
-                          np.array([float(f_div)]), _potential(f_meas, grid),
-                          grid, None, t)
+    phi = np.fft.fft(psi) * kin
+    x2bar = _advance(phi, state.p, np.array([float(f_div)]),
+                     _potential(f_meas, grid), grid, None, t, _work(psi.shape))
     _check_drift(before, _kspace_norms(phi, grid), None, t)
     psi = np.fft.ifft(phi * kin)
     phase = state.global_phase
@@ -378,6 +427,21 @@ def _required_half_length(psi: np.ndarray, stats: np.ndarray, p: float,
     return 8.0 + max_mean + 3.0 * width
 
 
+def step_plan(t_max: float, dt: float) -> tuple[int, float]:
+    """Number of steps that ends a run at t_max, and the length of the last.
+
+    Whole steps of dt when t_max/dt is within 1e-9 of an integer; otherwise
+    ceil(t_max/dt) steps, the last one shortened so that the run ends at
+    t_max.
+    """
+    ratio = t_max / dt
+    whole = round(ratio)
+    if whole >= 1 and abs(ratio - whole) <= 1e-9:
+        return whole, dt
+    n_steps = math.ceil(ratio)
+    return n_steps, t_max - (n_steps - 1) * dt
+
+
 def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
                  t_max: float, grid: GridSpec, sample_every: int = 10,
                  include_x2_phase: bool = True, t0: float = 0.0,
@@ -386,11 +450,12 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     """Run a block of B runs, psi of shape (B, 2, n) and f_div of shape (B,),
     to t_max, sampling observables every few steps.
 
-    Samples land on step boundaries: step 0, every sample_every-th step, and
-    the final step. Every run's box is checked before the first step, and
-    norms, moments and the edge guard while stepping. Returns the sampled
-    trajectory (columns of shape (samples, B)), the final block and the
-    global phase of each row.
+    Steps are of length dt but the last, which step_plan shortens so that
+    the run ends at exactly t_max. Samples land on step boundaries: step 0,
+    every sample_every-th step, and the final step at t0 + t_max. Every
+    run's box is checked before the first step, and norms, moments and the
+    edge guard while stepping. Returns the sampled trajectory (columns of
+    shape (samples, B)), the final block and the global phase of each row.
     """
     if not t_max > 0.0:
         raise ValueError(f"t_max must be > 0, got {t_max!r}")
@@ -404,8 +469,11 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
             f"half_length {grid.half_length!r} too small for this run; "
             f"need at least {needed:.1f}")
 
-    n_steps = max(1, int(round(t_max / grid.dt)))
+    n_steps, dt_last = step_plan(t_max, grid.dt)
+    # the shortened last step, if any, runs on a grid with dt = dt_last
+    last = grid if dt_last == grid.dt else replace(grid, dt=dt_last)
     potential = _potential(f_meas, grid)
+    potential_last = potential if last is grid else _potential(f_meas, last)
     phase = np.full(len(psi), phase0)
     rows = {name: [] for name in ("t", "xbar", "x2bar", "x_plus", "x_minus",
                                   "norm_plus", "norm_minus", "energy")}
@@ -424,24 +492,30 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
 
     sample(psi, stats, 0, t0)
     norms = stats[..., 0]
+    work = _work(psi.shape)
     # The block stays in k-space between steps: the second half kinetic step
-    # of one step and the first of the next are one full kinetic step.
-    kin = _kinetic_half(grid)
-    kin2 = kin**2
-    phi = np.fft.fft(psi) * kin
+    # of one step and the first of the next are one multiplication.
+    kin, kin_last = _kinetic_half(grid), _kinetic_half(last)
+    kin2 = kin * kin
+    phi = np.fft.fft(psi)
+    phi *= kin if n_steps > 1 else kin_last
     for i in range(1, n_steps + 1):
-        t = t0 + i * grid.dt
-        phi, x2bar = _advance(phi, p, f_div, potential, grid, i, t)
+        final = i == n_steps
+        spec = last if final else grid
+        t = t0 + (t_max if final else i * grid.dt)
+        x2bar = _advance(phi, p, f_div, potential_last if final else potential,
+                         spec, i, t, work)
         if include_x2_phase:
-            phase -= 0.5 * x2bar * grid.dt
+            phase -= 0.5 * x2bar * spec.dt
         after = _kspace_norms(phi, grid)
         _check_drift(norms, after, i, t)
         norms = after
-        if i % sample_every == 0 or i == n_steps:
-            psi = np.fft.ifft(phi * kin)
-            sample(psi, _stats(psi, grid), i, t)
-        if i < n_steps:
-            phi *= kin2
+        if final or i % sample_every == 0:
+            psi = np.multiply(phi, kin_last if final else kin, out=work.psi)
+            np.fft.ifft(psi, out=psi)
+            sample(psi, _stats(psi, grid, work.density), i, t)
+        if not final:
+            phi *= kin2 if i < n_steps - 1 else kin * kin_last
     traj = GridTrajectory(**{name: np.array(vals) for name, vals in rows.items()})
     return traj, psi, phase
 

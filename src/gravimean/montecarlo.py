@@ -197,7 +197,7 @@ def _grid_displacements(p: float, f_meas: float, f_div: np.ndarray, tau: float,
     d_plus, d_minus, _ = analytic.equilibrium_splitting(p, f_meas)
     psi = np.stack([gridmod.init_gaussian(grid_spec, d_plus),
                     gridmod.init_gaussian(grid_spec, d_minus)])
-    n_steps = max(1, int(round(tau / grid_spec.dt)))
+    n_steps, _ = gridmod.step_plan(tau, grid_spec.dt)
     try:
         traj, _, _ = gridmod.evolve_block(
             np.repeat(psi[None], len(f_div), axis=0), p, f_meas, f_div, tau,

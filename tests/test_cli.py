@@ -395,8 +395,8 @@ class TestEvolveGrid:
     def test_negative_variance_exits_3(self, tmp_path, capsys, monkeypatch):
         real = gridmod._stats
 
-        def negative_second_moment(psi, grid):
-            stats = real(psi, grid)
+        def negative_second_moment(psi, grid, *rest):
+            stats = real(psi, grid, *rest)
             stats[..., 2] = -stats[..., 0]
             return stats
 

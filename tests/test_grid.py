@@ -260,6 +260,23 @@ class TestAgainstAnalytic:
         assert traj.t[1] == pytest.approx(0.1, abs=1e-15)
         assert final.t == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("t_max", [1.0, 3.0])
+    def test_ends_at_t_max(self, t_max):
+        # dt = 0.4 divides neither duration: whole steps would end at 0.8
+        # and 3.2, so the last step is shortened to end at t_max. The smooth
+        # state under a constant force is exact for any step length.
+        spec = GridSpec(half_length=16.0, n=512, dt=0.4)
+        state = smooth_grid_state(spec, 0.3, 1.0)
+        traj, final = evolve(state, 1.0, 0.25, t_max, spec, sample_every=1)
+        assert traj.t[-1] == t_max
+        assert final.t == t_max
+        assert np.all(np.diff(traj.t) <= spec.dt + 1e-12)
+        exact = trajectory(smooth_initial_condition(0.3, 1.0), 1.0, 0.25,
+                           np.array([t_max]))
+        for name in ("xbar", "x_plus", "x_minus"):
+            assert getattr(traj, name)[-1] == pytest.approx(exact[name][0],
+                                                            abs=1e-12)
+
     def test_final_state_returned(self):
         state = two_branch(SPEC, 0.0, 0.0, 0.5)
         traj, final = evolve(state, 1.0, 0.0, 0.3, SPEC, sample_every=50)
@@ -273,8 +290,8 @@ def corrupt_stats(monkeypatch, after_calls, row=None):
     real = gridmod._stats
     calls = []
 
-    def fake(psi, grid):
-        stats = real(psi, grid)
+    def fake(psi, grid, *rest):
+        stats = real(psi, grid, *rest)
         calls.append(None)
         if len(calls) > after_calls:
             target = stats if row is None else stats[row]
@@ -341,6 +358,26 @@ class TestKSpaceStepping:
         # two per step; at most two per sample (back to x-space, energy);
         # two more for the box pre-flight and the first transform
         assert len(calls) <= 2 * n_steps + 2 * samples + 2
+
+    @pytest.mark.parametrize("t_max, dt, plan", [
+        (1.0, 4e-3, (250, 4e-3)), (np.pi, 1e-3, (3142, np.pi - 3.141)),
+        (1.0, 0.4, (3, 0.2)), (3.0, 0.4, (8, 0.2)), (0.3, 0.1, (3, 0.1)),
+        (1e-4, 1e-3, (1, 1e-4))])
+    def test_step_plan(self, t_max, dt, plan):
+        n_steps, dt_last = gridmod.step_plan(t_max, dt)
+        assert n_steps == plan[0]
+        assert dt_last == pytest.approx(plan[1], rel=1e-9)
+
+    def test_linear_phase_factored(self):
+        # every power of two from 1 to 4096, including n below m^2
+        rng = np.random.default_rng(5)
+        for k in range(13):
+            spec = GridSpec(half_length=20.0, n=2**k, dt=1e-3)
+            theta = rng.uniform(-1.0, 1.0, 4)
+            got = gridmod._linear_phase(theta, spec,
+                                        np.empty((4, spec.n), dtype=complex))
+            exact = np.exp(1j * theta[:, None] * spec.x())
+            assert np.max(np.abs(got - exact)) <= 1e-14, spec.n
 
     def test_evolve_matches_step_loop(self):
         state = smooth_grid_state(SPEC, 0.3, 1.0, xbar0=0.5)

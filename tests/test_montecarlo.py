@@ -368,6 +368,29 @@ class TestBlocks:
                 for lo in range(0, n, block)])
             assert np.max(np.abs(got - ref)) <= 1e-12
 
+    def test_block_displacements_bit_identical(self):
+        f_div = montecarlo._sample_fdiv_block(3, 0, 64, 1.0)
+        whole = montecarlo._grid_displacements(0.6, 1.0, f_div, 0.5,
+                                               SMALL_GRID, 0)
+        for block in (1, 2, 3, 5, 16):
+            got = np.concatenate([
+                montecarlo._grid_displacements(0.6, 1.0, f_div[lo:lo + block],
+                                               0.5, SMALL_GRID, lo)
+                for lo in range(0, 64, block)])
+            assert np.array_equal(got, whole), block
+
+    @settings(max_examples=10, deadline=None)
+    @given(p=st.floats(0.05, 0.95), f_meas=st.floats(0.1, 2.0),
+           u=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
+    def test_uniform_force_law(self, p, f_meas, u):
+        # each trial's mean moves as under the uniform total force alone:
+        # d = F tau^2 / 2 with F = 2 (p - 1/2) f_meas + f_div
+        f_div = f_meas * np.array(u)
+        tau = 1.0
+        got = montecarlo._grid_displacements(p, f_meas, f_div, tau, MC_GRID, 0)
+        force = 2.0 * (p - 0.5) * f_meas + f_div
+        assert np.max(np.abs(got - 0.5 * force * tau * tau)) <= 1e-12
+
     def test_edge_hit_names_trial(self):
         # the branches sit 7 from the mean; trial 11's force carries its mean
         # to 8.8 by t = 2, which the box admits, and its plus branch into
