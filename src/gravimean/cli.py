@@ -9,8 +9,8 @@ Subcommands:
   two-detector  joint outcome tables for two back-to-back runs
 
 Exit codes: 0 success, 1 bad usage or config, 2 criteria not satisfied,
-3 numerical failure (norm drift, a negative variance or probability reaching
-the grid edge).
+3 numerical failure (norm drift, a negative variance, or probability reaching
+the grid edge or the largest |k| of the grid).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .analytic import (common_center_initial_condition,
                        smooth_initial_condition, trajectory)
-from .grid import GridSpec, GridState, NumericalError, init_gaussian
+from .grid import GridSpec, GridState, NumericalError, init_gaussian, step_plan
 from .grid import evolve as evolve_grid
 from .io import (ConfigError, LoadedConfig, emit_trajectory, load_config,
                  write_manifest)
@@ -41,6 +41,9 @@ THREAD_CAP_ENV = "GRAVIMEAN_THREADS"
 # trials sample only their start and end.
 EVOLVE_GRID = (GridSpec(half_length=32.0, n=1024, dt=1e-3), 10)
 BORN_MC_GRID = (MC_GRID, None)
+
+# Most rows a run may write: 50 times the benchmark's long analytic evolve.
+MAX_ROWS = 10**7
 
 # (grid block key, argparse dest of the flag that overrides it)
 _GRID_FLAGS = (("n", "grid_n"), ("l", "grid_l"), ("dt", "dt"),
@@ -178,7 +181,15 @@ def _initial_state(loaded: LoadedConfig, args):
                                            vbar0=args.vbar0)
 
 
+def _check_rows(rows: float, flags: str) -> None:
+    """Reject a run of more than MAX_ROWS rows before it allocates them."""
+    if not rows <= MAX_ROWS:
+        raise ConfigError(f"{flags}: the run would write {rows:.3g} rows, "
+                          f"more than {MAX_ROWS}")
+
+
 def _sample_times(t_max: float, dt_sample: float) -> np.ndarray:
+    _check_rows(t_max / dt_sample + 2, "--t-max / --dt-sample")
     n = int(math.floor(t_max / dt_sample + 1e-9))
     times = np.arange(n + 1) * dt_sample
     if times[-1] < t_max * (1.0 - 1e-12):
@@ -211,6 +222,11 @@ def _run_grid(loaded: LoadedConfig, state, grid, t_max: float):
         raise ConfigError("gamma: the grid engine has no damping; "
                           "use the analytic engine for gamma > 0")
     spec, sample_every = grid
+    # step_plan overflows on inf; evolve itself rejects sample_every < 1
+    rows = t_max / spec.dt
+    if math.isfinite(rows):
+        rows = step_plan(t_max, spec.dt)[0] // max(sample_every, 1) + 2
+    _check_rows(rows, "--t-max / --dt / --sample-every")
     psi_plus, psi_minus = (init_gaussian(spec, b.center, velocity=b.velocity)
                            for b in (state.plus, state.minus))
     traj, _final = evolve_grid(GridState(psi_plus, psi_minus, state.p),

@@ -25,19 +25,22 @@ first of the next combine into one full kinetic factor, so a step costs one
 batched FFT pair along the last axis, an ifft to the midpoint and an fft
 back. The block returns to x-space only at samples. The norms, means and
 second moments of all rows come from one midpoint product
-|psi|^2 @ [1, x, x^2]^T dx, and the end-of-step norm for the drift check is
-read off the k-space block by Parseval (the kinetic factor has unit
-modulus). The per-row linear phase exp(i dt (xbar + f_div) x) is built as
-the outer product of two tables of about sqrt(n) exponentials each. The
-x-space block, its density and the phase live in arrays allocated once per
-call and the FFTs write into them, so no step allocates an array the size
-of the block. Runs end at exactly t_max: when dt does not divide t_max the
-last step is shortened. No operation mixes rows, so a run evolves the same
-in a block of any size. evolve is the block of one, and step runs the same
-helper.
+|psi|^2 @ [1, x, x^2]^T dx. The kinetic factor has unit modulus, so the
+k-space block gives the end-of-step norm for the drift check by Parseval,
+and at a sample the kinetic energy and the aliasing guard, with no
+transform of its own. The per-row linear phase exp(i dt (xbar + f_div) x)
+is built as the outer product of two tables of about sqrt(n) exponentials
+each. The x-space block, its density and the phase live in arrays
+allocated once per call and the FFTs write into them, so no step allocates
+an array the size of the block. Runs end at exactly t_max: when dt does not
+divide t_max the last step is shortened. No operation mixes rows, so a run evolves the same
+in a block of any size. evolve is the block of one; step is evolve over
+one dt, energy the energy evolve records at its start, and moments reads
+the same weighted moments.
 
 The domain is periodic, which the physics never probes as long as the packets
-stay away from the edges; a density guard aborts the run otherwise.
+stay away from the edges and the spectrum away from the largest |k|: a
+density guard in x and an aliasing guard in k abort the run otherwise.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ _BRANCH = ("plus", "minus")
 
 
 class NumericalError(RuntimeError):
-    """Numerical-failure conditions: norm drift, edge leakage, bad moments.
+    """Numerical failures: norm drift, edge leakage, aliasing, bad moments.
 
     row is the index, within its block, of the run that failed.
     """
@@ -121,6 +124,16 @@ def _moment_weights(spec: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def _k_weights(spec: GridSpec) -> np.ndarray:
+    """Columns k^2 dx / 2n, 1 and the mask of the outer 5% of |k|, shape
+    (n, 3): a k-space density times them gives the kinetic energy, the total
+    and the part where the aliasing guard looks."""
+    k = _grid_k(spec)
+    return _frozen(np.stack([0.5 * k * k * spec.dx / spec.n, np.ones_like(k),
+                             np.abs(k) >= 0.95 * np.pi / spec.dx], axis=1))
+
+
+@lru_cache(maxsize=16)
 def _outer(spec: GridSpec) -> np.ndarray:
     """Mask of the outer 5% of the box, where the edge guard looks."""
     return _frozen(np.abs(_grid_x(spec)) >= 0.95 * spec.half_length)
@@ -141,18 +154,6 @@ class GridState:
     p: float
     t: float = 0.0
     global_phase: float = 0.0
-
-
-@dataclass(frozen=True)
-class Moments:
-    """Weighted density moments xbar and x2bar."""
-
-    xbar: float
-    x2bar: float
-
-    def __post_init__(self):
-        if self.x2bar < self.xbar**2 - 1e-12:
-            raise ValueError("x2bar < xbar^2: negative variance")
 
 
 @dataclass
@@ -233,18 +234,24 @@ def _stats(psi: np.ndarray, grid: GridSpec,
     return _density(psi, scratch) @ _moment_weights(grid)
 
 
-def _norms(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Norm of every row and branch, shape (B, 2)."""
-    v = psi.view(np.float64)
-    return np.einsum("...i,...i->...", v, v) * grid.dx
-
-
 def _when(step_no: int | None, t: float) -> str:
     return f"t={t!r}" if step_no is None else f"step {step_no}, t={t!r}"
 
 
 def _first_bad(bad: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.argwhere(bad)[0])
+
+
+def _check(values: np.ndarray, limit: float, what: str, step_no: int | None,
+           t: float) -> None:
+    """Raise NumericalError for the first row and branch of values, shape
+    (B, 2), that is not <= limit (NaN never is). what describes the failure
+    after the branch name, with {0} for the value and {1} for the time."""
+    bad = ~(values <= limit)
+    if bad.any():
+        row, branch = _first_bad(bad)
+        raise NumericalError(f"{_BRANCH[branch]} branch " + what.format(
+            float(values[row, branch]), _when(step_no, t)), row)
 
 
 def _weighted(stats: np.ndarray, p: float, step_no: int | None,
@@ -256,12 +263,8 @@ def _weighted(stats: np.ndarray, p: float, step_no: int | None,
     weighted variance below -1e-12.
     """
     norm = stats[..., 0]
-    bad = ~(np.abs(norm - 1.0) <= 1e-6)
-    if bad.any():
-        row, branch = _first_bad(bad)
-        raise NumericalError(
-            f"{_BRANCH[branch]} branch norm {float(norm[row, branch])!r} deviates "
-            f"from 1 by more than 1e-6 at {_when(step_no, t)}", row)
+    _check(np.abs(norm - 1.0), 1e-6,
+           "norm deviates from 1 by {0!r}, more than 1e-6, at {1}", step_no, t)
     per_branch = stats[..., 1:] / norm[..., None]
     weighted = np.array([p, 1.0 - p]) @ per_branch
     xbar, x2bar = weighted[:, 0], weighted[:, 1]
@@ -274,27 +277,25 @@ def _weighted(stats: np.ndarray, p: float, step_no: int | None,
     return xbar, x2bar, per_branch[..., 0]
 
 
-def _check_drift(before: np.ndarray, after: np.ndarray, step_no: int | None,
-                 t: float) -> None:
-    drift = np.abs(after - before)
-    bad = ~(drift <= 1e-8)
-    if bad.any():
-        row, branch = _first_bad(bad)
-        raise NumericalError(
-            f"{_BRANCH[branch]} branch norm drifted by {float(drift[row, branch])!r} "
-            f"in one step at {_when(step_no, t)}", row)
+def _kinetic_energy(phi: np.ndarray, grid: GridSpec, step_no: int, t: float,
+                    scratch: np.ndarray) -> np.ndarray:
+    """Kinetic energy of every row and branch of a k-space block, shape
+    (B, 2), read off its density after the aliasing guard: a branch with
+    more than 1e-8 of its weight in the outer 5% of |k| is no longer
+    resolved by the grid. scratch is the density buffer of _density."""
+    sums = _density(phi, scratch) @ _k_weights(grid)
+    _check(sums[..., 2] / sums[..., 1], 1e-8,
+           "has a share {0!r} of its weight in the outer 5% of |k| at {1}: the "
+           "grid aliases; raise n or shrink half_length", step_no, t)
+    return sums[..., 0]
 
 
-def _edge_check(psi: np.ndarray, grid: GridSpec, t: float) -> None:
+def _edge_check(psi: np.ndarray, grid: GridSpec, step_no: int,
+                t: float) -> None:
     """Abort if a branch of any row puts real density in the outer 5% of the box."""
-    leaked = _density(psi[..., _outer(grid)]).sum(axis=-1) * grid.dx
-    bad = ~(leaked <= 1e-8)
-    if bad.any():
-        row, branch = _first_bad(bad)
-        raise NumericalError(
-            f"{_BRANCH[branch]} branch density {float(leaked[row, branch])!r} in the "
-            f"outer 5% of the domain at t={t!r}; enlarge half_length or "
-            f"shorten the run", row)
+    _check(_density(psi[..., _outer(grid)]).sum(axis=-1) * grid.dx, 1e-8,
+           "density {0!r} in the outer 5% of the domain at {1}; enlarge "
+           "half_length or shorten the run", step_no, t)
 
 
 def _potential(f_meas: float, grid: GridSpec) -> np.ndarray:
@@ -305,8 +306,10 @@ def _potential(f_meas: float, grid: GridSpec) -> np.ndarray:
 
 
 def _kspace_norms(phi: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Norm of every row and branch of a k-space block, by Parseval."""
-    return _norms(phi, grid) / grid.n
+    """Norm of every row and branch of a k-space block, shape (B, 2), by
+    Parseval."""
+    v = phi.view(np.float64)
+    return np.einsum("...i,...i->...", v, v) * grid.dx / grid.n
 
 
 def _linear_phase(theta: np.ndarray, grid: GridSpec,
@@ -341,80 +344,31 @@ def _advance(phi: np.ndarray, p: float, f_div: np.ndarray,
     return x2bar
 
 
-def _energy(psi: np.ndarray, stats: np.ndarray, xbar: np.ndarray,
-            x2bar: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
-            grid: GridSpec) -> np.ndarray:
-    """Energy of every row from its stats and one batched FFT."""
-    k = grid.k()
-    kinetic = _density(np.fft.fft(psi)) @ (0.5 * k * k * grid.dx / grid.n)
+def _energy(kinetic: np.ndarray, stats: np.ndarray, xbar: np.ndarray,
+            x2bar: np.ndarray, p: float, f_meas: float,
+            f_div: np.ndarray) -> np.ndarray:
+    """Conserved energy functional of every row: the weighted kinetic and
+    external-force terms per branch plus the pairwise interaction energy,
+    which for the quadratic kernel (x - y)^2 / 2 reduces to
+    (x2bar - xbar^2) / 2. The constant-phase part of the potential does not
+    enter."""
     force = (-_SIGN[:, 0] * f_meas - f_div[:, None]) * stats[..., 1]
     return 0.5 * (x2bar - xbar**2) + (kinetic + force) @ np.array([p, 1.0 - p])
 
 
-def moments(state: GridState, grid: GridSpec) -> Moments:
-    """Weighted moments of the two-branch density.
-
-    Branch norms must hold to 1e-6 and the weighted variance must not be
-    negative; either failure means the run has already gone numerically bad
-    and raises NumericalError.
-    """
-    xbar, x2bar, _ = _weighted(_stats(_rows(state), grid), state.p, None,
-                               state.t)
-    return Moments(xbar=float(xbar[0]), x2bar=float(x2bar[0]))
-
-
-def step(state: GridState, f_meas: float, f_div: float, grid: GridSpec,
-         include_x2_phase: bool = True) -> GridState:
-    """One Strang step of length dt.
-
-    Half kinetic (spectral), potential phase for the full dt with moments
-    recomputed from the half-stepped densities, half kinetic. The constant
-    x2bar/2 term goes into global_phase (see module docstring);
-    include_x2_phase=False drops it, which can change nothing observable.
-    """
-    psi = _rows(state)
-    t = state.t + grid.dt
-    kin = _kinetic_half(grid)
-    before = _norms(psi, grid)
-    phi = np.fft.fft(psi) * kin
-    x2bar = _advance(phi, state.p, np.array([float(f_div)]),
-                     _potential(f_meas, grid), grid, None, t, _work(psi.shape))
-    _check_drift(before, _kspace_norms(phi, grid), None, t)
-    psi = np.fft.ifft(phi * kin)
-    phase = state.global_phase
-    if include_x2_phase:
-        phase -= 0.5 * float(x2bar[0]) * grid.dt
-    return GridState(psi_plus=psi[0, 0], psi_minus=psi[0, 1], p=state.p,
-                     t=t, global_phase=phase)
-
-
-def energy(state: GridState, f_meas: float, f_div: float, grid: GridSpec) -> float:
-    """Conserved energy functional of the self-consistent dynamics.
-
-    Weighted kinetic and external-force terms per branch plus the pairwise
-    interaction energy, which for the quadratic kernel (x - y)^2 / 2 reduces
-    to (x2bar - xbar^2) / 2. The constant-phase part of the potential does
-    not enter.
-    """
-    psi = _rows(state)
-    stats = _stats(psi, grid)
-    xbar, x2bar, _ = _weighted(stats, state.p, None, state.t)
-    return float(_energy(psi, stats, xbar, x2bar, state.p, f_meas,
-                         np.array([float(f_div)]), grid)[0])
-
-
-def _required_half_length(psi: np.ndarray, stats: np.ndarray, p: float,
+def _required_half_length(phi: np.ndarray, stats: np.ndarray, p: float,
                           f_meas: float, f_div: np.ndarray, t_max: float,
                           grid: GridSpec) -> np.ndarray:
     """Box size each row needs: margin + mean excursion + packet width.
 
     The mean excursion is the exact quadratic bound; branch offsets and
-    oscillation amplitudes live inside the fixed margin of 8.
+    oscillation amplitudes live inside the fixed margin of 8. phi is the
+    k-space block, which gives the mean velocity.
     """
     weights = np.array([p, 1.0 - p])
     per_branch = stats[..., 1:] / stats[..., :1]
     xbar0 = per_branch[..., 0] @ weights
-    dens = _density(np.fft.fft(psi))
+    dens = _density(phi)
     vbar0 = ((dens @ grid.k()) / dens.sum(axis=-1)) @ weights
     force = 2.0 * (p - 0.5) * f_meas + f_div
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -453,8 +407,8 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     Steps are of length dt but the last, which step_plan shortens so that
     the run ends at exactly t_max. Samples land on step boundaries: step 0,
     every sample_every-th step, and the final step at t0 + t_max. Every
-    run's box is checked before the first step, and norms, moments and the
-    edge guard while stepping. Returns the sampled trajectory (columns of
+    run's box is checked before the first step, and norms, moments, aliasing
+    and the edge while stepping. Returns the sampled trajectory (columns of
     shape (samples, B)), the final block and the global phase of each row.
     """
     if not t_max > 0.0:
@@ -462,7 +416,10 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
     stats = _stats(psi, grid)
-    needed = float(np.max(_required_half_length(psi, stats, p, f_meas, f_div,
+    # the one transform to k-space: the box pre-flight, sample 0 and the
+    # first step all read it
+    phi = np.fft.fft(psi)
+    needed = float(np.max(_required_half_length(phi, stats, p, f_meas, f_div,
                                                 t_max, grid)))
     if not grid.half_length >= needed:
         raise ValueError(
@@ -477,27 +434,29 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     phase = np.full(len(psi), phase0)
     rows = {name: [] for name in ("t", "xbar", "x2bar", "x_plus", "x_minus",
                                   "norm_plus", "norm_minus", "energy")}
+    work = _work(psi.shape)
 
     def sample(psi: np.ndarray, stats: np.ndarray, step_no: int,
                t: float) -> None:
+        # phi is the k-space block at this sample, up to the half kinetic
+        # factor, which has unit modulus: no transform is needed here
         xbar, x2bar, means = _weighted(stats, p, step_no, t)
-        _edge_check(psi, grid, t)
+        kinetic = _kinetic_energy(phi, grid, step_no, t, work.density)
+        _edge_check(psi, grid, step_no, t)
         for name, value in (("t", t), ("xbar", xbar), ("x2bar", x2bar),
                             ("x_plus", means[:, 0]), ("x_minus", means[:, 1]),
                             ("norm_plus", stats[:, 0, 0]),
                             ("norm_minus", stats[:, 1, 0]),
-                            ("energy", _energy(psi, stats, xbar, x2bar, p,
-                                               f_meas, f_div, grid))):
+                            ("energy", _energy(kinetic, stats, xbar, x2bar, p,
+                                               f_meas, f_div))):
             rows[name].append(value)
 
     sample(psi, stats, 0, t0)
     norms = stats[..., 0]
-    work = _work(psi.shape)
     # The block stays in k-space between steps: the second half kinetic step
     # of one step and the first of the next are one multiplication.
     kin, kin_last = _kinetic_half(grid), _kinetic_half(last)
     kin2 = kin * kin
-    phi = np.fft.fft(psi)
     phi *= kin if n_steps > 1 else kin_last
     for i in range(1, n_steps + 1):
         final = i == n_steps
@@ -508,7 +467,8 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
         if include_x2_phase:
             phase -= 0.5 * x2bar * spec.dt
         after = _kspace_norms(phi, grid)
-        _check_drift(norms, after, i, t)
+        _check(np.abs(after - norms), 1e-8, "norm drifted by {0!r} in one "
+               "step at {1}", i, t)
         norms = after
         if final or i % sample_every == 0:
             psi = np.multiply(phi, kin_last if final else kin, out=work.psi)
@@ -535,3 +495,25 @@ def evolve(state0: GridState, f_meas: float, f_div: float, t_max: float,
     final = GridState(psi_plus=psi[0, 0], psi_minus=psi[0, 1], p=state0.p,
                       t=float(traj.t[-1]), global_phase=float(phase[0]))
     return traj, final
+
+
+def step(state: GridState, f_meas: float, f_div: float, grid: GridSpec,
+         include_x2_phase: bool = True) -> GridState:
+    """One Strang step of length dt: evolve over dt. include_x2_phase=False
+    drops the constant x2bar/2 term from global_phase, which can change
+    nothing observable (see module docstring)."""
+    return evolve(state, f_meas, f_div, grid.dt, grid, 1, include_x2_phase)[1]
+
+
+def moments(state: GridState, grid: GridSpec) -> tuple[float, float]:
+    """Weighted moments (xbar, x2bar) of the two-branch density, checked as
+    at every sample (_weighted)."""
+    xbar, x2bar, _ = _weighted(_stats(_rows(state), grid), state.p, None,
+                               state.t)
+    return float(xbar[0]), float(x2bar[0])
+
+
+def energy(state: GridState, f_meas: float, f_div: float, grid: GridSpec) -> float:
+    """Conserved energy (_energy) of the state, as evolve records it at the
+    state's own time."""
+    return float(evolve(state, f_meas, f_div, grid.dt, grid, 1)[0].energy[0])

@@ -40,10 +40,6 @@ _MASK64 = (1 << 64) - 1
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
-RIGHT = "right"
-LEFT = "left"
-UNDECIDED = "undecided"
-
 # Default grid of grid-engine trials: lighter than the solver default
 # because each trial only needs the sign of a mean displacement, which the
 # stepping reproduces exactly at any stable dt.
@@ -101,23 +97,6 @@ def _sample_fdiv_block(master_seed: int, start: int, stop: int,
     bits = _mix64_array(seeds + np.uint64(GOLDEN))
     u = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return (2.0 * u - 1.0) * f_meas
-
-
-def classify(f_total: float) -> str:
-    if f_total > 0.0:
-        return RIGHT
-    if f_total < 0.0:
-        return LEFT
-    return UNDECIDED
-
-
-@dataclass(frozen=True)
-class McTrialResult:
-    index: int
-    f_div_sample: float
-    f_total: float
-    outcome: str
-    final_displacement: float
 
 
 @dataclass(frozen=True)
@@ -210,16 +189,16 @@ def _grid_displacements(p: float, f_meas: float, f_div: np.ndarray, tau: float,
 def run_trial(cfg: MeasurementConfig, engine: str = "analytic",
               seed: int = 0, *, scales: Scales | None = None,
               grid: GridSpec = MC_GRID,
-              f_div: float | None = None, index: int = 0) -> McTrialResult:
-    """One measurement trial under a frozen diverting force.
+              f_div: float | None = None, index: int = 0) -> float:
+    """Mean displacement of one measurement trial under a frozen diverting
+    force; _tally turns it into an outcome.
 
-    The analytic engine classifies by the sign of the total force, which the
-    closed form shows is the sign of the mean displacement for any duration.
-    The grid engine evolves the equilibrium state from rest to tau, as a
-    block of one, and classifies by the sign of the mean displacement it
-    actually measures. f_div (dimensionless) can be forced explicitly for
-    boundary tests; otherwise it is sampled from the trial seed, which
-    requires the config's uniform diverting-force kind.
+    The analytic engine gives the closed form F tau^2 / 2, whose sign is
+    that of the total force F for any duration. The grid engine evolves the
+    equilibrium state from rest to tau, as a block of one, and gives the
+    displacement it actually measures. f_div (dimensionless) can be forced
+    explicitly for boundary tests; otherwise it is sampled from the trial
+    seed, which requires the config's uniform diverting-force kind.
     """
     if engine not in ("analytic", "grid"):
         raise ValueError(f"engine must be 'analytic' or 'grid', got {engine!r}")
@@ -230,16 +209,10 @@ def run_trial(cfg: MeasurementConfig, engine: str = "analytic",
                 "sampled trials need F_div kind 'uniform'; pass f_div explicitly "
                 "to force a value")
         f_div = sample_fdiv(seed, f_meas)
-    f_total = analytic.total_force(cfg.p, f_meas, f_div)
     if engine == "analytic":
-        displacement = 0.5 * f_total * tau * tau
-        outcome = classify(f_total)
-    else:
-        displacement = float(_grid_displacements(
-            cfg.p, f_meas, np.array([float(f_div)]), tau, grid, index)[0])
-        outcome = classify(displacement)
-    return McTrialResult(index=index, f_div_sample=f_div, f_total=f_total,
-                         outcome=outcome, final_displacement=displacement)
+        return 0.5 * analytic.total_force(cfg.p, f_meas, f_div) * tau * tau
+    return float(_grid_displacements(cfg.p, f_meas, np.array([float(f_div)]),
+                                     tau, grid, index)[0])
 
 
 def _grid_block(grid_spec: GridSpec) -> int:

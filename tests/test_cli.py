@@ -7,6 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from gravimean import cli
 from gravimean import grid as gridmod
 from gravimean.analytic import smooth_initial_condition, trajectory
 from gravimean.cli import main
@@ -389,8 +390,26 @@ class TestEvolveGrid:
                      "--grid-n", "256", "--dt", "2e-3",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
-        assert "outer" in capsys.readouterr().err
+        assert "outer 5% of the domain" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("n, code", [(32, 3), (64, 3), (128, 0)])
+    def test_under_resolved_grid_exits_3(self, tmp_path, capsys, n, code):
+        # the long grid evolve of the benchmark (seed 11) at coarser n: at 32
+        # and 64 the initial packets already put 1.6e-2 and 3.6e-5 of their
+        # weight in the outer 5% of |k|, and unguarded x_plus ends 1.19 and
+        # 4.8e-3 off the closed form; at 128 the share stays below 2.3e-13
+        cfg = write_cfg(tmp_path, p=0.29935215868873205,
+                        F_meas_N=1.4390480831622297 * SC.force,
+                        F_div={"kind": "fixed",
+                               "value_N": 0.31540546469350655 * SC.force},
+                        grid={"l": 32.0, "dt": 1e-3, "sample_every": 10})
+        assert main(["evolve", "--config", cfg, "--mode", "grid",
+                     "--t-max", "3.141592653589793", "--grid-n", str(n),
+                     "--out", str(tmp_path / "x.csv")]) == code
+        err = capsys.readouterr().err
+        assert ("the grid aliases; raise n or shrink half_length" in err) == (
+            code == 3)
 
     def test_negative_variance_exits_3(self, tmp_path, capsys, monkeypatch):
         real = gridmod._stats
@@ -408,6 +427,34 @@ class TestEvolveGrid:
         assert code == 3
         assert "negative variance at step 0, t=0.0" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+
+class TestRowCap:
+    """Requests for more than MAX_ROWS rows exit 1 before any allocation."""
+
+    def test_analytic_rows(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(np, "arange", None)  # nothing may be allocated
+        cfg = write_cfg(tmp_path)
+        assert main(["evolve", "--config", cfg, "--mode", "analytic",
+                     "--t-max", "1e15", "--dt-sample", "1e-3",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert "--t-max / --dt-sample: the run would write 1e+18 rows" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["evolve", "compare"])
+    @pytest.mark.parametrize("t_max, dt, rows", [("1e15", "1e-3", "1e+17"),
+                                                 ("1e300", "1e-10", "inf")])
+    def test_grid_samples(self, tmp_path, capsys, monkeypatch, command,
+                          t_max, dt, rows):
+        # would run for an unbounded time without the cap: nothing may step
+        monkeypatch.setattr(cli, "evolve_grid", None)
+        argv = [command, "--config", write_cfg(tmp_path), "--t-max", t_max,
+                "--dt", dt]
+        if command == "evolve":
+            argv += ["--mode", "grid", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 1
+        assert (f"--t-max / --dt / --sample-every: the run would write {rows} "
+                f"rows, more than 10000000") in capsys.readouterr().err
 
 
 class TestCompare:

@@ -12,8 +12,8 @@ from gravimean.analytic import (common_center_initial_condition,
                                 equilibrium_splitting,
                                 smooth_initial_condition, trajectory)
 from gravimean import grid as gridmod
-from gravimean.grid import (GridSpec, GridState, Moments, NumericalError,
-                            energy, evolve, init_gaussian, moments, step)
+from gravimean.grid import (GridSpec, GridState, NumericalError, energy,
+                            evolve, init_gaussian, moments, step)
 
 SPEC = GridSpec(half_length=16.0, n=512, dt=1e-3)
 
@@ -79,28 +79,24 @@ class TestInitGaussian:
 class TestMoments:
     def test_single_branch(self):
         state = two_branch(SPEC, 1.5, 0.0, 1.0)
-        m = moments(state, SPEC)
-        assert m.xbar == pytest.approx(1.5, abs=1e-12)
-        assert m.x2bar == pytest.approx(1.5**2 + 0.5, abs=1e-11)
+        xbar, x2bar = moments(state, SPEC)
+        assert xbar == pytest.approx(1.5, abs=1e-12)
+        assert x2bar == pytest.approx(1.5**2 + 0.5, abs=1e-11)
 
     def test_weighted_mixture(self):
-        m = moments(two_branch(SPEC, 1.0, -1.0, 0.3), SPEC)
-        assert m.xbar == pytest.approx(-0.4, abs=1e-12)
-        assert m.x2bar == pytest.approx(1.5, abs=1e-11)
+        xbar, x2bar = moments(two_branch(SPEC, 1.0, -1.0, 0.3), SPEC)
+        assert xbar == pytest.approx(-0.4, abs=1e-12)
+        assert x2bar == pytest.approx(1.5, abs=1e-11)
 
     def test_symmetric_mixture(self):
-        m = moments(two_branch(SPEC, 1.0, -1.0, 0.5), SPEC)
-        assert m.xbar == pytest.approx(0.0, abs=1e-12)
+        xbar, _ = moments(two_branch(SPEC, 1.0, -1.0, 0.5), SPEC)
+        assert xbar == pytest.approx(0.0, abs=1e-12)
 
     def test_norm_guard(self):
         state = two_branch(SPEC, 1.0, -1.0, 0.5)
         state.psi_plus = 2.0 * state.psi_plus
         with pytest.raises(NumericalError):
             moments(state, SPEC)
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            Moments(xbar=1.0, x2bar=0.5)
 
 
 class TestStationaryGroundState:
@@ -228,12 +224,24 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="half_length"):
             evolve(state, 0.0, 1.0, 10.0, SPEC)
 
+    def test_aliasing_mid_run(self):
+        # dx = 0.5 resolves |k| up to 2 pi; under a unit force the packet's
+        # momentum spread reaches the outer 5% of |k| long before the
+        # packet reaches the outer 5% of the box
+        spec = GridSpec(half_length=16.0, n=64, dt=1e-3)
+        with pytest.raises(NumericalError,
+                           match=r"^plus branch has a share .* in the outer "
+                                 r"5% of \|k\| at step [1-9]\d*00, t=.*: the "
+                                 r"grid aliases; raise n or shrink half_length"):
+            evolve(two_branch(spec, 0.0, 0.0, 1.0), 0.0, 1.0, 3.0, spec,
+                   sample_every=100)
+
     def test_edge_hit_mid_run(self):
         # oscillation amplitude 2*d_plus* = 8 sneaks past the mean-based
         # preflight bound but drives density into the absorbing margin
         spec = GridSpec(half_length=12.0, n=256, dt=2e-3)
         state = two_branch(spec, 0.0, 0.0, 0.5)
-        with pytest.raises(NumericalError, match="outer"):
+        with pytest.raises(NumericalError, match="outer 5% of the domain"):
             evolve(state, 4.0, 0.0, np.pi, spec)
 
     def test_bad_evolve_arguments(self):
@@ -280,8 +288,8 @@ class TestAgainstAnalytic:
     def test_final_state_returned(self):
         state = two_branch(SPEC, 0.0, 0.0, 0.5)
         traj, final = evolve(state, 1.0, 0.0, 0.3, SPEC, sample_every=50)
-        m = moments(final, SPEC)
-        assert m.xbar == pytest.approx(traj.xbar[-1], abs=1e-14)
+        xbar, _ = moments(final, SPEC)
+        assert xbar == pytest.approx(traj.xbar[-1], abs=1e-14)
 
 
 def corrupt_stats(monkeypatch, after_calls, row=None):
@@ -355,9 +363,10 @@ class TestKSpaceStepping:
             sample_every=every)
         samples = len(traj.t)
         assert samples == n_steps // every + 1
-        # two per step; at most two per sample (back to x-space, energy);
-        # two more for the box pre-flight and the first transform
-        assert len(calls) <= 2 * n_steps + 2 * samples + 2
+        # two per step and one per sample but the first (back to x-space);
+        # the one transform to k-space serves the box pre-flight, the energy
+        # at sample 0 and the first step
+        assert len(calls) == 2 * n_steps + samples
 
     @pytest.mark.parametrize("t_max, dt, plan", [
         (1.0, 4e-3, (250, 4e-3)), (np.pi, 1e-3, (3142, np.pi - 3.141)),
