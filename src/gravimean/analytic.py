@@ -18,7 +18,9 @@ independent oscillators around the equilibrium splitting
 
     delta_plus* = 2 (1 - p) f_meas,   delta_minus* = -2 p f_meas,
 
-optionally damped at rate gamma (a phenomenological knob, default 0).
+optionally damped at rate gamma (a phenomenological knob, default 0;
+gamma = 0 runs through the underdamped formula). trajectory is the one
+entry point: it samples the closed form at any array of times.
 """
 
 from __future__ import annotations
@@ -55,19 +57,6 @@ class CoherentTwoBranchState:
     @property
     def vbar(self) -> float:
         return self.p * self.plus.velocity + (1.0 - self.p) * self.minus.velocity
-
-    @property
-    def delta_plus(self) -> float:
-        return self.plus.center - self.com
-
-    @property
-    def delta_minus(self) -> float:
-        return self.minus.center - self.com
-
-    @property
-    def splitting(self) -> float:
-        """Branch separation d = x_plus - x_minus."""
-        return self.plus.center - self.minus.center
 
 
 def total_force(p: float, f_meas: float, f_div: float) -> float:
@@ -114,15 +103,9 @@ def common_center_initial_condition(p: float, xbar0: float = 0.0,
 
 
 def _relax(a0, s0, gamma: float, t):
-    """Solve a'' = -a - gamma a' with a(0) = a0, a'(0) = s0.
-
-    Returns (a, a') at time t. Branches on the discriminant: oscillatory
-    below gamma = 2, critically damped at 2, overdamped above. Accepts
-    scalar or array t.
-    """
-    if gamma == 0.0:
-        c, s = np.cos(t), np.sin(t)
-        return a0 * c + s0 * s, -a0 * s + s0 * c
+    """(a, a') at time t, scalar or array, for a'' = -a - gamma a' with
+    a(0) = a0, a'(0) = s0: oscillatory below gamma = 2 (undamped at 0),
+    critically damped at 2, overdamped above."""
     disc = 0.25 * gamma * gamma - 1.0
     if abs(disc) < 1e-12:
         r = -0.5 * gamma
@@ -150,7 +133,8 @@ def trajectory(state: CoherentTwoBranchState, f_meas: float, f_div: float,
                times, gamma: float = 0.0) -> dict:
     """Sample the closed form on an array of times.
 
-    Returns arrays t, xbar, x_plus, x_minus, v_plus, v_minus.
+    Returns arrays t, xbar, x_plus, x_minus, v_plus, v_minus. Damping acts
+    on the offsets only, never on the mean.
     """
     t = np.asarray(times, dtype=float)
     if t.size == 0:
@@ -171,18 +155,3 @@ def trajectory(state: CoherentTwoBranchState, f_meas: float, f_div: float,
         out[f"x_{name}"] = m_t + d_eq + a
         out[f"v_{name}"] = v_t + s
     return out
-
-
-def evolve(state: CoherentTwoBranchState, f_meas: float, f_div: float, t: float,
-           gamma: float = 0.0) -> CoherentTwoBranchState:
-    """Propagate the state to time t in closed form: trajectory() at one time.
-
-    The mean follows the exact quadratic; each offset relaxes around its
-    equilibrium, undamped for gamma = 0. Damping acts on the offsets only,
-    never on the mean.
-    """
-    out = trajectory(state, f_meas, f_div, [t], gamma=gamma)
-    return CoherentTwoBranchState(
-        plus=CoherentBranch(float(out["x_plus"][0]), float(out["v_plus"][0])),
-        minus=CoherentBranch(float(out["x_minus"][0]), float(out["v_minus"][0])),
-        p=state.p)

@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_grid_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--grid-n", type=int, default=None,
-                     help="grid points (power of two)")
+                     help="grid points (power of two, at most 2**20)")
     sub.add_argument("--grid-l", type=_finite, default=None,
                      help="half length of the box in packet widths")
     sub.add_argument("--dt", type=_finite, default=None, help="grid time step")

@@ -56,6 +56,9 @@ import numpy as np
 _SIGN = np.array([[1.0], [-1.0]])
 _BRANCH = ("plus", "minus")
 
+# Most grid points per branch: 16 MiB of complex128 per row.
+MAX_N = 2**20
+
 
 class NumericalError(RuntimeError):
     """Numerical failures: norm drift, edge leakage, aliasing, bad moments.
@@ -80,8 +83,9 @@ class GridSpec:
         # written so that NaN fails every check
         if not self.half_length > 0.0:
             raise ValueError(f"half_length must be > 0, got {self.half_length!r}")
-        if self.n <= 0 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"n must be a positive power of two, got {self.n!r}")
+        if not 0 < self.n <= MAX_N or (self.n & (self.n - 1)) != 0:
+            raise ValueError(f"n must be a power of two from 1 to {MAX_N}, "
+                             f"got {self.n!r}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt!r}")
 

@@ -53,6 +53,9 @@ GRID_BLOCK = 64
 GRID_BLOCK_POINTS = GRID_BLOCK * MC_GRID.n
 ANALYTIC_BLOCK = 2**16
 
+# Most Strang steps one grid trial may take; a finer dt fails up front.
+MAX_TRIAL_STEPS = 10**7
+
 
 def mix64(z: int) -> int:
     """splitmix64 finalizer on a 64-bit integer."""
@@ -141,15 +144,16 @@ class TwoDetectorTable:
                 "born_probs": list(self.born_probs)}
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2.0 * trials)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / trials
-                         + z * z / (4.0 * trials * trials)) / denom
+    z2 = Z95 * Z95
+    denom = 1.0 + z2 / trials
+    center = (phat + z2 / (2.0 * trials)) / denom
+    half = Z95 * math.sqrt(phat * (1.0 - phat) / trials
+                           + z2 / (4.0 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -173,6 +177,9 @@ def _grid_displacements(p: float, f_meas: float, f_div: np.ndarray, tau: float,
     """Mean displacement of each trial of one block, trial first + b under
     f_div[b], started from rest at the equilibrium splitting so the motion
     reflects the total force alone."""
+    if not tau / grid_spec.dt <= MAX_TRIAL_STEPS:
+        raise ValueError(f"grid dt {grid_spec.dt!r}: a trial would take "
+                         f"{tau / grid_spec.dt:.3g} steps, more than {MAX_TRIAL_STEPS}")
     d_plus, d_minus, _ = analytic.equilibrium_splitting(p, f_meas)
     psi = np.stack([gridmod.init_gaussian(grid_spec, d_plus),
                     gridmod.init_gaussian(grid_spec, d_minus)])
@@ -232,7 +239,7 @@ def _chunk_counts(args) -> tuple[int, int, int]:
         hi = min(lo + block, stop)
         f_div = _sample_fdiv_block(master_seed, lo, hi, f_meas)
         if engine == "analytic":
-            values = 2.0 * (cfg.p - 0.5) * f_meas + f_div
+            values = analytic.total_force(cfg.p, f_meas, f_div)
         else:
             values = _grid_displacements(cfg.p, f_meas, f_div, tau, grid_spec, lo)
         counts = tuple(a + b for a, b in zip(counts, _tally(values)))

@@ -7,15 +7,26 @@ better than 1e-13) and are asserted here at 1e-10.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gravimean.analytic import (CoherentBranch, CoherentTwoBranchState,
                                 common_center_initial_condition,
-                                equilibrium_splitting, evolve,
+                                equilibrium_splitting,
                                 smooth_initial_condition, total_force,
                                 trajectory)
 from oracles import rk4_centers
 
 RK4_TOL = 1e-10
+
+# Damping regimes of the offsets. Within 1e-5 of gamma = 2 the under- and
+# overdamped formulas divide by a small sqrt|gamma^2/4 - 1|.
+GAMMA_REGIMES = {
+    "undamped": st.just(0.0),
+    "underdamped": st.floats(0.0, 2.0 - 1e-5),
+    "critical": st.just(2.0),
+    "near_critical": st.floats(2.0 - 1e-5, 2.0 + 1e-5),
+    "overdamped": st.floats(2.0 + 1e-5, 4.0),
+}
 
 
 def make_state(x_p, v_p, x_m, v_m, p):
@@ -23,9 +34,15 @@ def make_state(x_p, v_p, x_m, v_m, p):
                                   CoherentBranch(x_m, v_m), p)
 
 
-def centers(state):
-    return np.array([state.plus.center, state.plus.velocity,
-                     state.minus.center, state.minus.velocity])
+def at(state, f_meas, f_div, t, gamma=0.0):
+    """The trajectory columns at the one time t, as floats."""
+    out = trajectory(state, f_meas, f_div, [t], gamma=gamma)
+    return {key: float(col[0]) for key, col in out.items()}
+
+
+def centers(out):
+    return np.array([out["x_plus"], out["v_plus"],
+                     out["x_minus"], out["v_minus"]])
 
 
 class TestBuildingBlocks:
@@ -51,14 +68,14 @@ class TestBuildingBlocks:
         assert st.com == pytest.approx(0.5)
         assert st.vbar == pytest.approx(-0.1)
         d_p, d_m, _ = equilibrium_splitting(0.3, 1.2)
-        assert st.delta_plus == pytest.approx(d_p)
-        assert st.delta_minus == pytest.approx(d_m)
+        assert st.plus.center - st.com == pytest.approx(d_p)
+        assert st.minus.center - st.com == pytest.approx(d_m)
 
     def test_common_center_initial_condition(self):
         st = common_center_initial_condition(0.4, xbar0=1.0, vbar0=0.2)
         assert st.plus.center == st.minus.center == pytest.approx(1.0)
         assert st.plus.velocity == st.minus.velocity == pytest.approx(0.2)
-        assert st.splitting == pytest.approx(0.0)
+        assert st.plus.center - st.minus.center == pytest.approx(0.0)
 
     def test_smooth_coefficients(self):
         # xbar(t) = A + B t + C t^2: A and B from the values at t = 0, and
@@ -77,52 +94,55 @@ class TestFrozenOracleValues:
         # equilibrium offsets ride the uniformly accelerating mean:
         # F = 0.4, xbar(2) = 0.8, offsets frozen at +0.6 / -1.4
         st = smooth_initial_condition(0.7, 1.0)
-        out = evolve(st, 1.0, 0.0, 2.0)
-        assert out.com == pytest.approx(0.8, abs=1e-12)
-        assert out.plus.center == pytest.approx(1.4, abs=5e-12)
-        assert out.minus.center == pytest.approx(-0.6, abs=5e-12)
+        out = at(st, 1.0, 0.0, 2.0)
+        assert out["xbar"] == pytest.approx(0.8, abs=1e-12)
+        assert out["x_plus"] == pytest.approx(1.4, abs=5e-12)
+        assert out["x_minus"] == pytest.approx(-0.6, abs=5e-12)
 
     def test_common_center_half_period(self):
         # delta_plus(t) = 1 - cos(t) for p = 0.5, f = 1: value 2 at t = pi
         st = common_center_initial_condition(0.5)
-        out = evolve(st, 1.0, 0.0, np.pi)
-        assert out.delta_plus == pytest.approx(2.0, abs=1e-12)
-        assert out.com == pytest.approx(0.0, abs=1e-12)
+        out = at(st, 1.0, 0.0, np.pi)
+        assert out["x_plus"] - out["xbar"] == pytest.approx(2.0, abs=1e-12)
+        assert out["xbar"] == pytest.approx(0.0, abs=1e-12)
 
     def test_general_undamped(self):
         st = make_state(0.5, 0.2, -0.7, -0.1, 0.3)
-        out = evolve(st, 1.2, -0.4, 5.0)
+        out = at(st, 1.2, -0.4, 5.0)
         frozen = (-10.149650333468387, -5.155927331769783,
                   -11.921578428513561, -4.090316857812967)
         assert centers(out) == pytest.approx(frozen, abs=RK4_TOL)
 
     def test_underdamped_settles_to_equilibrium(self):
         st = common_center_initial_condition(0.5)
-        out = evolve(st, 1.0, 0.0, 20.0, gamma=0.5)
-        assert out.delta_plus == pytest.approx(0.993279787450534, abs=RK4_TOL)
-        assert abs(out.delta_plus - 1.0) < 0.01
-        assert out.com == pytest.approx(0.0, abs=1e-12)
+        out = at(st, 1.0, 0.0, 20.0, gamma=0.5)
+        delta_plus = out["x_plus"] - out["xbar"]
+        assert delta_plus == pytest.approx(0.993279787450534, abs=RK4_TOL)
+        assert abs(delta_plus - 1.0) < 0.01
+        assert out["xbar"] == pytest.approx(0.0, abs=1e-12)
 
     def test_underdamped_general(self):
         st = make_state(1.0, -0.3, -0.5, 0.4, 0.6)
-        out = evolve(st, 0.8, 0.25, 4.0, gamma=1.3)
+        out = at(st, 0.8, 0.25, 4.0, gamma=1.3)
         frozen = (4.239914559113586, 1.642895022467783,
                   2.640128161329618, 1.585657466298326)
         assert centers(out) == pytest.approx(frozen, abs=RK4_TOL)
 
     def test_critically_damped(self):
         st = common_center_initial_condition(0.25)
-        out = evolve(st, 1.0, 0.0, 6.0, gamma=2.0)
-        assert out.delta_plus == pytest.approx(1.473973102145004, abs=RK4_TOL)
-        assert out.delta_minus == pytest.approx(-0.491324367381669,
-                                                abs=RK4_TOL)
-        assert out.com == pytest.approx(-9.0, abs=1e-12)
+        out = at(st, 1.0, 0.0, 6.0, gamma=2.0)
+        assert out["x_plus"] - out["xbar"] == pytest.approx(1.473973102145004,
+                                                           abs=RK4_TOL)
+        assert out["x_minus"] - out["xbar"] == pytest.approx(-0.491324367381669,
+                                                            abs=RK4_TOL)
+        assert out["xbar"] == pytest.approx(-9.0, abs=1e-12)
 
     def test_overdamped(self):
         st = common_center_initial_condition(0.8)
-        out = evolve(st, 0.5, 0.1, 6.0, gamma=3.0)
-        assert out.delta_plus == pytest.approx(0.176329589275436, abs=RK4_TOL)
-        assert out.com == pytest.approx(7.2, abs=1e-12)
+        out = at(st, 0.5, 0.1, 6.0, gamma=3.0)
+        assert out["x_plus"] - out["xbar"] == pytest.approx(0.176329589275436,
+                                                           abs=RK4_TOL)
+        assert out["xbar"] == pytest.approx(7.2, abs=1e-12)
 
 
 class TestAgainstRk4Sweep:
@@ -139,10 +159,22 @@ class TestAgainstRk4Sweep:
             y0 = rng.uniform(-2.0, 2.0, 4)
             t = float(rng.uniform(0.1, 10.0))
             st = make_state(*y0, p)
-            out = evolve(st, f, fd, t, gamma=gamma)
+            out = at(st, f, fd, t, gamma=gamma)
             ref = rk4_centers(p, f, fd, y0, t, dt=0.001, gamma=gamma)
             worst = max(worst, float(np.max(np.abs(centers(out) - ref))))
         assert worst < 1e-8
+
+    @pytest.mark.parametrize("regime", GAMMA_REGIMES)
+    @settings(max_examples=5, deadline=None)
+    @given(p=st.floats(0.0, 1.0), f=st.floats(0.0, 2.0),
+           fd=st.floats(-2.0, 2.0),
+           y0=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+           t=st.floats(0.0, 10.0), data=st.data())
+    def test_law_against_rk4(self, regime, p, f, fd, y0, t, data):
+        gamma = data.draw(GAMMA_REGIMES[regime], label="gamma")
+        out = at(make_state(*y0, p), f, fd, t, gamma=gamma)
+        ref = rk4_centers(p, f, fd, y0, t, gamma=gamma)
+        assert centers(out) == pytest.approx(ref, abs=1e-8)
 
     def test_mean_is_exactly_quadratic(self):
         rng = np.random.default_rng(99)
@@ -155,10 +187,11 @@ class TestAgainstRk4Sweep:
             t = 3.7
             force = total_force(p, f, fd)
             expect = st.com + st.vbar * t + 0.5 * force * t * t
-            out = evolve(st, f, fd, t)
-            assert out.com == pytest.approx(expect, abs=1e-12)
-            assert trajectory(st, f, fd, [t])["xbar"][0] == pytest.approx(
-                expect, abs=1e-12)
+            # the weighted mean of the branch columns and the xbar column
+            out = at(st, f, fd, t)
+            assert p * out["x_plus"] + (1 - p) * out["x_minus"] == \
+                pytest.approx(expect, abs=1e-12)
+            assert out["xbar"] == pytest.approx(expect, abs=1e-12)
 
     def test_mean_stays_quadratic_with_damping(self):
         # damping acts on the relative coordinate; the mean keeps
@@ -166,28 +199,29 @@ class TestAgainstRk4Sweep:
         st = make_state(0.3, 0.5, -0.8, -0.2, 0.65)
         force = total_force(0.65, 1.1, 0.2)
         for gamma in (0.0, 0.7, 2.0, 3.5):
-            out = evolve(st, 1.1, 0.2, 4.0, gamma=gamma)
+            out = at(st, 1.1, 0.2, 4.0, gamma=gamma)
             expect = st.com + st.vbar * 4.0 + 0.5 * force * 16.0
-            assert out.com == pytest.approx(expect, abs=1e-12)
+            assert out["xbar"] == pytest.approx(expect, abs=1e-12)
 
 
 class TestSmoothSolution:
     def test_offsets_frozen_over_time(self):
         st = smooth_initial_condition(0.7, 1.0, xbar0=0.3, vbar0=-0.2)
-        for t in np.linspace(0.0, 10.0, 41):
-            out = evolve(st, 1.0, 0.3, float(t))
-            assert out.delta_plus == pytest.approx(st.delta_plus, abs=1e-12)
-            assert out.delta_minus == pytest.approx(st.delta_minus, abs=1e-12)
+        traj = trajectory(st, 1.0, 0.3, np.linspace(0.0, 10.0, 41))
+        for name, branch in (("plus", st.plus), ("minus", st.minus)):
+            offset = traj[f"x_{name}"] - traj["xbar"]
+            assert offset == pytest.approx(
+                np.full(41, branch.center - st.com), abs=1e-12)
 
     def test_mirror_symmetry(self):
         # swapping branches, p -> 1-p, and flipping f_div mirrors the motion
         st = make_state(0.4, 0.1, -0.9, 0.3, 0.35)
         mirrored = make_state(0.9, -0.3, -0.4, -0.1, 0.65)
-        out = evolve(st, 1.0, 0.6, 3.0)
-        out_m = evolve(mirrored, 1.0, -0.6, 3.0)
-        assert out_m.plus.center == pytest.approx(-out.minus.center, abs=1e-12)
-        assert out_m.minus.center == pytest.approx(-out.plus.center, abs=1e-12)
-        assert out_m.com == pytest.approx(-out.com, abs=1e-12)
+        out = at(st, 1.0, 0.6, 3.0)
+        out_m = at(mirrored, 1.0, -0.6, 3.0)
+        assert out_m["x_plus"] == pytest.approx(-out["x_minus"], abs=1e-12)
+        assert out_m["x_minus"] == pytest.approx(-out["x_plus"], abs=1e-12)
+        assert out_m["xbar"] == pytest.approx(-out["xbar"], abs=1e-12)
 
 
 class TestOscillation:
@@ -195,9 +229,10 @@ class TestOscillation:
         # common-center start: d(t) = d*(1 - cos t) stays in [0, 2 d*]
         st = common_center_initial_condition(0.5)
         d_star = equilibrium_splitting(0.5, 1.0)[2]
-        for t in np.linspace(0.0, 25.0, 173):
-            out = evolve(st, 1.0, 0.0, float(t))
-            assert -1e-12 <= out.splitting <= 2.0 * d_star + 1e-12
+        traj = trajectory(st, 1.0, 0.0, np.linspace(0.0, 25.0, 173))
+        splitting = traj["x_plus"] - traj["x_minus"]
+        assert np.all(-1e-12 <= splitting)
+        assert np.all(splitting <= 2.0 * d_star + 1e-12)
 
     def test_time_average_is_equilibrium(self):
         # uniform samples over whole periods average cos to zero exactly
@@ -234,12 +269,12 @@ class TestValidation:
     def test_negative_time_rejected(self):
         st = common_center_initial_condition(0.5)
         with pytest.raises(ValueError):
-            evolve(st, 1.0, 0.0, -1.0)
+            trajectory(st, 1.0, 0.0, [-1.0])
 
     def test_negative_gamma_rejected(self):
         st = common_center_initial_condition(0.5)
         with pytest.raises(ValueError):
-            evolve(st, 1.0, 0.0, 1.0, gamma=-0.5)
+            trajectory(st, 1.0, 0.0, [1.0], gamma=-0.5)
 
     def test_empty_times_rejected(self):
         st = common_center_initial_condition(0.5)

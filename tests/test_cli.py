@@ -3,6 +3,7 @@ reproducibility, and exit codes (0 ok, 1 usage, 2 criteria, 3 numerical)."""
 
 import json
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,11 +42,12 @@ def write_cfg(tmp_path, name="cfg.json", drop=(), **overrides):
 
 
 def manifest_grid(out):
-    return json.loads(open(out + ".manifest.json").read())["config"]["si"]["grid"]
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
+    return manifest["config"]["si"]["grid"]
 
 
 def read_csv(path):
-    lines = open(path).read().split("\n")
+    lines = Path(path).read_text().split("\n")
     assert lines[-1] == ""  # trailing newline
     return lines[:-1]
 
@@ -228,7 +230,7 @@ class TestEvolveAnalytic:
         _, out = self.run_basic(tmp_path)
         manifest_path = out + ".manifest.json"
         assert verify_manifest(manifest_path) == []
-        manifest = json.loads(open(manifest_path).read())
+        manifest = json.loads(Path(manifest_path).read_text())
         assert manifest["tool"] == "gravimean"
         assert manifest["config"]["si"]["grid"] is None
         assert manifest["config"]["si"]["G"] == 6.674e-11
@@ -257,7 +259,7 @@ class TestEvolveAnalytic:
         out = str(tmp_path / "traj.csv")
         main(["evolve", "--config", cfg, "--mode", "analytic",
               "--t-max", "0.5", "--out", out])
-        manifest = json.loads(open(out + ".manifest.json").read())
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["config"]["si"]["G"] == 1e-10
 
     def test_damped_run(self, tmp_path):
@@ -457,6 +459,45 @@ class TestRowCap:
                 f"rows, more than 10000000") in capsys.readouterr().err
 
 
+class TestGridCaps:
+    """A grid of more than grid.MAX_N points, or a grid trial of more than
+    montecarlo.MAX_TRIAL_STEPS steps, exits 1 before anything is allocated
+    or stepped."""
+
+    HUGE_N = 2**50
+
+    def test_grid_n_flag(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "evolve_grid", None)
+        out = tmp_path / "x.csv"
+        assert main(["evolve", "--config", write_cfg(tmp_path), "--mode",
+                     "grid", "--t-max", "1.0", "--grid-n", str(self.HUGE_N),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "power of two from 1 to 1048576" in err
+        assert not out.exists()
+
+    def test_grid_n_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(gridmod, "evolve_block", None)
+        cfg = write_cfg(tmp_path, F_div={"kind": "uniform"},
+                        grid={"n": self.HUGE_N})
+        assert main(["born-mc", "--config", cfg, "--engine", "grid",
+                     "--trials", "1"]) == 1
+        assert "grid: n must be a power of two from 1 to 1048576" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("dt, steps", [(1e-12, "1e+12"), (5e-324, "inf")])
+    def test_trial_steps(self, tmp_path, capsys, monkeypatch, dt, steps):
+        # 1e-12 used to step for an unbounded time, 5e-324 to overflow in
+        # step_plan: neither may be reached
+        monkeypatch.setattr(gridmod, "step_plan", None)
+        monkeypatch.setattr(gridmod, "evolve_block", None)
+        cfg = write_cfg(tmp_path, F_div={"kind": "uniform"}, grid={"dt": dt})
+        assert main(["born-mc", "--config", cfg, "--engine", "grid",
+                     "--trials", "1"]) == 1
+        assert (f"a trial would take {steps} steps, more than 10000000"
+                in capsys.readouterr().err)
+
+
 class TestCompare:
     def test_smooth_agreement(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, p=0.7)
@@ -475,7 +516,7 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--t-max", "0.5",
                      "--grid-n", "256", "--grid-l", "16", "--dt", "2e-3",
                      "--out", out]) == 0
-        assert json.loads(open(out).read())["n_samples"] >= 2
+        assert json.loads(Path(out).read_text())["n_samples"] >= 2
         assert verify_manifest(out + ".manifest.json") == []
 
 
@@ -496,7 +537,7 @@ class TestBornMc:
         out = str(tmp_path / "mc.json")
         assert main(["born-mc", "--config", cfg, "--trials", "500",
                      "--seed", "77", "--out", out]) == 0
-        manifest = json.loads(open(out + ".manifest.json").read())
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["master_seed"] == 77
         assert verify_manifest(out + ".manifest.json") == []
 

@@ -38,12 +38,17 @@ class TestGridSpec:
     @pytest.mark.parametrize("kwargs", [
         {"n": 500}, {"n": 0}, {"n": -8},
         {"half_length": 0.0}, {"dt": 0.0}, {"dt": -1e-3},
+        {"n": 2 * gridmod.MAX_N},
     ])
     def test_validation(self, kwargs):
         base = {"half_length": 16.0, "n": 512, "dt": 1e-3}
         base.update(kwargs)
         with pytest.raises(ValueError):
             GridSpec(**base)
+
+    def test_largest_grid(self):
+        assert gridmod.MAX_N == 2**20
+        assert GridSpec(half_length=16.0, n=gridmod.MAX_N, dt=1e-3).n == 2**20
 
     @pytest.mark.parametrize("field", ["half_length", "dt"])
     def test_rejects_nan(self, field):
