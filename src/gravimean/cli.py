@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .analytic import (common_center_initial_condition,
                        smooth_initial_condition, trajectory)
-from .grid import GridSpec, GridState, NumericalError, init_gaussian, step_plan
+from .grid import GridSpec, GridState, NumericalError, init_gaussian
 from .grid import evolve as evolve_grid
 from .io import (ConfigError, LoadedConfig, emit_trajectory, load_config,
                  write_manifest)
@@ -42,7 +42,8 @@ THREAD_CAP_ENV = "GRAVIMEAN_THREADS"
 EVOLVE_GRID = (GridSpec(half_length=32.0, n=1024, dt=1e-3), 10)
 BORN_MC_GRID = (MC_GRID, None)
 
-# Most rows a run may write: 50 times the benchmark's long analytic evolve.
+# Most rows an analytic run may write, 50 times the benchmark's long one; a
+# grid run writes at most a row per step, and grid.MAX_STEPS bounds those.
 MAX_ROWS = 10**7
 
 # (grid block key, argparse dest of the flag that overrides it)
@@ -181,15 +182,12 @@ def _initial_state(loaded: LoadedConfig, args):
                                            vbar0=args.vbar0)
 
 
-def _check_rows(rows: float, flags: str) -> None:
-    """Reject a run of more than MAX_ROWS rows before it allocates them."""
-    if not rows <= MAX_ROWS:
-        raise ConfigError(f"{flags}: the run would write {rows:.3g} rows, "
-                          f"more than {MAX_ROWS}")
-
-
 def _sample_times(t_max: float, dt_sample: float) -> np.ndarray:
-    _check_rows(t_max / dt_sample + 2, "--t-max / --dt-sample")
+    """Analytic output times; over MAX_ROWS of them fail before allocation."""
+    rows = t_max / dt_sample + 2
+    if not rows <= MAX_ROWS:
+        raise ConfigError(f"--t-max / --dt-sample: the run would write "
+                          f"{rows:.3g} rows, more than {MAX_ROWS}")
     n = int(math.floor(t_max / dt_sample + 1e-9))
     times = np.arange(n + 1) * dt_sample
     if times[-1] < t_max * (1.0 - 1e-12):
@@ -222,11 +220,6 @@ def _run_grid(loaded: LoadedConfig, state, grid, t_max: float):
         raise ConfigError("gamma: the grid engine has no damping; "
                           "use the analytic engine for gamma > 0")
     spec, sample_every = grid
-    # step_plan overflows on inf; evolve itself rejects sample_every < 1
-    rows = t_max / spec.dt
-    if math.isfinite(rows):
-        rows = step_plan(t_max, spec.dt)[0] // max(sample_every, 1) + 2
-    _check_rows(rows, "--t-max / --dt / --sample-every")
     psi_plus, psi_minus = (init_gaussian(spec, b.center, velocity=b.velocity)
                            for b in (state.plus, state.minus))
     traj, _final = evolve_grid(GridState(psi_plus, psi_minus, state.p),

@@ -58,6 +58,8 @@ _BRANCH = ("plus", "minus")
 
 # Most grid points per branch: 16 MiB of complex128 per row.
 MAX_N = 2**20
+# Most Strang steps one run may take; a run writes at most one row per step.
+MAX_STEPS = 10**7
 
 
 class NumericalError(RuntimeError):
@@ -390,9 +392,12 @@ def step_plan(t_max: float, dt: float) -> tuple[int, float]:
 
     Whole steps of dt when t_max/dt is within 1e-9 of an integer; otherwise
     ceil(t_max/dt) steps, the last one shortened so that the run ends at
-    t_max.
+    t_max. A run of more than MAX_STEPS steps is rejected.
     """
     ratio = t_max / dt
+    if not ratio <= MAX_STEPS:
+        raise ValueError(f"t_max / dt = {t_max!r} / {dt!r}: the run would "
+                         f"take {ratio:.3g} steps, more than {MAX_STEPS}")
     whole = round(ratio)
     if whole >= 1 and abs(ratio - whole) <= 1e-9:
         return whole, dt
@@ -409,7 +414,8 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     to t_max, sampling observables every few steps.
 
     Steps are of length dt but the last, which step_plan shortens so that
-    the run ends at exactly t_max. Samples land on step boundaries: step 0,
+    the run ends at exactly t_max; before any work, step_plan refuses a run
+    of more than MAX_STEPS steps. Samples land on step boundaries: step 0,
     every sample_every-th step, and the final step at t0 + t_max. Every
     run's box is checked before the first step, and norms, moments, aliasing
     and the edge while stepping. Returns the sampled trajectory (columns of
@@ -419,6 +425,7 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
         raise ValueError(f"t_max must be > 0, got {t_max!r}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
+    n_steps, dt_last = step_plan(t_max, grid.dt)
     stats = _stats(psi, grid)
     # the one transform to k-space: the box pre-flight, sample 0 and the
     # first step all read it
@@ -430,7 +437,6 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
             f"half_length {grid.half_length!r} too small for this run; "
             f"need at least {needed:.1f}")
 
-    n_steps, dt_last = step_plan(t_max, grid.dt)
     # the shortened last step, if any, runs on a grid with dt = dt_last
     last = grid if dt_last == grid.dt else replace(grid, dt=dt_last)
     potential = _potential(f_meas, grid)

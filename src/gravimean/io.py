@@ -229,10 +229,6 @@ def _packet_scales(apparatus: ApparatusParams,
     return scales
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
-
-
 def emit_trajectory(table, path) -> None:
     """Write the trajectory CSV: fixed header and column order, 17 significant
     digits, '\\n' line endings, one trailing newline.
@@ -241,17 +237,16 @@ def emit_trajectory(table, path) -> None:
     closed form's columns; d is x_plus - x_minus, and a column table lacks
     (the grid-only ones, for the closed form) is written as empty cells.
     """
-    n = len(table.t)
-    if n == 0:
+    if len(table.t) == 0:
         raise ValueError("trajectory is empty")
     columns = [table.x_plus - table.x_minus if name == "d"
                else getattr(table, name, None)
                for name in TRAJECTORY_HEADER.split(",")]
-    lines = [TRAJECTORY_HEADER]
-    for i in range(n):
-        lines.append(",".join("" if col is None else _fmt(col[i])
-                              for col in columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    row = ",".join("" if col is None else "%.17g" for col in columns) + "\n"
+    values = zip(*(col.tolist() for col in columns if col is not None))
+    with open(path, "w", newline="\n") as out:
+        out.write(TRAJECTORY_HEADER + "\n")
+        out.writelines(row % cells for cells in values)
 
 
 def file_digest(path) -> str:

@@ -432,7 +432,9 @@ class TestEvolveGrid:
 
 
 class TestRowCap:
-    """Requests for more than MAX_ROWS rows exit 1 before any allocation."""
+    """Requests for more than MAX_ROWS analytic rows, or for a grid run of
+    more than grid.MAX_STEPS steps (a grid run writes at most one row per
+    step), exit 1 before any allocation."""
 
     def test_analytic_rows(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(np, "arange", None)  # nothing may be allocated
@@ -444,25 +446,26 @@ class TestRowCap:
             capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["evolve", "compare"])
-    @pytest.mark.parametrize("t_max, dt, rows", [("1e15", "1e-3", "1e+17"),
-                                                 ("1e300", "1e-10", "inf")])
+    @pytest.mark.parametrize("t_max, dt, steps", [("1e15", "1e-3", "1e+18"),
+                                                  ("1e300", "1e-10", "inf")])
     def test_grid_samples(self, tmp_path, capsys, monkeypatch, command,
-                          t_max, dt, rows):
-        # would run for an unbounded time without the cap: nothing may step
-        monkeypatch.setattr(cli, "evolve_grid", None)
+                          t_max, dt, steps):
+        # would run for an unbounded time without the step limit: nothing
+        # may step
+        monkeypatch.setattr(gridmod, "_stats", None)
         argv = [command, "--config", write_cfg(tmp_path), "--t-max", t_max,
                 "--dt", dt]
         if command == "evolve":
             argv += ["--mode", "grid", "--out", str(tmp_path / "x.csv")]
         assert main(argv) == 1
-        assert (f"--t-max / --dt / --sample-every: the run would write {rows} "
-                f"rows, more than 10000000") in capsys.readouterr().err
+        assert (f"the run would take {steps} steps, more than 10000000"
+                in capsys.readouterr().err)
 
 
 class TestGridCaps:
-    """A grid of more than grid.MAX_N points, or a grid trial of more than
-    montecarlo.MAX_TRIAL_STEPS steps, exits 1 before anything is allocated
-    or stepped."""
+    """A grid of more than grid.MAX_N points, or a grid run of more than
+    grid.MAX_STEPS steps, exits 1 before anything is allocated or
+    stepped."""
 
     HUGE_N = 2**50
 
@@ -488,14 +491,28 @@ class TestGridCaps:
     @pytest.mark.parametrize("dt, steps", [(1e-12, "1e+12"), (5e-324, "inf")])
     def test_trial_steps(self, tmp_path, capsys, monkeypatch, dt, steps):
         # 1e-12 used to step for an unbounded time, 5e-324 to overflow in
-        # step_plan: neither may be reached
-        monkeypatch.setattr(gridmod, "step_plan", None)
-        monkeypatch.setattr(gridmod, "evolve_block", None)
+        # step_plan: nothing may step
+        monkeypatch.setattr(gridmod, "_stats", None)
         cfg = write_cfg(tmp_path, F_div={"kind": "uniform"}, grid={"dt": dt})
         assert main(["born-mc", "--config", cfg, "--engine", "grid",
                      "--trials", "1"]) == 1
-        assert (f"a trial would take {steps} steps, more than 10000000"
-                in capsys.readouterr().err)
+        assert (f"t_max / dt = 1.0 / {dt!r}: the run would take {steps} "
+                f"steps, more than 10000000" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["evolve", "compare"])
+    def test_run_steps(self, tmp_path, capsys, monkeypatch, command):
+        # few rows, so no row count can see it, but 1e12 steps
+        monkeypatch.setattr(gridmod, "_stats", None)
+        out = tmp_path / "x.csv"
+        argv = [command, "--config", write_cfg(tmp_path), "--t-max", "1",
+                "--dt", "1e-12", "--sample-every", "1000000000",
+                "--grid-n", "256", "--grid-l", "16"]
+        if command == "evolve":
+            argv += ["--mode", "grid", "--out", str(out)]
+        assert main(argv) == 1
+        assert ("t_max / dt = 1.0 / 1e-12: the run would take 1e+12 steps, "
+                "more than 10000000" in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestCompare:

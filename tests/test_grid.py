@@ -7,6 +7,7 @@ kinetic energy 1/4 + v^2/2 at w = 1.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gravimean.analytic import (common_center_initial_condition,
                                 equilibrium_splitting,
@@ -297,6 +298,49 @@ class TestAgainstAnalytic:
         assert xbar == pytest.approx(traj.xbar[-1], abs=1e-14)
 
 
+class TestEhrenfest:
+    """d<x>/dt = <k> for each branch: the mean momentum of the state evolve
+    returns at t1 = 1 matches the central difference of the branch means
+    over t1 +/- dt, up to the scheme's second-order error."""
+
+    @staticmethod
+    def gap(initial, p, f_meas, f_div, dt):
+        spec = GridSpec(half_length=24.0, n=512, dt=dt)
+        state = GridState(*(init_gaussian(spec, b.center, velocity=b.velocity)
+                            for b in (initial.plus, initial.minus)), p)
+        # samples at t = 0, t1 - dt and t1
+        traj, mid = evolve(state, f_meas, f_div, 1.0, spec,
+                           sample_every=round(1.0 / dt) - 1)
+        after, _ = evolve(mid, f_meas, f_div, dt, spec, sample_every=1)
+        k = spec.k()
+        gaps = []
+        for psi, means, ahead in (
+                (mid.psi_plus, traj.x_plus, after.x_plus),
+                (mid.psi_minus, traj.x_minus, after.x_minus)):
+            density = np.abs(np.fft.fft(psi)) ** 2
+            k_mean = (density @ k) / density.sum()
+            gaps.append(abs(k_mean - (ahead[-1] - means[-2]) / (2.0 * dt)))
+        return max(gaps)
+
+    @settings(max_examples=5, deadline=None)
+    @given(p=st.floats(0.1, 0.9), f_meas=st.floats(0.5, 1.5),
+           share=st.floats(-1.0, 1.0), speed=st.floats(0.2, 1.0),
+           sign=st.sampled_from((-1.0, 1.0)))
+    def test_mean_momentum_is_mean_velocity(self, p, f_meas, share, speed,
+                                            sign):
+        f_div, vbar0 = share * f_meas, sign * speed
+        # the smooth state's branch means are quadratic in t, so the central
+        # difference is exact and the gap is roundoff
+        smooth = smooth_initial_condition(p, f_meas, vbar0=vbar0)
+        assert self.gap(smooth, p, f_meas, f_div, 2e-3) <= 1e-10
+        # the common-center branches oscillate: a second-order gap
+        common = common_center_initial_condition(p, vbar0=vbar0)
+        coarse = self.gap(common, p, f_meas, f_div, 2e-3)
+        fine = self.gap(common, p, f_meas, f_div, 1e-3)
+        assert coarse <= 1e-5
+        assert 3.5 <= coarse / fine <= 4.5
+
+
 def corrupt_stats(monkeypatch, after_calls, row=None):
     """Make grid._stats report a second moment of -1 in every branch (or in
     the given row only) from call after_calls + 1 on: a negative variance."""
@@ -381,6 +425,16 @@ class TestKSpaceStepping:
         n_steps, dt_last = gridmod.step_plan(t_max, dt)
         assert n_steps == plan[0]
         assert dt_last == pytest.approx(plan[1], rel=1e-9)
+
+    def test_step_limit(self):
+        limit = gridmod.MAX_STEPS
+        assert gridmod.step_plan(limit * 0.5, 0.5) == (limit, 0.5)
+        with pytest.raises(ValueError, match=r"would take 1e\+07 steps, more "
+                                             r"than 10000000"):
+            gridmod.step_plan((limit + 1) * 0.5, 0.5)
+        for t_max, dt in ((np.inf, 1e-3), (np.nan, 1e-3), (1.0, 5e-324)):
+            with pytest.raises(ValueError, match="steps, more than 10000000"):
+                gridmod.step_plan(t_max, dt)
 
     def test_linear_phase_factored(self):
         # every power of two from 1 to 4096, including n below m^2

@@ -221,15 +221,12 @@ class TestEnsembles:
             run_ensemble(dimensionless_cfg(0.5, kind="fixed", value=0.1),
                          "analytic", 10, master_seed=0)
 
-    @pytest.mark.parametrize("n_trials, workers, bounds", [
-        (16, 2, [(0, 8), (8, 16)]),
-        (10, 4, [(0, 3), (3, 6), (6, 9), (9, 10)]),
-        (3, 8, [(0, 1), (1, 2), (2, 3)]),
-    ])
-    def test_pool_one_chunk_per_worker_and_no_idle_workers(
-            self, monkeypatch, n_trials, workers, bounds):
-        # a stub pool runs the jobs in this process and records what a real
-        # one would get; no worker process is started
+    @staticmethod
+    def run_on_stub_pool(monkeypatch, n_trials, workers, cpus):
+        """run_ensemble on a machine of cpus CPUs, through a stub pool that
+        runs the jobs in this process and records what a real one would
+        get; no worker process is started. Returns the pool and the
+        counts, after checking them against one worker."""
         pools = []
 
         class StubPool:
@@ -248,15 +245,32 @@ class TestEnsembles:
                 return [fn(job) for job in jobs]
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         cfg = dimensionless_cfg(0.4)
         s = run_ensemble(cfg, "analytic", n_trials, master_seed=7,
                          workers=workers)
-        (pool,) = pools
-        assert pool.bounds == bounds
-        assert pool.max_workers == len(bounds)
         ref = run_ensemble(cfg, "analytic", n_trials, master_seed=7)
         assert (s.n_right, s.n_left, s.n_undecided) == (
             ref.n_right, ref.n_left, ref.n_undecided)
+        (pool,) = pools
+        return pool
+
+    @pytest.mark.parametrize("n_trials, workers, bounds", [
+        (16, 2, [(0, 8), (8, 16)]),
+        (10, 4, [(0, 3), (3, 6), (6, 9), (9, 10)]),
+        (3, 8, [(0, 1), (1, 2), (2, 3)]),
+    ])
+    def test_pool_one_chunk_per_worker_and_no_idle_workers(
+            self, monkeypatch, n_trials, workers, bounds):
+        pool = self.run_on_stub_pool(monkeypatch, n_trials, workers, cpus=64)
+        assert pool.bounds == bounds
+        assert pool.max_workers == len(bounds)
+
+    def test_pool_no_larger_than_the_cpus(self, monkeypatch):
+        # one chunk per requested worker still, but only two processes
+        pool = self.run_on_stub_pool(monkeypatch, 10, 4, cpus=2)
+        assert pool.bounds == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert pool.max_workers == 2
 
     def test_grid_engine_small_ensemble(self):
         summary = run_ensemble(dimensionless_cfg(0.8, tau=0.5), "grid", 40,
