@@ -18,8 +18,8 @@ being folded into the array multiplication; densities and all other
 observables are unaffected by construction.
 
 One core advances a block of B independent runs held as one array of shape
-(B, 2, n): row b holds the plus and minus branch of run b. The runs share
-the grid, p and f_meas and each has its own f_div. The block is carried in
+(B, 2, n): row b holds the plus and minus branch of run b. The runs share the
+grid, p and f_meas and each has its own f_div. The block is carried in
 k-space from step to step: the second half kinetic step of one step and the
 first of the next combine into one full kinetic factor, so a step costs one
 batched FFT pair along the last axis, an ifft to the midpoint and an fft
@@ -27,16 +27,17 @@ back. The block returns to x-space only at samples. The norms, means and
 second moments of all rows come from one midpoint product
 |psi|^2 @ [1, x, x^2]^T dx. The kinetic factor has unit modulus, so the
 k-space block gives the end-of-step norm for the drift check by Parseval,
-and at a sample the kinetic energy and the aliasing guard, with no
-transform of its own. The per-row linear phase exp(i dt (xbar + f_div) x)
-is built as the outer product of two tables of about sqrt(n) exponentials
-each. The x-space block, its density and the phase live in arrays
-allocated once per call and the FFTs write into them, so no step allocates
-an array the size of the block. Runs end at exactly t_max: when dt does not
-divide t_max the last step is shortened. No operation mixes rows, so a run evolves the same
-in a block of any size. evolve is the block of one; step is evolve over
-one dt, energy the energy evolve records at its start, and moments reads
-the same weighted moments.
+and at a sample the kinetic energy and the aliasing guard, with no transform
+of its own. The per-row linear phase exp(i dt (xbar + f_div) x) is the outer
+product of two tables of about sqrt(n) exponentials each. The x-space block,
+its density, the phase and the table of samples, one row per sample, are
+allocated once per call, so no step allocates an array the size of the
+block. Runs end at exactly t_max: when dt does not divide t_max the last step
+is shortened. No operation mixes rows, so a run evolves the same in a block
+of any size. The core starts at t = 0 with no phase; evolve, the block of
+one, carries a state's time and global phase. step is evolve over one dt,
+energy the energy evolve records at its start, and moments reads the same
+weighted moments.
 
 The domain is periodic, which the physics never probes as long as the packets
 stay away from the edges and the spectrum away from the largest |k|: a
@@ -406,20 +407,18 @@ def step_plan(t_max: float, dt: float) -> tuple[int, float]:
 
 
 def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
-                 t_max: float, grid: GridSpec, sample_every: int = 10,
-                 include_x2_phase: bool = True, t0: float = 0.0,
-                 phase0: float = 0.0
+                 t_max: float, grid: GridSpec, sample_every: int
                  ) -> tuple[GridTrajectory, np.ndarray, np.ndarray]:
     """Run a block of B runs, psi of shape (B, 2, n) and f_div of shape (B,),
-    to t_max, sampling observables every few steps.
+    from t = 0 to t_max.
 
     Steps are of length dt but the last, which step_plan shortens so that
     the run ends at exactly t_max; before any work, step_plan refuses a run
-    of more than MAX_STEPS steps. Samples land on step boundaries: step 0,
-    every sample_every-th step, and the final step at t0 + t_max. Every
-    run's box is checked before the first step, and norms, moments, aliasing
-    and the edge while stepping. Returns the sampled trajectory (columns of
-    shape (samples, B)), the final block and the global phase of each row.
+    of more than MAX_STEPS steps. Samples land on step 0, every
+    sample_every-th step and the last step. Every run's box is checked
+    before the first step, and norms, moments, aliasing and the edge while
+    stepping. Returns the sampled trajectory (columns of shape (samples,
+    B)), the final block and each row's phase of the x2bar/2 term.
     """
     if not t_max > 0.0:
         raise ValueError(f"t_max must be > 0, got {t_max!r}")
@@ -441,9 +440,12 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     last = grid if dt_last == grid.dt else replace(grid, dt=dt_last)
     potential = _potential(f_meas, grid)
     potential_last = potential if last is grid else _potential(f_meas, last)
-    phase = np.full(len(psi), phase0)
-    rows = {name: [] for name in ("t", "xbar", "x2bar", "x_plus", "x_minus",
-                                  "norm_plus", "norm_minus", "energy")}
+    phase = np.zeros(len(psi))
+    # the sample table: row r holds step r * sample_every, the last row the
+    # last step; 1 + ceil(n_steps / sample_every) rows, NaN until written
+    rows = 1 + -(-n_steps // sample_every)
+    times = np.full(rows, np.nan)
+    table = np.full((7, rows, len(psi)), np.nan)
     work = _work(psi.shape)
 
     def sample(psi: np.ndarray, stats: np.ndarray, step_no: int,
@@ -453,15 +455,12 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
         xbar, x2bar, means = _weighted(stats, p, step_no, t)
         kinetic = _kinetic_energy(phi, grid, step_no, t, work.density)
         _edge_check(psi, grid, step_no, t)
-        for name, value in (("t", t), ("xbar", xbar), ("x2bar", x2bar),
-                            ("x_plus", means[:, 0]), ("x_minus", means[:, 1]),
-                            ("norm_plus", stats[:, 0, 0]),
-                            ("norm_minus", stats[:, 1, 0]),
-                            ("energy", _energy(kinetic, stats, xbar, x2bar, p,
-                                               f_meas, f_div))):
-            rows[name].append(value)
+        row = -(-step_no // sample_every)
+        times[row] = t
+        table[:, row] = (xbar, x2bar, *means.T, *stats[..., 0].T, _energy(
+            kinetic, stats, xbar, x2bar, p, f_meas, f_div))
 
-    sample(psi, stats, 0, t0)
+    sample(psi, stats, 0, 0.0)
     norms = stats[..., 0]
     # The block stays in k-space between steps: the second half kinetic step
     # of one step and the first of the next are one multiplication.
@@ -471,11 +470,10 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     for i in range(1, n_steps + 1):
         final = i == n_steps
         spec = last if final else grid
-        t = t0 + (t_max if final else i * grid.dt)
+        t = t_max if final else i * grid.dt
         x2bar = _advance(phi, p, f_div, potential_last if final else potential,
                          spec, i, t, work)
-        if include_x2_phase:
-            phase -= 0.5 * x2bar * spec.dt
+        phase -= 0.5 * x2bar * spec.dt
         after = _kspace_norms(phi, grid)
         _check(np.abs(after - norms), 1e-8, "norm drifted by {0!r} in one "
                "step at {1}", i, t)
@@ -486,24 +484,25 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
             sample(psi, _stats(psi, grid, work.density), i, t)
         if not final:
             phi *= kin2 if i < n_steps - 1 else kin * kin_last
-    traj = GridTrajectory(**{name: np.array(vals) for name, vals in rows.items()})
-    return traj, psi, phase
+    return GridTrajectory(times, *table), psi, phase
 
 
 def evolve(state0: GridState, f_meas: float, f_div: float, t_max: float,
            grid: GridSpec, sample_every: int = 10,
            include_x2_phase: bool = True) -> tuple[GridTrajectory, GridState]:
-    """Run one evolution to t_max, sampling observables every few steps: the
-    block of one of evolve_block. Returns the sampled trajectory and the
-    final state."""
+    """Run one evolution for t_max from state0, sampling observables every
+    sample_every steps: the block of one of evolve_block, shifted to start at
+    state0.t and state0.global_phase (plus the x2bar phase unless
+    include_x2_phase is False). Returns the trajectory and final state."""
     traj, psi, phase = evolve_block(
         _rows(state0), state0.p, f_meas, np.array([float(f_div)]), t_max,
-        grid, sample_every, include_x2_phase, t0=state0.t,
-        phase0=state0.global_phase)
-    traj = GridTrajectory(t=traj.t, **{name: column[:, 0] for name, column
-                                       in vars(traj).items() if name != "t"})
+        grid, sample_every)
+    traj = GridTrajectory(t=state0.t + traj.t, **{
+        name: column[:, 0] for name, column in vars(traj).items()
+        if name != "t"})
     final = GridState(psi_plus=psi[0, 0], psi_minus=psi[0, 1], p=state0.p,
-                      t=float(traj.t[-1]), global_phase=float(phase[0]))
+                      t=float(traj.t[-1]), global_phase=state0.global_phase
+                      + (float(phase[0]) if include_x2_phase else 0.0))
     return traj, final
 
 

@@ -5,6 +5,9 @@ center c with velocity v has norm 1, <x> = c, variance w^2/2, <k> = v, and
 kinetic energy 1/4 + v^2/2 at w = 1.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -405,17 +408,25 @@ class TestKSpaceStepping:
 
             monkeypatch.setattr(np.fft, name, counted)
         state = smooth_grid_state(SPEC, 0.3, 1.0)
-        n_steps, every = 100, 10
-        traj, _, _ = gridmod.evolve_block(
-            np.repeat(gridmod._rows(state), 3, axis=0), 0.3, 1.0,
-            np.array([-0.2, 0.0, 0.3]), n_steps * SPEC.dt, SPEC,
-            sample_every=every)
-        samples = len(traj.t)
-        assert samples == n_steps // every + 1
-        # two per step and one per sample but the first (back to x-space);
-        # the one transform to k-space serves the box pre-flight, the energy
-        # at sample 0 and the first step
-        assert len(calls) == 2 * n_steps + samples
+        # the second run has a shortened last step and a last sample off the
+        # sample_every grid
+        for t_max, every, n_steps in ((100 * SPEC.dt, 10, 100),
+                                      (100.5 * SPEC.dt, 10, 101)):
+            calls.clear()
+            traj, _, _ = gridmod.evolve_block(
+                np.repeat(gridmod._rows(state), 3, axis=0), 0.3, 1.0,
+                np.array([-0.2, 0.0, 0.3]), t_max, SPEC, sample_every=every)
+            samples = len(traj.t)
+            assert samples == 1 + math.ceil(n_steps / every)
+            # two per step and one per sample but the first (back to
+            # x-space); the one transform to k-space serves the box
+            # pre-flight, the energy at sample 0 and the first step
+            assert len(calls) == 2 * n_steps + samples
+            assert np.all(np.diff(traj.t) > 0.0)
+            assert traj.t[-1] == t_max
+            # every row of the sample table was written
+            for name, column in vars(traj).items():
+                assert np.all(np.isfinite(column)), name
 
     @pytest.mark.parametrize("t_max, dt, plan", [
         (1.0, 4e-3, (250, 4e-3)), (np.pi, 1e-3, (3142, np.pi - 3.141)),
@@ -464,3 +475,26 @@ class TestKSpaceStepping:
         assert abs(state.global_phase - final.global_phase) <= 1e-12
         assert final.global_phase < 0.0
         assert np.max(np.abs(state.psi_plus - final.psi_plus)) <= 1e-12
+
+
+class TestSampleTable:
+    """evolve_block writes its samples into a table allocated up front."""
+
+    @staticmethod
+    def peak_bytes(state, spec, n_steps):
+        tracemalloc.start()
+        try:
+            evolve(state, 1.0, 0.0, n_steps * spec.dt, spec, sample_every=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_bytes_per_sampled_row(self):
+        # p = 1/2 and no diverting force: the smooth state stays put
+        spec = GridSpec(half_length=12.0, n=64, dt=1e-3)
+        state = smooth_grid_state(spec, 0.5, 1.0)
+        evolve(state, 1.0, 0.0, 10 * spec.dt, spec, sample_every=1)  # warm
+        short = self.peak_bytes(state, spec, 1000)
+        long = self.peak_bytes(state, spec, 3000)
+        # a row is eight float64 values, 64 B, plus evolve's shifted times
+        assert (long - short) / 2000 <= 200.0
