@@ -128,7 +128,8 @@ def _add_grid_args(sub: argparse.ArgumentParser) -> None:
                      help="grid points (power of two, at most 2**20)")
     sub.add_argument("--grid-l", type=_finite, default=None,
                      help="half length of the box in packet widths")
-    sub.add_argument("--dt", type=_finite, default=None, help="grid time step")
+    sub.add_argument("--dt", type=_finite, default=None,
+                     help="largest grid time step")
     sub.add_argument("--sample-every", type=int, default=None,
                      help="record every k-th grid step")
 

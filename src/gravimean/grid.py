@@ -32,8 +32,8 @@ of its own. The per-row linear phase exp(i dt (xbar + f_div) x) is the outer
 product of two tables of about sqrt(n) exponentials each. The x-space block,
 its density, the phase and the table of samples, one row per sample, are
 allocated once per call, so no step allocates an array the size of the
-block. Runs end at exactly t_max: when dt does not divide t_max the last step
-is shortened. No operation mixes rows, so a run evolves the same in a block
+block. A run takes equal steps of at most dt that end at exactly t_max
+(step_plan). No operation mixes rows, so a run evolves the same in a block
 of any size. The core starts at t = 0 with no phase; evolve, the block of
 one, carries a state's time and global phase. step is evolve over one dt,
 energy the energy evolve records at its start, and moments reads the same
@@ -76,7 +76,8 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid on [-half_length, half_length) with time step dt."""
+    """Uniform periodic grid on [-half_length, half_length); dt is the
+    longest time step a run on it takes (step_plan)."""
 
     half_length: float
     n: int
@@ -389,11 +390,11 @@ def _required_half_length(phi: np.ndarray, stats: np.ndarray, p: float,
 
 
 def step_plan(t_max: float, dt: float) -> tuple[int, float]:
-    """Number of steps that ends a run at t_max, and the length of the last.
+    """Number and length of the equal steps that end a run at t_max.
 
     Whole steps of dt when t_max/dt is within 1e-9 of an integer; otherwise
-    ceil(t_max/dt) steps, the last one shortened so that the run ends at
-    t_max. A run of more than MAX_STEPS steps is rejected.
+    ceil(t_max/dt) steps of t_max / ceil(t_max/dt), none longer than dt. A
+    run of more than MAX_STEPS steps is rejected.
     """
     ratio = t_max / dt
     if not ratio <= MAX_STEPS:
@@ -403,7 +404,7 @@ def step_plan(t_max: float, dt: float) -> tuple[int, float]:
     if whole >= 1 and abs(ratio - whole) <= 1e-9:
         return whole, dt
     n_steps = math.ceil(ratio)
-    return n_steps, t_max - (n_steps - 1) * dt
+    return n_steps, t_max / n_steps
 
 
 def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
@@ -412,9 +413,9 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     """Run a block of B runs, psi of shape (B, 2, n) and f_div of shape (B,),
     from t = 0 to t_max.
 
-    Steps are of length dt but the last, which step_plan shortens so that
-    the run ends at exactly t_max; before any work, step_plan refuses a run
-    of more than MAX_STEPS steps. Samples land on step 0, every
+    Every step has the one length step_plan gives, at most grid.dt, so
+    that the run ends at exactly t_max; before any work, step_plan refuses
+    a run of more than MAX_STEPS steps. Samples land on step 0, every
     sample_every-th step and the last step. Every run's box is checked
     before the first step, and norms, moments, aliasing and the edge while
     stepping. Returns the sampled trajectory (columns of shape (samples,
@@ -424,7 +425,8 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
         raise ValueError(f"t_max must be > 0, got {t_max!r}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
-    n_steps, dt_last = step_plan(t_max, grid.dt)
+    n_steps, dt = step_plan(t_max, grid.dt)
+    grid = replace(grid, dt=dt)
     stats = _stats(psi, grid)
     # the one transform to k-space: the box pre-flight, sample 0 and the
     # first step all read it
@@ -436,10 +438,7 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
             f"half_length {grid.half_length!r} too small for this run; "
             f"need at least {needed:.1f}")
 
-    # the shortened last step, if any, runs on a grid with dt = dt_last
-    last = grid if dt_last == grid.dt else replace(grid, dt=dt_last)
     potential = _potential(f_meas, grid)
-    potential_last = potential if last is grid else _potential(f_meas, last)
     phase = np.zeros(len(psi))
     # the sample table: row r holds step r * sample_every, the last row the
     # last step; 1 + ceil(n_steps / sample_every) rows, NaN until written
@@ -464,31 +463,29 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     norms = stats[..., 0]
     # The block stays in k-space between steps: the second half kinetic step
     # of one step and the first of the next are one multiplication.
-    kin, kin_last = _kinetic_half(grid), _kinetic_half(last)
+    kin = _kinetic_half(grid)
     kin2 = kin * kin
-    phi *= kin if n_steps > 1 else kin_last
+    phi *= kin
     for i in range(1, n_steps + 1):
         final = i == n_steps
-        spec = last if final else grid
-        t = t_max if final else i * grid.dt
-        x2bar = _advance(phi, p, f_div, potential_last if final else potential,
-                         spec, i, t, work)
-        phase -= 0.5 * x2bar * spec.dt
+        t = t_max if final else i * dt
+        x2bar = _advance(phi, p, f_div, potential, grid, i, t, work)
+        phase -= 0.5 * x2bar * dt
         after = _kspace_norms(phi, grid)
         _check(np.abs(after - norms), 1e-8, "norm drifted by {0!r} in one "
                "step at {1}", i, t)
         norms = after
         if final or i % sample_every == 0:
-            psi = np.multiply(phi, kin_last if final else kin, out=work.psi)
+            psi = np.multiply(phi, kin, out=work.psi)
             np.fft.ifft(psi, out=psi)
             sample(psi, _stats(psi, grid, work.density), i, t)
         if not final:
-            phi *= kin2 if i < n_steps - 1 else kin * kin_last
+            phi *= kin2
     return GridTrajectory(times, *table), psi, phase
 
 
 def evolve(state0: GridState, f_meas: float, f_div: float, t_max: float,
-           grid: GridSpec, sample_every: int = 10,
+           grid: GridSpec, sample_every: int,
            include_x2_phase: bool = True) -> tuple[GridTrajectory, GridState]:
     """Run one evolution for t_max from state0, sampling observables every
     sample_every steps: the block of one of evolve_block, shifted to start at

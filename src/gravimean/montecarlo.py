@@ -188,8 +188,7 @@ def _grid_displacements(p: float, f_meas: float, f_div: np.ndarray, tau: float,
     return traj.xbar[-1] - traj.xbar[0]
 
 
-def run_trial(cfg: MeasurementConfig, engine: str = "analytic",
-              seed: int = 0, *, scales: Scales | None = None,
+def run_trial(cfg: MeasurementConfig, engine: str, seed: int, *,
               grid: GridSpec = MC_GRID,
               f_div: float | None = None, index: int = 0) -> float:
     """Mean displacement of one measurement trial under a frozen diverting
@@ -198,13 +197,14 @@ def run_trial(cfg: MeasurementConfig, engine: str = "analytic",
     The analytic engine gives the closed form F tau^2 / 2, whose sign is
     that of the total force F for any duration. The grid engine evolves the
     equilibrium state from rest to tau, as a block of one, and gives the
-    displacement it actually measures. f_div (dimensionless) can be forced
-    explicitly for boundary tests; otherwise it is sampled from the trial
-    seed, which requires the config's uniform diverting-force kind.
+    displacement it actually measures. cfg holds dimensionless values, and
+    so does f_div, which can be forced explicitly for boundary tests;
+    otherwise it is sampled from the trial seed, which requires the config's
+    uniform diverting-force kind.
     """
     if engine not in ("analytic", "grid"):
         raise ValueError(f"engine must be 'analytic' or 'grid', got {engine!r}")
-    f_meas, tau = _dimensionless_setup(cfg, scales)
+    f_meas, tau = cfg.f_meas, cfg.tau_meas
     if f_div is None:
         if cfg.f_div.kind != "uniform":
             raise ValueError(
@@ -262,8 +262,9 @@ def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
     if cfg.f_div.kind != "uniform":
         raise ValueError("ensembles need F_div kind 'uniform'")
 
-    # one chunk per worker: trials of an engine all cost the same, and a
-    # grid block of few trials costs more per trial than one of many
+    # one chunk per worker and at most one worker per CPU: trials all cost
+    # the same, and a grid block of few trials costs more per trial
+    workers = min(workers, os.cpu_count() or 1)
     chunk = math.ceil(n_trials / workers)
     bounds = [(s, min(s + chunk, n_trials)) for s in range(0, n_trials, chunk)]
     jobs = [(cfg, engine, master_seed, start, stop, scales, grid)
@@ -271,9 +272,8 @@ def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
     if len(jobs) == 1:
         parts = [_chunk_counts(jobs[0])]
     else:
-        # the pool forks its workers at the first submit; no more than CPUs
-        size = min(workers, len(jobs), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=size) as pool:
+        # the pool forks its workers at the first submit
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             parts = list(pool.map(_chunk_counts, jobs))
 
     right = sum(p[0] for p in parts)

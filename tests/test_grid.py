@@ -7,6 +7,7 @@ kinetic energy 1/4 + v^2/2 at w = 1.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ class TestFailureModes:
     def test_preflight_box_too_small(self):
         state = two_branch(SPEC, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="half_length"):
-            evolve(state, 0.0, 1.0, 10.0, SPEC)
+            evolve(state, 0.0, 1.0, 10.0, SPEC, sample_every=10)
 
     def test_aliasing_mid_run(self):
         # dx = 0.5 resolves |k| up to 2 pi; under a unit force the packet's
@@ -251,12 +252,12 @@ class TestFailureModes:
         spec = GridSpec(half_length=12.0, n=256, dt=2e-3)
         state = two_branch(spec, 0.0, 0.0, 0.5)
         with pytest.raises(NumericalError, match="outer 5% of the domain"):
-            evolve(state, 4.0, 0.0, np.pi, spec)
+            evolve(state, 4.0, 0.0, np.pi, spec, sample_every=10)
 
     def test_bad_evolve_arguments(self):
         state = two_branch(SPEC, 0.0, 0.0, 0.5)
         with pytest.raises(ValueError):
-            evolve(state, 1.0, 0.0, 0.0, SPEC)
+            evolve(state, 1.0, 0.0, 0.0, SPEC, sample_every=10)
         with pytest.raises(ValueError):
             evolve(state, 1.0, 0.0, 1.0, SPEC, sample_every=0)
 
@@ -280,8 +281,9 @@ class TestAgainstAnalytic:
     @pytest.mark.parametrize("t_max", [1.0, 3.0])
     def test_ends_at_t_max(self, t_max):
         # dt = 0.4 divides neither duration: whole steps would end at 0.8
-        # and 3.2, so the last step is shortened to end at t_max. The smooth
-        # state under a constant force is exact for any step length.
+        # and 3.2, so the run takes 3 and 8 equal steps shorter than dt that
+        # end at t_max. The smooth state under a constant force is exact for
+        # any step length.
         spec = GridSpec(half_length=16.0, n=512, dt=0.4)
         state = smooth_grid_state(spec, 0.3, 1.0)
         traj, final = evolve(state, 1.0, 0.25, t_max, spec, sample_every=1)
@@ -378,7 +380,7 @@ class TestNegativeVariance:
         with pytest.raises(NumericalError,
                            match=r"negative variance at step 2, t=0\.002: "
                                  r"x2bar -1\.0 < xbar\^2"):
-            evolve(state, 1.0, 0.3, 0.1, SPEC)
+            evolve(state, 1.0, 0.3, 0.1, SPEC, sample_every=10)
 
 
 class TestKSpaceStepping:
@@ -408,8 +410,9 @@ class TestKSpaceStepping:
 
             monkeypatch.setattr(np.fft, name, counted)
         state = smooth_grid_state(SPEC, 0.3, 1.0)
-        # the second run has a shortened last step and a last sample off the
-        # sample_every grid
+        # dt does not divide the second run's t_max, so it takes 101 equal
+        # steps shorter than dt and its last sample is off the sample_every
+        # grid
         for t_max, every, n_steps in ((100 * SPEC.dt, 10, 100),
                                       (100.5 * SPEC.dt, 10, 101)):
             calls.clear()
@@ -429,13 +432,31 @@ class TestKSpaceStepping:
                 assert np.all(np.isfinite(column)), name
 
     @pytest.mark.parametrize("t_max, dt, plan", [
-        (1.0, 4e-3, (250, 4e-3)), (np.pi, 1e-3, (3142, np.pi - 3.141)),
-        (1.0, 0.4, (3, 0.2)), (3.0, 0.4, (8, 0.2)), (0.3, 0.1, (3, 0.1)),
-        (1e-4, 1e-3, (1, 1e-4))])
+        (1.0, 4e-3, (250, 4e-3)), (np.pi, 1e-3, (3142, np.pi / 3142)),
+        (1.0, 0.4, (3, 1.0 / 3.0)), (3.0, 0.4, (8, 0.375)),
+        (0.3, 0.1, (3, 0.1)), (1e-4, 1e-3, (1, 1e-4))])
     def test_step_plan(self, t_max, dt, plan):
-        n_steps, dt_last = gridmod.step_plan(t_max, dt)
+        n_steps, step = gridmod.step_plan(t_max, dt)
         assert n_steps == plan[0]
-        assert dt_last == pytest.approx(plan[1], rel=1e-9)
+        assert step == pytest.approx(plan[1], rel=1e-9)
+        assert step <= dt
+        assert n_steps * step == pytest.approx(t_max, rel=1e-15)
+
+    @pytest.mark.parametrize("t_max, dt, n", [(1.0, 0.4, 256), (3.0, 0.4, 256),
+                                              (np.pi, 1e-3, 128)])
+    def test_one_step_length(self, t_max, dt, n):
+        # a run whose dt does not divide t_max is, bit for bit, the run on
+        # the grid whose dt is the step step_plan gives
+        spec = GridSpec(half_length=16.0, n=n, dt=dt)
+        state = smooth_grid_state(spec, 0.3, 1.0)
+        even = replace(spec, dt=t_max / math.ceil(t_max / dt))
+        traj, final = evolve(state, 1.0, 0.25, t_max, spec, sample_every=7)
+        ref, ref_final = evolve(state, 1.0, 0.25, t_max, even, sample_every=7)
+        for name, column in vars(traj).items():
+            assert np.array_equal(column, getattr(ref, name)), name
+        assert np.array_equal(final.psi_plus, ref_final.psi_plus)
+        assert np.array_equal(final.psi_minus, ref_final.psi_minus)
+        assert final.global_phase == ref_final.global_phase
 
     def test_step_limit(self):
         limit = gridmod.MAX_STEPS

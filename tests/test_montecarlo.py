@@ -267,9 +267,16 @@ class TestEnsembles:
         assert pool.max_workers == len(bounds)
 
     def test_pool_no_larger_than_the_cpus(self, monkeypatch):
-        # one chunk per requested worker still, but only two processes
+        # four workers asked for on two CPUs: two chunks and two processes
         pool = self.run_on_stub_pool(monkeypatch, 10, 4, cpus=2)
-        assert pool.bounds == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert pool.bounds == [(0, 5), (5, 10)]
+        assert pool.max_workers == 2
+
+    def test_workers_beyond_the_cpus_cut_no_chunks(self, monkeypatch):
+        # a million workers asked for on two CPUs cost two chunks, not a
+        # million
+        pool = self.run_on_stub_pool(monkeypatch, 10**6, 10**6, cpus=2)
+        assert pool.bounds == [(0, 500_000), (500_000, 10**6)]
         assert pool.max_workers == 2
 
     def test_grid_engine_small_ensemble(self):
