@@ -41,7 +41,9 @@ weighted moments.
 
 The domain is periodic, which the physics never probes as long as the packets
 stay away from the edges and the spectrum away from the largest |k|: a
-density guard in x and an aliasing guard in k abort the run otherwise.
+density guard in x and an aliasing guard in k abort the run otherwise, and
+before the first step a pre-flight refuses a run whose closed-form mean
+motion would carry it there.
 """
 
 from __future__ import annotations
@@ -364,14 +366,19 @@ def _energy(kinetic: np.ndarray, stats: np.ndarray, xbar: np.ndarray,
     return 0.5 * (x2bar - xbar**2) + (kinetic + force) @ np.array([p, 1.0 - p])
 
 
-def _required_half_length(phi: np.ndarray, stats: np.ndarray, p: float,
-                          f_meas: float, f_div: np.ndarray, t_max: float,
-                          grid: GridSpec) -> np.ndarray:
-    """Box size each row needs: margin + mean excursion + packet width.
+def _preflight(phi: np.ndarray, stats: np.ndarray, p: float, f_meas: float,
+               f_div: np.ndarray, t_max: float, grid: GridSpec) -> None:
+    """Refuse, with ValueError, a run whose box or grid spacing cannot hold
+    the closed-form mean motion xbar0 + vbar0 t + F t^2/2 of any row.
 
-    The mean excursion is the exact quadratic bound; branch offsets and
-    oscillation amplitudes live inside the fixed margin of 8. phi is the
-    k-space block, which gives the mean velocity.
+    The box must hold a margin + the mean excursion + the packet width: the
+    mean excursion is the exact quadratic bound; branch offsets and
+    oscillation amplitudes live inside the fixed margin of 8. The weighted
+    mean momentum vbar0 + F t is exact under a uniform force, and a mean
+    momentum in the outer 5% of |k| puts more weight there than the aliasing
+    guard allows, so it must stay below 0.95 pi/dx at both ends of the run: a
+    necessary condition, which refuses no run the grid resolves. phi is the
+    k-space block, which gives vbar0.
     """
     weights = np.array([p, 1.0 - p])
     per_branch = stats[..., 1:] / stats[..., :1]
@@ -386,7 +393,21 @@ def _required_half_length(phi: np.ndarray, stats: np.ndarray, p: float,
                        for t in (0.0, t_max, vertex)], axis=0)
     variance = per_branch[..., 1] - per_branch[..., 0] ** 2
     width = np.sqrt(2.0 * np.maximum(variance, 0.0)).max(axis=-1)
-    return 8.0 + max_mean + 3.0 * width
+    needed = float(np.max(8.0 + max_mean + 3.0 * width))
+    if not grid.half_length >= needed:
+        raise ValueError(
+            f"half_length {grid.half_length!r} too small for this run; "
+            f"need at least {needed:.1f}")
+    k_max = float(np.max(np.maximum(np.abs(vbar0),
+                                    np.abs(vbar0 + force * t_max))))
+    band = 0.95 * np.pi / grid.dx
+    if not k_max < band:
+        # the band grows with n: the smallest passing n beats k_max / band
+        n_needed = grid.n << (math.floor(math.log2(k_max / band)) + 1)
+        raise ValueError(
+            f"n {grid.n!r} too coarse for this run: the mean momentum "
+            f"reaches {k_max:.4g}, beyond 0.95 pi/dx = {band:.4g} where the "
+            f"grid aliases; need n of at least {n_needed}")
 
 
 def step_plan(t_max: float, dt: float) -> tuple[int, float]:
@@ -416,10 +437,11 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     Every step has the one length step_plan gives, at most grid.dt, so
     that the run ends at exactly t_max; before any work, step_plan refuses
     a run of more than MAX_STEPS steps. Samples land on step 0, every
-    sample_every-th step and the last step. Every run's box is checked
-    before the first step, and norms, moments, aliasing and the edge while
-    stepping. Returns the sampled trajectory (columns of shape (samples,
-    B)), the final block and each row's phase of the x2bar/2 term.
+    sample_every-th step and the last step. Every run's box and mean
+    momentum are checked before the first step (_preflight), and norms,
+    moments, aliasing and the edge while stepping. Returns the sampled
+    trajectory (columns of shape (samples, B)), the final block and each
+    row's phase of the x2bar/2 term.
     """
     if not t_max > 0.0:
         raise ValueError(f"t_max must be > 0, got {t_max!r}")
@@ -428,15 +450,10 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     n_steps, dt = step_plan(t_max, grid.dt)
     grid = replace(grid, dt=dt)
     stats = _stats(psi, grid)
-    # the one transform to k-space: the box pre-flight, sample 0 and the
-    # first step all read it
+    # the one transform to k-space: the pre-flights, sample 0 and the first
+    # step all read it
     phi = np.fft.fft(psi)
-    needed = float(np.max(_required_half_length(phi, stats, p, f_meas, f_div,
-                                                t_max, grid)))
-    if not grid.half_length >= needed:
-        raise ValueError(
-            f"half_length {grid.half_length!r} too small for this run; "
-            f"need at least {needed:.1f}")
+    _preflight(phi, stats, p, f_meas, f_div, t_max, grid)
 
     potential = _potential(f_meas, grid)
     phase = np.zeros(len(psi))

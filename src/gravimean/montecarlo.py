@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -46,13 +47,15 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # stepping reproduces exactly at any stable dt.
 MC_GRID = GridSpec(half_length=20.0, n=512, dt=4e-3)
 
-# Trials per block. A grid block of B trials is one (B, 2, n) array; per
-# trial cost on MC_GRID is flat from B=16 to 64 and rises from B=128, and the
-# point cap keeps a block of a fine grid as small as one of MC_GRID. The
-# analytic cap bounds the sampler's arrays whatever the trial count.
-GRID_BLOCK = 64
-GRID_BLOCK_POINTS = GRID_BLOCK * MC_GRID.n
-ANALYTIC_BLOCK = 2**16
+# Trials per block, for both engines: it bounds the sampler's arrays
+# whatever the trial count. A grid block evolves three rows whatever its
+# size (_mapped_displacements).
+BLOCK = 2**16
+
+# Largest |evolved - mapped| displacement of a directly evolved trial,
+# relative to max(1, |F tau^2 / 2|): the map is exact, and the roundoff of
+# an evolved mean grows with its excursion.
+MAP_RTOL = 1e-12
 
 
 def mix64(z: int) -> int:
@@ -170,11 +173,11 @@ def _tally(values: np.ndarray) -> tuple[int, int, int]:
     return right, left, len(values) - right - left
 
 
-def _grid_displacements(p: float, f_meas: float, f_div: np.ndarray, tau: float,
-                        grid_spec: GridSpec, first: int) -> np.ndarray:
-    """Mean displacement of each trial of one block, trial first + b under
-    f_div[b], started from rest at the equilibrium splitting so the motion
-    reflects the total force alone."""
+def _evolve_trials(p: float, f_meas: float, f_div: np.ndarray, tau: float,
+                   grid_spec: GridSpec, trials: Sequence[int]) -> np.ndarray:
+    """Mean displacement of trials[b] under f_div[b], every row evolved in
+    one block, started from rest at the equilibrium splitting so the motion
+    reflects the total force alone. A numerical failure names its trial."""
     d_plus, d_minus, _ = analytic.equilibrium_splitting(p, f_meas)
     psi = np.stack([gridmod.init_gaussian(grid_spec, d_plus),
                     gridmod.init_gaussian(grid_spec, d_minus)])
@@ -184,8 +187,52 @@ def _grid_displacements(p: float, f_meas: float, f_div: np.ndarray, tau: float,
             np.repeat(psi[None], len(f_div), axis=0), p, f_meas, f_div, tau,
             grid_spec, sample_every=gridmod.MAX_STEPS)
     except NumericalError as exc:
-        raise NumericalError(f"trial {first + exc.row}: {exc}", exc.row) from exc
+        raise NumericalError(f"trial {trials[exc.row]}: {exc}", exc.row) from exc
     return traj.xbar[-1] - traj.xbar[0]
+
+
+def _grid_displacements(p: float, f_meas: float, f_div: np.ndarray, tau: float,
+                        grid_spec: GridSpec, first: int) -> np.ndarray:
+    """Mean displacement of each trial of one block, trial first + b under
+    f_div[b], each evolved directly: the oracle of _mapped_displacements."""
+    return _evolve_trials(p, f_meas, f_div, tau, grid_spec,
+                          range(first, first + len(f_div)))
+
+
+def _mapped_displacements(p: float, f_meas: float, f_div: np.ndarray,
+                          tau: float, grid_spec: GridSpec, first: int,
+                          f_ref: float) -> np.ndarray:
+    """Mean displacement of each trial of one block, trial first + b under
+    f_div[b], from three evolved rows and the Avron-Herbst map.
+
+    The self-gravity potential depends on x - xbar only, so a uniform force
+    moves the two-branch state rigidly: every trial is the reference trial 0,
+    under f_ref, moved by (f_div - f_ref) tau^2 / 2. Trial b's value is
+    d_ref + (f_div[b] - f_ref) tau^2 / 2, elementwise. d_ref comes from row 0
+    of a three-row block in every block, and no operation mixes rows, so the
+    value does not depend on the block or chunk. The block's trials of
+    smallest and largest f_div are evolved too and must match their mapped
+    value to MAP_RTOL.
+
+    Like every trial they start from rest, so the closed-form box and
+    momentum bounds of evolve_block are affine in F at each t and peak at
+    those two rows, which travel furthest in x and in k: the pre-flights and
+    the edge and aliasing guards on them cover every trial of the block.
+    """
+    lo, hi = int(np.argmin(f_div)), int(np.argmax(f_div))
+    trials = (0, first + lo, first + hi)
+    evolved = _evolve_trials(p, f_meas, np.array([f_ref, f_div[lo], f_div[hi]]),
+                             tau, grid_spec, trials)
+    half_tau2 = 0.5 * tau * tau
+    mapped = evolved[0] + (f_div - f_ref) * half_tau2
+    for row, b in ((1, lo), (2, hi)):
+        reach = abs(analytic.total_force(p, f_meas, f_div[b])) * half_tau2
+        if not abs(evolved[row] - mapped[b]) <= MAP_RTOL * max(1.0, reach):
+            raise NumericalError(
+                f"trial {trials[row]}: evolved displacement {evolved[row]!r} "
+                f"differs from its mapped value {mapped[b]!r} by more than "
+                f"{MAP_RTOL:g} x max(1, |F tau^2/2|)", row)
+    return mapped
 
 
 def run_trial(cfg: MeasurementConfig, engine: str, seed: int, *,
@@ -217,26 +264,21 @@ def run_trial(cfg: MeasurementConfig, engine: str, seed: int, *,
                                      tau, grid, index)[0])
 
 
-def _grid_block(grid_spec: GridSpec) -> int:
-    """Trials per grid block: GRID_BLOCK, fewer on grids so fine that the
-    block would hold more than GRID_BLOCK_POINTS points per branch."""
-    return max(1, min(GRID_BLOCK, GRID_BLOCK_POINTS // grid_spec.n))
-
-
 def _chunk_counts(args) -> tuple[int, int, int]:
     """(right, left, undecided) over one contiguous index range, walked in
-    blocks so that memory does not grow with the range."""
+    blocks of BLOCK trials so that memory does not grow with the range."""
     cfg, engine, master_seed, start, stop, scales, grid_spec = args
     f_meas, tau = _dimensionless_setup(cfg, scales)
-    block = ANALYTIC_BLOCK if engine == "analytic" else _grid_block(grid_spec)
+    f_ref = sample_fdiv(trial_seed(master_seed, 0), f_meas)
     counts = (0, 0, 0)
-    for lo in range(start, stop, block):
-        hi = min(lo + block, stop)
+    for lo in range(start, stop, BLOCK):
+        hi = min(lo + BLOCK, stop)
         f_div = _sample_fdiv_block(master_seed, lo, hi, f_meas)
         if engine == "analytic":
             values = analytic.total_force(cfg.p, f_meas, f_div)
         else:
-            values = _grid_displacements(cfg.p, f_meas, f_div, tau, grid_spec, lo)
+            values = _mapped_displacements(cfg.p, f_meas, f_div, tau,
+                                           grid_spec, lo, f_ref)
         counts = tuple(a + b for a, b in zip(counts, _tally(values)))
     return counts
 
@@ -248,10 +290,11 @@ def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
     """Run n_trials independent trials and tally outcomes.
 
     Counts are a pure function of (cfg, engine, n_trials, master_seed):
-    trial i always uses trial_seed(master_seed, i) and evolves on its own
-    row of a block, so worker count, chunking and blocking cannot change the
-    result. Undecided trials stay in the tally;
-    the frequency denominator excludes them.
+    trial i always uses trial_seed(master_seed, i), and its value depends on
+    that force alone (on the grid, through the map from trial 0 of
+    _mapped_displacements), so worker count, chunking and blocking cannot
+    change the result. Undecided trials stay in the tally; the frequency
+    denominator excludes them.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials!r}")

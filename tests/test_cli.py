@@ -413,6 +413,23 @@ class TestEvolveGrid:
         assert ("the grid aliases; raise n or shrink half_length" in err) == (
             code == 3)
 
+    def test_mean_momentum_beyond_the_band_exits_1(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the smooth state under F = 1.3: its mean momentum reaches 6.5 by
+        # t = 5, beyond 0.95 pi/dx = 5.97 at n = 128, l = 32. The run passes
+        # the box pre-flight and used to exit 3 on the aliasing guard at
+        # step 1520; nothing may step now
+        monkeypatch.setattr(gridmod, "_advance", None)
+        cfg = write_cfg(tmp_path, p=0.7,
+                        F_div={"kind": "fixed", "value_N": 0.9 * SC.force})
+        out = tmp_path / "x.csv"
+        assert main(["evolve", "--config", cfg, "--mode", "grid",
+                     "--ic", "smooth", "--t-max", "5", "--grid-n", "128",
+                     "--grid-l", "32", "--dt", "1e-3", "--out", str(out)]) == 1
+        assert ("n 128 too coarse for this run: the mean momentum reaches "
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_negative_variance_exits_3(self, tmp_path, capsys, monkeypatch):
         real = gridmod._stats
 
@@ -592,6 +609,39 @@ class TestBornMc:
         out = json.loads(capsys.readouterr().out)
         assert out["engine"] == "grid"
         assert out["n_trials"] == 6
+
+    def test_grid_mean_momentum_beyond_the_band_exits_1(self, tmp_path,
+                                                        capsys):
+        # p = 0.9 and f_meas = 8 on n = 128, l = 24: the largest sampled
+        # force carries its trial's mean momentum beyond 0.95 pi/dx = 7.96
+        # by tau = 1. A trial samples only t = 0 and tau, so the aliasing
+        # guard alone sees this only if the spectrum sits in the outer band
+        # at tau (test_aliasing_trial_refused has a trial where it does not)
+        cfg = write_cfg(tmp_path, p=0.9, F_meas_N=8.0 * SC.force,
+                        F_div={"kind": "uniform"},
+                        grid={"n": 128, "l": 24.0, "dt": 4e-3})
+        assert main(["born-mc", "--config", cfg, "--engine", "grid",
+                     "--trials", "8", "--seed", "0"]) == 1
+        assert "need n of at least 256" in capsys.readouterr().err
+
+    def test_grid_map_miss_exits_3(self, tmp_path, capsys, monkeypatch):
+        # an evolved extreme trial 1e-9 off its mapped displacement
+        real = gridmod.evolve_block
+
+        def offset(*args, **kw):
+            traj, psi, phase = real(*args, **kw)
+            traj.xbar[-1, 2] += 1e-9
+            return traj, psi, phase
+
+        monkeypatch.setattr(gridmod, "evolve_block", offset)
+        cfg = write_cfg(tmp_path, p=0.8, F_div={"kind": "uniform"},
+                        tau_meas_s=0.5 / APP.omega_grav,
+                        grid={"n": 256, "l": 12.0, "dt": 4e-3})
+        assert main(["born-mc", "--config", cfg, "--engine", "grid",
+                     "--trials", "6", "--seed", "3"]) == 3
+        # trial 4 has the largest force of the six
+        assert "error: trial 4: evolved displacement " in (
+            capsys.readouterr().err)
 
     def test_grid_manifest_records_mc_grid(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, p=0.8, F_div={"kind": "uniform"},

@@ -17,10 +17,12 @@ from functools import lru_cache
 from hypothesis import given, settings, strategies as st
 
 from gravimean import montecarlo
-from gravimean.montecarlo import (ANALYTIC_BLOCK, GRID_BLOCK, MC_GRID,
-                                  McSummary, _tally, mix64, run_ensemble,
-                                  run_trial, sample_fdiv, trial_seed,
-                                  two_detector_table, wilson_interval)
+from gravimean import grid as gridmod
+from gravimean.analytic import total_force
+from gravimean.montecarlo import (BLOCK, MAP_RTOL, MC_GRID, McSummary, _tally,
+                                  mix64, run_ensemble, run_trial, sample_fdiv,
+                                  trial_seed, two_detector_table,
+                                  wilson_interval)
 from gravimean.grid import GridSpec, NumericalError
 from gravimean.units import FdivSpec, MeasurementConfig
 
@@ -299,9 +301,38 @@ def chunk_counts(engine, seed, start, stop, p=0.6, grid=SMALL_GRID):
                                      grid))
 
 
+def grid_chunk(monkeypatch, seed, start, stop):
+    """The grid counts over [start, stop) and the values _chunk_counts
+    tallied for them, in trial order."""
+    values = []
+    real = montecarlo._tally
+
+    def recording(block_values):
+        values.append(block_values)
+        return real(block_values)
+
+    monkeypatch.setattr(montecarlo, "_tally", recording)
+    counts = chunk_counts("grid", seed, start, stop)
+    monkeypatch.setattr(montecarlo, "_tally", real)
+    return counts, np.concatenate(values)
+
+
 @lru_cache(maxsize=None)
 def whole_range_counts(engine, seed, n):
     return chunk_counts(engine, seed, 0, n)
+
+
+@lru_cache(maxsize=None)
+def whole_range_grid(seed, n):
+    with pytest.MonkeyPatch.context() as mp:
+        counts, values = grid_chunk(mp, seed, 0, n)
+    return counts, tuple(values)
+
+
+def map_tolerance(p, f_meas, f_div, tau):
+    """MAP_RTOL x max(1, |F tau^2 / 2|), elementwise."""
+    reach = np.abs(total_force(p, f_meas, np.asarray(f_div))) * 0.5 * tau * tau
+    return MAP_RTOL * np.maximum(1.0, reach)
 
 
 @st.composite
@@ -330,23 +361,37 @@ class TestBlocks:
 
     def test_analytic_blocks_bounded(self, monkeypatch):
         sizes = self.record_blocks(monkeypatch)
-        n = 3 * ANALYTIC_BLOCK + 5
+        n = 3 * BLOCK + 5
         summary = run_ensemble(dimensionless_cfg(0.4), "analytic", n,
                                master_seed=8)
-        assert sizes == [ANALYTIC_BLOCK] * 3 + [5]
+        assert sizes == [BLOCK] * 3 + [5]
         assert summary.n_right + summary.n_left + summary.n_undecided == n
 
-    @pytest.mark.parametrize("n_points, cap", [(MC_GRID.n, GRID_BLOCK),
-                                               (8 * MC_GRID.n, GRID_BLOCK // 8)])
-    def test_grid_blocks_bounded(self, monkeypatch, n_points, cap):
-        # a stand-in for the grid work: the sign of f_div decides
-        sizes = self.record_blocks(monkeypatch)
-        monkeypatch.setattr(montecarlo, "_grid_displacements",
-                            lambda p, f_meas, f_div, tau, grid, first: f_div)
+    @pytest.mark.parametrize("block, sizes", [(None, [200]),
+                                              (64, [64, 64, 64, 8])],
+                             ids=["one-block", "block-64"])
+    @pytest.mark.parametrize("n_points", [MC_GRID.n, 8 * MC_GRID.n])
+    def test_grid_blocks_evolve_three_rows(self, monkeypatch, n_points, block,
+                                           sizes):
+        # however many trials a block holds and however fine the grid, the
+        # core evolves three rows per block
+        if block is not None:
+            monkeypatch.setattr(montecarlo, "BLOCK", block)
+        recorded = self.record_blocks(monkeypatch)
+        rows = []
+        real = gridmod.evolve_block
+
+        def counting(psi, *rest, **kw):
+            rows.append(len(psi))
+            return real(psi, *rest, **kw)
+
+        monkeypatch.setattr(gridmod, "evolve_block", counting)
         grid = GridSpec(half_length=20.0, n=n_points, dt=4e-3)
-        run_ensemble(dimensionless_cfg(0.5), "grid", 2 * cap + 3,
-                     master_seed=1, grid=grid)
-        assert sizes == [cap, cap, 3]
+        summary = run_ensemble(dimensionless_cfg(0.5), "grid", 200,
+                               master_seed=1, grid=grid)
+        assert recorded == sizes
+        assert rows == [3] * len(sizes)
+        assert summary.n_right + summary.n_left + summary.n_undecided == 200
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), block=st.integers(1, 700),
@@ -355,7 +400,7 @@ class TestBlocks:
         n = 2000
         parts = data.draw(partitions(n))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(montecarlo, "ANALYTIC_BLOCK", block)
+            mp.setattr(montecarlo, "BLOCK", block)
             got = [chunk_counts("analytic", seed, lo, hi) for lo, hi in parts]
         assert tuple(map(sum, zip(*got))) == whole_range_counts("analytic",
                                                                 seed, n)
@@ -363,12 +408,17 @@ class TestBlocks:
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 3), block=st.integers(1, 8), data=st.data())
     def test_grid_counts_independent_of_partition(self, seed, block, data):
+        # every trial's mapped value, not only the counts, is the same bit
+        # for bit however the range is cut into chunks and blocks
         n = 12
         parts = data.draw(partitions(n))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(montecarlo, "GRID_BLOCK", block)
-            got = [chunk_counts("grid", seed, lo, hi) for lo, hi in parts]
-        assert tuple(map(sum, zip(*got))) == whole_range_counts("grid", seed, n)
+            mp.setattr(montecarlo, "BLOCK", block)
+            counts, values = zip(*(grid_chunk(mp, seed, lo, hi)
+                                   for lo, hi in parts))
+        whole_counts, whole_values = whole_range_grid(seed, n)
+        assert np.array_equal(np.concatenate(values), whole_values)
+        assert tuple(map(sum, zip(*counts))) == whole_counts
 
     def test_block_displacements_match_run_trial(self):
         cfg = dimensionless_cfg(0.6, tau=0.5)
@@ -397,6 +447,40 @@ class TestBlocks:
 
     @settings(max_examples=10, deadline=None)
     @given(p=st.floats(0.05, 0.95), f_meas=st.floats(0.1, 2.0),
+           u_ref=st.floats(-1.0, 1.0),
+           u=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
+    def test_mapped_match_evolved(self, p, f_meas, u_ref, u):
+        # the map from the reference trial gives what evolving every trial
+        # directly gives
+        f_div = f_meas * np.array(u)
+        tau = 1.0
+        mapped = montecarlo._mapped_displacements(p, f_meas, f_div, tau,
+                                                  MC_GRID, 5, f_meas * u_ref)
+        evolved = montecarlo._grid_displacements(p, f_meas, f_div, tau,
+                                                 MC_GRID, 5)
+        assert np.all(np.abs(mapped - evolved)
+                      <= map_tolerance(p, f_meas, f_div, tau))
+
+    @pytest.mark.parametrize("row, trial", [(1, 7), (2, 5)])
+    def test_map_miss_names_trial(self, monkeypatch, row, trial):
+        # an extreme row (1 the smallest f_div, 2 the largest) 1e-9 off its
+        # mapped value is a numerical failure of that trial
+        real = gridmod.evolve_block
+
+        def offset(*args, **kw):
+            traj, psi, phase = real(*args, **kw)
+            traj.xbar[-1, row] += 1e-9
+            return traj, psi, phase
+
+        monkeypatch.setattr(gridmod, "evolve_block", offset)
+        f_div = np.array([0.2, -0.1, 0.6, 0.0, -0.3, 0.1])
+        with pytest.raises(NumericalError,
+                           match=rf"^trial {trial}: evolved displacement "):
+            montecarlo._mapped_displacements(0.6, 1.0, f_div, 0.5,
+                                             SMALL_GRID, 3, 0.25)
+
+    @settings(max_examples=10, deadline=None)
+    @given(p=st.floats(0.05, 0.95), f_meas=st.floats(0.1, 2.0),
            u=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
     def test_uniform_force_law(self, p, f_meas, u):
         # each trial's mean moves as under the uniform total force alone:
@@ -420,6 +504,33 @@ class TestBlocks:
         clear = montecarlo._grid_displacements(0.5, 7.0, np.array([0.0, -1.0]),
                                                2.0, grid, 10)
         assert clear[1] == pytest.approx(-2.0, abs=1e-9)
+
+    def test_ensemble_edge_hit_names_trial(self, monkeypatch):
+        # test_edge_hit_names_trial through an ensemble chunk: trial 11 is
+        # the largest force of the block [10, 13), one of its three evolved
+        # rows, and the edge guard on that row names it
+        forces = np.zeros(13)
+        forces[11:] = (4.4, -1.0)
+        monkeypatch.setattr(montecarlo, "_sample_fdiv_block",
+                            lambda seed, start, stop, f_meas: forces[start:stop])
+        monkeypatch.setattr(montecarlo, "sample_fdiv", lambda seed, f_meas: 0.0)
+        cfg = dimensionless_cfg(0.5, f_meas=7.0, tau=2.0)
+        grid = GridSpec(half_length=20.0, n=256, dt=4e-3)
+        with pytest.raises(NumericalError,
+                           match=r"^trial 11: plus branch density .* outer 5%"):
+            montecarlo._chunk_counts((cfg, "grid", 0, 10, 13, None, grid))
+        assert montecarlo._chunk_counts((cfg, "grid", 0, 12, 13, None,
+                                         grid)) == (0, 1, 0)
+
+    def test_aliasing_trial_refused(self):
+        # the trial's mean momentum reaches F tau = 14.4, beyond
+        # 0.95 pi/dx = 7.96; it samples only t = 0 and tau, where the
+        # aliasing guard never sees it, and used to end 0.219 from the
+        # start instead of F tau^2 / 2 = 7.196
+        with pytest.raises(ValueError, match=r"mean momentum reaches 14\.39, "
+                           r".* need n of at least 256$"):
+            montecarlo._grid_displacements(0.9, 8.0, np.array([7.992]), 1.0,
+                                           GridSpec(24.0, 128, 4e-3), 0)
 
 
 class TestWilsonInterval:
