@@ -23,21 +23,24 @@ grid, p and f_meas and each has its own f_div. The block is carried in
 k-space from step to step: the second half kinetic step of one step and the
 first of the next combine into one full kinetic factor, so a step costs one
 batched FFT pair along the last axis, an ifft to the midpoint and an fft
-back. The block returns to x-space only at samples. The norms, means and
-second moments of all rows come from one midpoint product
-|psi|^2 @ [1, x, x^2]^T dx. The kinetic factor has unit modulus, so the
-k-space block gives the end-of-step norm for the drift check by Parseval,
-and at a sample the kinetic energy and the aliasing guard, with no transform
-of its own. The per-row linear phase exp(i dt (xbar + f_div) x) is the outer
-product of two tables of about sqrt(n) exponentials each. The x-space block,
-its density, the phase and the table of samples, one row per sample, are
-allocated once per call, so no step allocates an array the size of the
-block. A run takes equal steps of at most dt that end at exactly t_max
-(step_plan). No operation mixes rows, so a run evolves the same in a block
-of any size. The core starts at t = 0 with no phase; evolve, the block of
-one, carries a state's time and global phase. step is evolve over one dt,
-energy the energy evolve records at its start, and moments reads the same
-weighted moments.
+back. The block returns to x-space only at samples. Each space has one
+table of weights, and the core takes one density product per space wherever
+it looks at the block. |psi|^2 @ [1, x, x^2, edge] dx, at every midpoint and
+sample, gives the norms, means and second moments of all rows and the edge
+guard. |phi|^2 @ [1, k, k^2/2, alias] dx/n, at the end of every step, gives
+the norm for the drift check (Parseval) and, at a sample, the kinetic energy
+and the aliasing guard: the kinetic factor has unit modulus, so a sample
+needs no transform of its own. At t = 0 the k product also gives the
+pre-flight its mean momentum. The per-row linear phase
+exp(i dt (xbar + f_div) x) is the outer product of two tables of about
+sqrt(n) exponentials each. The x-space block, its density, the phase and the
+table of samples, one row per sample, are allocated once per call, so no
+step allocates an array the size of the block. A run takes equal steps of
+at most dt that end at exactly t_max (step_plan). No operation mixes rows,
+so a run evolves the same in a block of any size. The core starts at t = 0
+with no phase; evolve, the block of one, carries a state's time and global
+phase. step is evolve over one dt, energy the energy evolve records at its
+start, and moments reads the same weighted moments.
 
 The domain is periodic, which the physics never probes as long as the packets
 stay away from the edges and the spectrum away from the largest |k|: a
@@ -87,13 +90,14 @@ class GridSpec:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not self.half_length > 0.0:
-            raise ValueError(f"half_length must be > 0, got {self.half_length!r}")
+        if not 0.0 < self.half_length < math.inf:
+            raise ValueError(f"half_length must be finite and > 0, "
+                             f"got {self.half_length!r}")
         if not 0 < self.n <= MAX_N or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two from 1 to {MAX_N}, "
                              f"got {self.n!r}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt!r}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
 
     @property
     def dx(self) -> float:
@@ -128,25 +132,24 @@ def _kinetic_half(spec: GridSpec) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _moment_weights(spec: GridSpec) -> np.ndarray:
-    """Columns 1, x and x^2 times dx, shape (n, 3)."""
+    """Columns 1, x, x^2 and the mask of the outer 5% of the box, where the
+    edge guard looks, times dx, shape (n, 4)."""
     x = _grid_x(spec)
-    return _frozen(np.stack([np.ones_like(x), x, x * x], axis=1) * spec.dx)
+    return _frozen(np.stack([np.ones_like(x), x, x * x,
+                             np.abs(x) >= 0.95 * spec.half_length],
+                            axis=1) * spec.dx)
 
 
 @lru_cache(maxsize=16)
 def _k_weights(spec: GridSpec) -> np.ndarray:
-    """Columns k^2 dx / 2n, 1 and the mask of the outer 5% of |k|, shape
-    (n, 3): a k-space density times them gives the kinetic energy, the total
-    and the part where the aliasing guard looks."""
+    """Columns 1, k, k^2/2 and the mask of the outer 5% of |k|, where the
+    aliasing guard looks, times dx/n, shape (n, 4): a k-space density times
+    them gives the norm (Parseval), the mean momentum and the kinetic energy
+    (not divided by the norm) and the weight the guard sees."""
     k = _grid_k(spec)
-    return _frozen(np.stack([0.5 * k * k * spec.dx / spec.n, np.ones_like(k),
-                             np.abs(k) >= 0.95 * np.pi / spec.dx], axis=1))
-
-
-@lru_cache(maxsize=16)
-def _outer(spec: GridSpec) -> np.ndarray:
-    """Mask of the outer 5% of the box, where the edge guard looks."""
-    return _frozen(np.abs(_grid_x(spec)) >= 0.95 * spec.half_length)
+    return _frozen(np.stack([np.ones_like(k), k, 0.5 * k * k,
+                             np.abs(k) >= 0.95 * np.pi / spec.dx],
+                            axis=1) * (spec.dx / spec.n))
 
 
 @dataclass
@@ -232,16 +235,24 @@ def _density(psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _stats(psi: np.ndarray, grid: GridSpec,
            scratch: np.ndarray | None = None) -> np.ndarray:
-    """Norm, first and second moment (not divided by the norm) of every row
-    and branch of psi (B, 2, n): |psi|^2 @ [1, x, x^2]^T dx, shape (B, 2, 3).
-    scratch is the density buffer of _density.
+    """Norm, first and second moment (not divided by the norm) and edge
+    weight of every row and branch of psi (B, 2, n):
+    |psi|^2 @ _moment_weights, shape (B, 2, 4). scratch is the density
+    buffer of _density.
 
-    The product stays stacked, one (2, n) @ (n, 3) per row: a single
+    The product stays stacked, one (2, n) @ (n, 4) per row: a single
     (2B, n) product rounds a row differently depending on where it sits in
     the block, and then a run would not evolve bit for bit the same in
     blocks of different sizes.
     """
     return _density(psi, scratch) @ _moment_weights(grid)
+
+
+def _kstats(phi: np.ndarray, grid: GridSpec,
+            scratch: np.ndarray | None = None) -> np.ndarray:
+    """The k-space counterpart of _stats: |phi|^2 @ _k_weights for every row
+    and branch of a k-space block phi (B, 2, n), shape (B, 2, 4)."""
+    return _density(phi, scratch) @ _k_weights(grid)
 
 
 def _when(step_no: int | None, t: float) -> str:
@@ -275,7 +286,7 @@ def _weighted(stats: np.ndarray, p: float, step_no: int | None,
     norm = stats[..., 0]
     _check(np.abs(norm - 1.0), 1e-6,
            "norm deviates from 1 by {0!r}, more than 1e-6, at {1}", step_no, t)
-    per_branch = stats[..., 1:] / norm[..., None]
+    per_branch = stats[..., 1:3] / norm[..., None]
     weighted = np.array([p, 1.0 - p]) @ per_branch
     xbar, x2bar = weighted[:, 0], weighted[:, 1]
     bad = ~(x2bar >= xbar * xbar - 1e-12)
@@ -287,39 +298,11 @@ def _weighted(stats: np.ndarray, p: float, step_no: int | None,
     return xbar, x2bar, per_branch[..., 0]
 
 
-def _kinetic_energy(phi: np.ndarray, grid: GridSpec, step_no: int, t: float,
-                    scratch: np.ndarray) -> np.ndarray:
-    """Kinetic energy of every row and branch of a k-space block, shape
-    (B, 2), read off its density after the aliasing guard: a branch with
-    more than 1e-8 of its weight in the outer 5% of |k| is no longer
-    resolved by the grid. scratch is the density buffer of _density."""
-    sums = _density(phi, scratch) @ _k_weights(grid)
-    _check(sums[..., 2] / sums[..., 1], 1e-8,
-           "has a share {0!r} of its weight in the outer 5% of |k| at {1}: the "
-           "grid aliases; raise n or shrink half_length", step_no, t)
-    return sums[..., 0]
-
-
-def _edge_check(psi: np.ndarray, grid: GridSpec, step_no: int,
-                t: float) -> None:
-    """Abort if a branch of any row puts real density in the outer 5% of the box."""
-    _check(_density(psi[..., _outer(grid)]).sum(axis=-1) * grid.dx, 1e-8,
-           "density {0!r} in the outer 5% of the domain at {1}; enlarge "
-           "half_length or shorten the run", step_no, t)
-
-
 def _potential(f_meas: float, grid: GridSpec) -> np.ndarray:
     """Phase of the row-independent potential x^2/2 -/+ f_meas x over one
     dt, shape (2, n)."""
     x = grid.x()
     return np.exp(-1j * grid.dt * (0.5 * x * x - _SIGN * f_meas * x))
-
-
-def _kspace_norms(phi: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Norm of every row and branch of a k-space block, shape (B, 2), by
-    Parseval."""
-    v = phi.view(np.float64)
-    return np.einsum("...i,...i->...", v, v) * grid.dx / grid.n
 
 
 def _linear_phase(theta: np.ndarray, grid: GridSpec,
@@ -366,8 +349,9 @@ def _energy(kinetic: np.ndarray, stats: np.ndarray, xbar: np.ndarray,
     return 0.5 * (x2bar - xbar**2) + (kinetic + force) @ np.array([p, 1.0 - p])
 
 
-def _preflight(phi: np.ndarray, stats: np.ndarray, p: float, f_meas: float,
-               f_div: np.ndarray, t_max: float, grid: GridSpec) -> None:
+def _preflight(stats: np.ndarray, kstats: np.ndarray, p: float,
+               f_meas: float, f_div: np.ndarray, t_max: float,
+               grid: GridSpec) -> None:
     """Refuse, with ValueError, a run whose box or grid spacing cannot hold
     the closed-form mean motion xbar0 + vbar0 t + F t^2/2 of any row.
 
@@ -377,14 +361,13 @@ def _preflight(phi: np.ndarray, stats: np.ndarray, p: float, f_meas: float,
     mean momentum vbar0 + F t is exact under a uniform force, and a mean
     momentum in the outer 5% of |k| puts more weight there than the aliasing
     guard allows, so it must stay below 0.95 pi/dx at both ends of the run: a
-    necessary condition, which refuses no run the grid resolves. phi is the
-    k-space block, which gives vbar0.
+    necessary condition, which refuses no run the grid resolves. stats and
+    kstats are the x- and k-space products of the block at t = 0.
     """
     weights = np.array([p, 1.0 - p])
-    per_branch = stats[..., 1:] / stats[..., :1]
+    per_branch = stats[..., 1:3] / stats[..., :1]
     xbar0 = per_branch[..., 0] @ weights
-    dens = _density(phi)
-    vbar0 = ((dens @ grid.k()) / dens.sum(axis=-1)) @ weights
+    vbar0 = (kstats[..., 1] / kstats[..., 0]) @ weights
     force = 2.0 * (p - 0.5) * f_meas + f_div
     with np.errstate(divide="ignore", invalid="ignore"):
         vertex = -vbar0 / force
@@ -414,8 +397,9 @@ def step_plan(t_max: float, dt: float) -> tuple[int, float]:
     """Number and length of the equal steps that end a run at t_max.
 
     Whole steps of dt when t_max/dt is within 1e-9 of an integer; otherwise
-    ceil(t_max/dt) steps of t_max / ceil(t_max/dt), none longer than dt. A
-    run of more than MAX_STEPS steps is rejected.
+    ceil(t_max/dt) steps of t_max / ceil(t_max/dt), none longer than dt, and
+    at least one even when t_max/dt underflows to 0. A run of more than
+    MAX_STEPS steps is rejected.
     """
     ratio = t_max / dt
     if not ratio <= MAX_STEPS:
@@ -424,7 +408,7 @@ def step_plan(t_max: float, dt: float) -> tuple[int, float]:
     whole = round(ratio)
     if whole >= 1 and abs(ratio - whole) <= 1e-9:
         return whole, dt
-    n_steps = math.ceil(ratio)
+    n_steps = max(1, math.ceil(ratio))
     return n_steps, t_max / n_steps
 
 
@@ -439,9 +423,9 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     a run of more than MAX_STEPS steps. Samples land on step 0, every
     sample_every-th step and the last step. Every run's box and mean
     momentum are checked before the first step (_preflight), and norms,
-    moments, aliasing and the edge while stepping. Returns the sampled
-    trajectory (columns of shape (samples, B)), the final block and each
-    row's phase of the x2bar/2 term.
+    moments, aliasing and the edge while stepping, each read off a column of
+    _stats or _kstats. Returns the sampled trajectory (columns of shape
+    (samples, B)), the final block and each row's phase of the x2bar/2 term.
     """
     if not t_max > 0.0:
         raise ValueError(f"t_max must be > 0, got {t_max!r}")
@@ -449,11 +433,13 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
     n_steps, dt = step_plan(t_max, grid.dt)
     grid = replace(grid, dt=dt)
-    stats = _stats(psi, grid)
+    work = _work(psi.shape)
+    stats = _stats(psi, grid, work.density)
     # the one transform to k-space: the pre-flights, sample 0 and the first
     # step all read it
     phi = np.fft.fft(psi)
-    _preflight(phi, stats, p, f_meas, f_div, t_max, grid)
+    kstats = _kstats(phi, grid, work.density)
+    _preflight(stats, kstats, p, f_meas, f_div, t_max, grid)
 
     potential = _potential(f_meas, grid)
     phase = np.zeros(len(psi))
@@ -462,22 +448,25 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     rows = 1 + -(-n_steps // sample_every)
     times = np.full(rows, np.nan)
     table = np.full((7, rows, len(psi)), np.nan)
-    work = _work(psi.shape)
 
-    def sample(psi: np.ndarray, stats: np.ndarray, step_no: int,
+    def sample(stats: np.ndarray, kstats: np.ndarray, step_no: int,
                t: float) -> None:
-        # phi is the k-space block at this sample, up to the half kinetic
-        # factor, which has unit modulus: no transform is needed here
+        # kstats is this sample's k-space product: the half kinetic factor
+        # between them has unit modulus
         xbar, x2bar, means = _weighted(stats, p, step_no, t)
-        kinetic = _kinetic_energy(phi, grid, step_no, t, work.density)
-        _edge_check(psi, grid, step_no, t)
+        _check(kstats[..., 3] / kstats[..., 0], 1e-8,
+               "has a share {0!r} of its weight in the outer 5% of |k| at "
+               "{1}: the grid aliases; raise n or shrink half_length",
+               step_no, t)
+        _check(stats[..., 3], 1e-8, "density {0!r} in the outer 5% of the "
+               "domain at {1}; enlarge half_length or shorten the run",
+               step_no, t)
         row = -(-step_no // sample_every)
         times[row] = t
         table[:, row] = (xbar, x2bar, *means.T, *stats[..., 0].T, _energy(
-            kinetic, stats, xbar, x2bar, p, f_meas, f_div))
+            kstats[..., 2], stats, xbar, x2bar, p, f_meas, f_div))
 
-    sample(psi, stats, 0, 0.0)
-    norms = stats[..., 0]
+    sample(stats, kstats, 0, 0.0)
     # The block stays in k-space between steps: the second half kinetic step
     # of one step and the first of the next are one multiplication.
     kin = _kinetic_half(grid)
@@ -488,14 +477,13 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
         t = t_max if final else i * dt
         x2bar = _advance(phi, p, f_div, potential, grid, i, t, work)
         phase -= 0.5 * x2bar * dt
-        after = _kspace_norms(phi, grid)
-        _check(np.abs(after - norms), 1e-8, "norm drifted by {0!r} in one "
-               "step at {1}", i, t)
-        norms = after
+        before, kstats = kstats, _kstats(phi, grid, work.density)
+        _check(np.abs(kstats[..., 0] - before[..., 0]), 1e-8, "norm drifted "
+               "by {0!r} in one step at {1}", i, t)
         if final or i % sample_every == 0:
             psi = np.multiply(phi, kin, out=work.psi)
             np.fft.ifft(psi, out=psi)
-            sample(psi, _stats(psi, grid, work.density), i, t)
+            sample(_stats(psi, grid, work.density), kstats, i, t)
         if not final:
             phi *= kin2
     return GridTrajectory(times, *table), psi, phase

@@ -54,7 +54,8 @@ BLOCK = 2**16
 
 # Largest |evolved - mapped| displacement of a directly evolved trial,
 # relative to max(1, |F tau^2 / 2|): the map is exact, and the roundoff of
-# an evolved mean grows with its excursion.
+# an evolved mean grows with its excursion. A grid trial with |d| <= MAP_RTOL
+# is undecided: its sign is below the map's resolution.
 MAP_RTOL = 1e-12
 
 
@@ -166,10 +167,11 @@ def _dimensionless_setup(cfg: MeasurementConfig,
     return cfg.f_meas / scales.force, cfg.tau_meas / scales.time
 
 
-def _tally(values: np.ndarray) -> tuple[int, int, int]:
-    """(right, left, undecided): values > 0, < 0, and neither (0 or nan)."""
-    right = int(np.count_nonzero(values > 0.0))
-    left = int(np.count_nonzero(values < 0.0))
+def _tally(values: np.ndarray, tol: float = 0.0) -> tuple[int, int, int]:
+    """(right, left, undecided): values > tol, < -tol, and neither
+    (|value| <= tol or nan)."""
+    right = int(np.count_nonzero(values > tol))
+    left = int(np.count_nonzero(values < -tol))
     return right, left, len(values) - right - left
 
 
@@ -270,6 +272,7 @@ def _chunk_counts(args) -> tuple[int, int, int]:
     cfg, engine, master_seed, start, stop, scales, grid_spec = args
     f_meas, tau = _dimensionless_setup(cfg, scales)
     f_ref = sample_fdiv(trial_seed(master_seed, 0), f_meas)
+    tol = 0.0 if engine == "analytic" else MAP_RTOL
     counts = (0, 0, 0)
     for lo in range(start, stop, BLOCK):
         hi = min(lo + BLOCK, stop)
@@ -279,7 +282,7 @@ def _chunk_counts(args) -> tuple[int, int, int]:
         else:
             values = _mapped_displacements(cfg.p, f_meas, f_div, tau,
                                            grid_spec, lo, f_ref)
-        counts = tuple(a + b for a, b in zip(counts, _tally(values)))
+        counts = tuple(a + b for a, b in zip(counts, _tally(values, tol)))
     return counts
 
 

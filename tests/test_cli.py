@@ -314,6 +314,25 @@ class TestFlagValidation:
         assert "must be > 0" in capsys.readouterr().err
 
 
+def check_under_resolved(tmp_path, capsys, n, code):
+    """The long grid evolve of the benchmark (seed 11) at grid size n exits
+    with code, and names aliasing exactly when that code is 3: at n = 32 and
+    64 the initial packets already put 1.6e-2 and 3.6e-5 of their weight in
+    the outer 5% of |k|, and unguarded x_plus ends 1.19 and 4.8e-3 off the
+    closed form; at 128 the share stays below 2.3e-13."""
+    cfg = write_cfg(tmp_path, p=0.29935215868873205,
+                    F_meas_N=1.4390480831622297 * SC.force,
+                    F_div={"kind": "fixed",
+                           "value_N": 0.31540546469350655 * SC.force},
+                    grid={"l": 32.0, "dt": 1e-3, "sample_every": 10})
+    assert main(["evolve", "--config", cfg, "--mode", "grid",
+                 "--t-max", "3.141592653589793", "--grid-n", str(n),
+                 "--out", str(tmp_path / "x.csv")]) == code
+    err = capsys.readouterr().err
+    assert ("the grid aliases; raise n or shrink half_length" in err) == (
+        code == 3)
+
+
 class TestEvolveGrid:
     def test_basic_run(self, tmp_path):
         cfg = write_cfg(tmp_path, p=0.7)
@@ -397,21 +416,16 @@ class TestEvolveGrid:
 
     @pytest.mark.parametrize("n, code", [(32, 3), (64, 3), (128, 0)])
     def test_under_resolved_grid_exits_3(self, tmp_path, capsys, n, code):
-        # the long grid evolve of the benchmark (seed 11) at coarser n: at 32
-        # and 64 the initial packets already put 1.6e-2 and 3.6e-5 of their
-        # weight in the outer 5% of |k|, and unguarded x_plus ends 1.19 and
-        # 4.8e-3 off the closed form; at 128 the share stays below 2.3e-13
-        cfg = write_cfg(tmp_path, p=0.29935215868873205,
-                        F_meas_N=1.4390480831622297 * SC.force,
-                        F_div={"kind": "fixed",
-                               "value_N": 0.31540546469350655 * SC.force},
-                        grid={"l": 32.0, "dt": 1e-3, "sample_every": 10})
-        assert main(["evolve", "--config", cfg, "--mode", "grid",
-                     "--t-max", "3.141592653589793", "--grid-n", str(n),
-                     "--out", str(tmp_path / "x.csv")]) == code
-        err = capsys.readouterr().err
-        assert ("the grid aliases; raise n or shrink half_length" in err) == (
-            code == 3)
+        check_under_resolved(tmp_path, capsys, n, code)
+
+    def test_step_length_underflow(self, tmp_path):
+        # t_max / dt underflows to 0; it used to divide by zero in step_plan
+        out = str(tmp_path / "x.csv")
+        assert main(["evolve", "--config", write_cfg(tmp_path), "--mode",
+                     "grid", "--t-max", "5e-324", "--dt", "1e308",
+                     "--grid-n", "256", "--grid-l", "16", "--out", out]) == 0
+        rows = read_csv(out)[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.0, 5e-324]
 
     def test_mean_momentum_beyond_the_band_exits_1(self, tmp_path, capsys,
                                                    monkeypatch):
@@ -609,6 +623,17 @@ class TestBornMc:
         out = json.loads(capsys.readouterr().out)
         assert out["engine"] == "grid"
         assert out["n_trials"] == 6
+
+    def test_zero_force_undecided_on_both_engines(self, tmp_path, capsys):
+        # no total force: the grid's mapped displacements sit at -1.3e-14,
+        # below the map's resolution, and used to count as 40 left
+        cfg = write_cfg(tmp_path, F_meas_N=0.0, F_div={"kind": "uniform"})
+        for engine in ("analytic", "grid"):
+            assert main(["born-mc", "--config", cfg, "--engine", engine,
+                         "--trials", "40"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["counts"] == {"right": 0, "left": 0, "undecided": 40}
+            assert out["frequency_right"] is None
 
     def test_grid_mean_momentum_beyond_the_band_exits_1(self, tmp_path,
                                                         capsys):

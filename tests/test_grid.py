@@ -3,9 +3,13 @@
 Gaussian moment oracles are the textbook closed forms: a width-w packet at
 center c with velocity v has norm 1, <x> = c, variance w^2/2, <k> = v, and
 kinetic energy 1/4 + v^2/2 at w = 1.
+
+The check_* functions are law checks that tests/test_mutants.py also runs
+against deliberately broken solvers, so each law has one copy.
 """
 
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -57,10 +61,11 @@ class TestGridSpec:
 
     @pytest.mark.parametrize("field", ["half_length", "dt"])
     def test_rejects_nan(self, field):
-        base = {"half_length": 16.0, "n": 512, "dt": 1e-3}
-        base[field] = float("nan")
-        with pytest.raises(ValueError, match=field):
-            GridSpec(**base)
+        for value in (float("nan"), float("inf")):
+            base = {"half_length": 16.0, "n": 512, "dt": 1e-3}
+            base[field] = value
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                GridSpec(**base)
 
 
 class TestInitGaussian:
@@ -167,6 +172,16 @@ class TestConvergence:
         assert ends[0][1] == pytest.approx(ends[1][1], abs=1e-10)
 
 
+def check_boosted_packet_energy():
+    # single width-1 branch at velocity v: E_kin = 1/4 + v^2/2; with p = 1,
+    # no forces, and the packet at the origin the total energy is that plus
+    # the potential term (x2bar - xbar^2)/2 = 1/4
+    state = GridState(psi_plus=init_gaussian(SPEC, 0.0, velocity=0.8),
+                      psi_minus=init_gaussian(SPEC, 0.0), p=1.0)
+    expect = 0.25 + 0.5 * 0.8**2 + 0.25
+    assert energy(state, 0.0, 0.0, SPEC) == pytest.approx(expect, abs=1e-9)
+
+
 class TestConservation:
     def test_norms_and_energy(self):
         state = smooth_grid_state(SPEC, 0.3, 1.0)
@@ -183,13 +198,7 @@ class TestConservation:
         assert energy(state, 1.0, 0.3, SPEC) == pytest.approx(0.08, abs=1e-9)
 
     def test_kinetic_of_boosted_packet(self):
-        # single width-1 branch at velocity v: E_kin = 1/4 + v^2/2; with
-        # p = 1, no forces, and the packet at the origin the total energy is
-        # that plus the potential term (x2bar - xbar^2)/2 = 1/4
-        state = GridState(psi_plus=init_gaussian(SPEC, 0.0, velocity=0.8),
-                          psi_minus=init_gaussian(SPEC, 0.0), p=1.0)
-        expect = 0.25 + 0.5 * 0.8**2 + 0.25
-        assert energy(state, 0.0, 0.0, SPEC) == pytest.approx(expect, abs=1e-9)
+        check_boosted_packet_energy()
 
     def test_width_follows_coherent_state(self):
         # oscillating branches keep their minimum-uncertainty width: the
@@ -228,6 +237,18 @@ class TestGlobalPhaseTerm:
         assert np.array_equal(a.psi_plus, b.psi_plus)
 
 
+# oscillation amplitude 2*d_plus* = 8 sneaks past the mean-based preflight
+# bound but drives density into the absorbing margin: the guard fires at
+# step 1300
+EDGE_HIT = GridSpec(half_length=12.0, n=256, dt=2e-3)
+
+
+def check_edge_hit():
+    state = two_branch(EDGE_HIT, 0.0, 0.0, 0.5)
+    with pytest.raises(NumericalError, match="outer 5% of the domain"):
+        evolve(state, 4.0, 0.0, np.pi, EDGE_HIT, sample_every=10)
+
+
 class TestFailureModes:
     def test_preflight_box_too_small(self):
         state = two_branch(SPEC, 0.0, 0.0, 1.0)
@@ -247,12 +268,7 @@ class TestFailureModes:
                    sample_every=100)
 
     def test_edge_hit_mid_run(self):
-        # oscillation amplitude 2*d_plus* = 8 sneaks past the mean-based
-        # preflight bound but drives density into the absorbing margin
-        spec = GridSpec(half_length=12.0, n=256, dt=2e-3)
-        state = two_branch(spec, 0.0, 0.0, 0.5)
-        with pytest.raises(NumericalError, match="outer 5% of the domain"):
-            evolve(state, 4.0, 0.0, np.pi, spec, sample_every=10)
+        check_edge_hit()
 
     def test_bad_evolve_arguments(self):
         state = two_branch(SPEC, 0.0, 0.0, 0.5)
@@ -262,14 +278,17 @@ class TestFailureModes:
             evolve(state, 1.0, 0.0, 1.0, SPEC, sample_every=0)
 
 
+def check_smooth_closed_form():
+    state = smooth_grid_state(SPEC, 0.5, 1.0)
+    traj, _ = evolve(state, 1.0, 0.3, 2.0, SPEC, sample_every=100)
+    exact = trajectory(smooth_initial_condition(0.5, 1.0), 1.0, 0.3, traj.t)
+    assert np.max(np.abs(traj.x_plus - exact["x_plus"])) < 1e-9
+    assert np.max(np.abs(traj.x_minus - exact["x_minus"])) < 1e-9
+
+
 class TestAgainstAnalytic:
     def test_smooth_state_tracks_closed_form(self):
-        state = smooth_grid_state(SPEC, 0.5, 1.0)
-        traj, _ = evolve(state, 1.0, 0.3, 2.0, SPEC, sample_every=100)
-        st = smooth_initial_condition(0.5, 1.0)
-        exact = trajectory(st, 1.0, 0.3, traj.t)
-        assert np.max(np.abs(traj.x_plus - exact["x_plus"])) < 1e-9
-        assert np.max(np.abs(traj.x_minus - exact["x_minus"])) < 1e-9
+        check_smooth_closed_form()
 
     def test_time_stamps_exact(self):
         state = two_branch(SPEC, 0.0, 0.0, 0.5)
@@ -303,29 +322,44 @@ class TestAgainstAnalytic:
         assert xbar == pytest.approx(traj.xbar[-1], abs=1e-14)
 
 
+def ehrenfest_gap(initial, p, f_meas, f_div, dt):
+    """Largest |<k> - d<x>/dt| of the two branches at t1 = 1, the velocity
+    taken as the central difference of the branch means over t1 +/- dt."""
+    spec = GridSpec(half_length=24.0, n=512, dt=dt)
+    state = GridState(*(init_gaussian(spec, b.center, velocity=b.velocity)
+                        for b in (initial.plus, initial.minus)), p)
+    # samples at t = 0, t1 - dt and t1
+    traj, mid = evolve(state, f_meas, f_div, 1.0, spec,
+                       sample_every=round(1.0 / dt) - 1)
+    after, _ = evolve(mid, f_meas, f_div, dt, spec, sample_every=1)
+    k = spec.k()
+    gaps = []
+    for psi, means, ahead in (
+            (mid.psi_plus, traj.x_plus, after.x_plus),
+            (mid.psi_minus, traj.x_minus, after.x_minus)):
+        density = np.abs(np.fft.fft(psi)) ** 2
+        k_mean = (density @ k) / density.sum()
+        gaps.append(abs(k_mean - (ahead[-1] - means[-2]) / (2.0 * dt)))
+    return max(gaps)
+
+
+def check_ehrenfest(p, f_meas, f_div, vbar0):
+    # the smooth state's branch means are quadratic in t, so the central
+    # difference is exact and the gap is roundoff
+    smooth = smooth_initial_condition(p, f_meas, vbar0=vbar0)
+    assert ehrenfest_gap(smooth, p, f_meas, f_div, 2e-3) <= 1e-10
+    # the common-center branches oscillate: a second-order gap
+    common = common_center_initial_condition(p, vbar0=vbar0)
+    coarse = ehrenfest_gap(common, p, f_meas, f_div, 2e-3)
+    fine = ehrenfest_gap(common, p, f_meas, f_div, 1e-3)
+    assert coarse <= 1e-5
+    assert 3.5 <= coarse / fine <= 4.5
+
+
 class TestEhrenfest:
     """d<x>/dt = <k> for each branch: the mean momentum of the state evolve
     returns at t1 = 1 matches the central difference of the branch means
     over t1 +/- dt, up to the scheme's second-order error."""
-
-    @staticmethod
-    def gap(initial, p, f_meas, f_div, dt):
-        spec = GridSpec(half_length=24.0, n=512, dt=dt)
-        state = GridState(*(init_gaussian(spec, b.center, velocity=b.velocity)
-                            for b in (initial.plus, initial.minus)), p)
-        # samples at t = 0, t1 - dt and t1
-        traj, mid = evolve(state, f_meas, f_div, 1.0, spec,
-                           sample_every=round(1.0 / dt) - 1)
-        after, _ = evolve(mid, f_meas, f_div, dt, spec, sample_every=1)
-        k = spec.k()
-        gaps = []
-        for psi, means, ahead in (
-                (mid.psi_plus, traj.x_plus, after.x_plus),
-                (mid.psi_minus, traj.x_minus, after.x_minus)):
-            density = np.abs(np.fft.fft(psi)) ** 2
-            k_mean = (density @ k) / density.sum()
-            gaps.append(abs(k_mean - (ahead[-1] - means[-2]) / (2.0 * dt)))
-        return max(gaps)
 
     @settings(max_examples=5, deadline=None)
     @given(p=st.floats(0.1, 0.9), f_meas=st.floats(0.5, 1.5),
@@ -333,17 +367,7 @@ class TestEhrenfest:
            sign=st.sampled_from((-1.0, 1.0)))
     def test_mean_momentum_is_mean_velocity(self, p, f_meas, share, speed,
                                             sign):
-        f_div, vbar0 = share * f_meas, sign * speed
-        # the smooth state's branch means are quadratic in t, so the central
-        # difference is exact and the gap is roundoff
-        smooth = smooth_initial_condition(p, f_meas, vbar0=vbar0)
-        assert self.gap(smooth, p, f_meas, f_div, 2e-3) <= 1e-10
-        # the common-center branches oscillate: a second-order gap
-        common = common_center_initial_condition(p, vbar0=vbar0)
-        coarse = self.gap(common, p, f_meas, f_div, 2e-3)
-        fine = self.gap(common, p, f_meas, f_div, 1e-3)
-        assert coarse <= 1e-5
-        assert 3.5 <= coarse / fine <= 4.5
+        check_ehrenfest(p, f_meas, share * f_meas, sign * speed)
 
 
 def corrupt_stats(monkeypatch, after_calls, row=None):
@@ -431,6 +455,30 @@ class TestKSpaceStepping:
             for name, column in vars(traj).items():
                 assert np.all(np.isfinite(column)), name
 
+    def test_one_density_product_per_space(self, monkeypatch):
+        # x products: the initial state, every midpoint and every sample
+        # but the first; k products: the initial block and the end of every
+        # step, which also serves that step's sample
+        callers = []
+        real = gridmod._density
+
+        def counted(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
+
+        monkeypatch.setattr(gridmod, "_density", counted)
+        state = smooth_grid_state(SPEC, 0.3, 1.0)
+        n_steps = 100
+        traj, _, _ = gridmod.evolve_block(
+            np.repeat(gridmod._rows(state), 3, axis=0), 0.3, 1.0,
+            np.array([-0.2, 0.0, 0.3]), n_steps * SPEC.dt, SPEC,
+            sample_every=10)
+        samples = len(traj.t)
+        assert samples == 11
+        assert callers.count("_stats") == 1 + n_steps + samples - 1
+        assert callers.count("_kstats") == 1 + n_steps
+        assert len(callers) == 2 + 2 * n_steps + samples - 1
+
     @pytest.mark.parametrize("t_max, dt, plan", [
         (1.0, 4e-3, (250, 4e-3)), (np.pi, 1e-3, (3142, np.pi / 3142)),
         (1.0, 0.4, (3, 1.0 / 3.0)), (3.0, 0.4, (8, 0.375)),
@@ -467,6 +515,8 @@ class TestKSpaceStepping:
         for t_max, dt in ((np.inf, 1e-3), (np.nan, 1e-3), (1.0, 5e-324)):
             with pytest.raises(ValueError, match="steps, more than 10000000"):
                 gridmod.step_plan(t_max, dt)
+        # t_max / dt underflows to 0: still one step, not a division by 0
+        assert gridmod.step_plan(5e-324, 1e308) == (1, 5e-324)
 
     def test_linear_phase_factored(self):
         # every power of two from 1 to 4096, including n below m^2
@@ -496,6 +546,57 @@ class TestKSpaceStepping:
         assert abs(state.global_phase - final.global_phase) <= 1e-12
         assert final.global_phase < 0.0
         assert np.max(np.abs(state.psi_plus - final.psi_plus)) <= 1e-12
+
+
+class TestWeightTables:
+    """Every guard and sampled observable reads a column of one x-space
+    product (_stats) or one k-space product (_kstats): each column against
+    the quantity it stands for, on boosted Gaussian packets and on the
+    edge-hit run at its last sample before the guard fires."""
+
+    VELOCITIES = np.array([0.7, -0.4])
+
+    @classmethod
+    def states(cls):
+        packets = np.stack([init_gaussian(SPEC, c, velocity=v) for c, v in
+                            zip((1.3, -2.0), cls.VELOCITIES)])
+        _, mid = evolve(two_branch(EDGE_HIT, 0.0, 0.0, 0.5), 4.0, 0.0, 2.58,
+                        EDGE_HIT, sample_every=10)
+        return ((SPEC, packets[None]), (EDGE_HIT, gridmod._rows(mid)))
+
+    def test_edge_column(self):
+        for spec, psi in self.states():
+            outer = np.abs(spec.x()) >= 0.95 * spec.half_length
+            edge = np.sum(np.abs(psi[..., outer]) ** 2, axis=-1) * spec.dx
+            np.testing.assert_allclose(gridmod._stats(psi, spec)[..., 3],
+                                       edge, rtol=1e-12, atol=0.0)
+        # the last state is the edge-hit one, just under the guard's limit
+        assert 1e-9 < edge.min() < 1e-8
+
+    def test_k_columns(self):
+        for spec, psi in self.states():
+            phi = np.fft.fft(psi)
+            kstats = gridmod._kstats(phi, spec)
+            density = np.abs(phi) ** 2
+            k = spec.k()
+            k_mean = (density @ k) / density.sum(axis=-1)
+            v = phi.view(np.float64)
+            parseval = np.einsum("...i,...i->...", v, v) * spec.dx / spec.n
+            band = np.abs(k) >= 0.95 * np.pi / spec.dx
+            share = density[..., band].sum(axis=-1) / density.sum(axis=-1)
+            np.testing.assert_allclose(kstats[..., 1] / kstats[..., 0],
+                                       k_mean, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(kstats[..., 0], parseval, rtol=0.0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(kstats[..., 3] / kstats[..., 0], share,
+                                       rtol=1e-12, atol=0.0)
+            kinetic = density @ (0.5 * k * k) * spec.dx / spec.n
+            np.testing.assert_allclose(kstats[..., 2], kinetic, rtol=0.0,
+                                       atol=1e-12)
+            if spec is SPEC:  # the width-1 packets: 1/4 + v^2/2
+                np.testing.assert_allclose(
+                    kstats[0, :, 2], 0.25 + 0.5 * self.VELOCITIES ** 2,
+                    rtol=0.0, atol=1e-12)
 
 
 class TestSampleTable:

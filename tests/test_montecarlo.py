@@ -104,6 +104,8 @@ class TestBornMechanism:
         assert _tally(values) == (1, 1, 3)
         assert [_tally(values[i:i + 1]) for i in range(5)] == [
             (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1), (0, 0, 1)]
+        # a tolerance widens the undecided band to |value| <= tol
+        assert _tally(values, 1e-9) == (1, 0, 4)
 
 
 class TestRunTrial:
@@ -211,6 +213,16 @@ class TestEnsembles:
         assert (summary.ci_low, summary.ci_high) == (0.0, 1.0)
         assert summary.to_dict()["frequency_right"] is None
 
+    def test_zero_force_undecided_on_both_engines(self):
+        # f_meas = 0: every total force is 0, and every mapped grid
+        # displacement is roundoff of about 1e-14, below MAP_RTOL
+        cfg = dimensionless_cfg(0.5, f_meas=0.0)
+        for engine in ("analytic", "grid"):
+            summary = run_ensemble(cfg, engine, 40, master_seed=0)
+            assert (summary.n_right, summary.n_left, summary.n_undecided) == (
+                0, 0, 40)
+            assert summary.to_dict()["frequency_right"] is None
+
     def test_validation(self):
         with pytest.raises(ValueError):
             run_ensemble(dimensionless_cfg(0.5), "analytic", 0, master_seed=0)
@@ -307,9 +319,9 @@ def grid_chunk(monkeypatch, seed, start, stop):
     values = []
     real = montecarlo._tally
 
-    def recording(block_values):
+    def recording(block_values, *rest):
         values.append(block_values)
-        return real(block_values)
+        return real(block_values, *rest)
 
     monkeypatch.setattr(montecarlo, "_tally", recording)
     counts = chunk_counts("grid", seed, start, stop)
