@@ -44,6 +44,8 @@ BORN_MC_GRID = (MC_GRID, None)
 
 # Most rows an analytic run may write, 50 times the benchmark's long one; a
 # grid run writes at most a row per step, and grid.MAX_STEPS bounds those.
+# Rows are written a block at a time, so the cap bounds the time and disk a
+# run takes, not its memory (beyond the 8 bytes per row of its t column).
 MAX_ROWS = 10**7
 
 # (grid block key, argparse dest of the flag that overrides it)
@@ -235,11 +237,11 @@ def cmd_evolve(args, argv=None) -> int:
     state = _initial_state(loaded, args)
     if (args.mode or loaded.engine or "analytic") == "analytic":
         grid = None
-        traj = trajectory(state, loaded.f_meas_dimensionless,
-                          loaded.f_div_dimensionless(),
-                          _sample_times(args.t_max, args.dt_sample),
-                          gamma=loaded.gamma)
-        table = SimpleNamespace(**traj)
+        f_meas, f_div = loaded.f_meas_dimensionless, loaded.f_div_dimensionless()
+        times = _sample_times(args.t_max, args.dt_sample)
+        # emit_trajectory asks for the closed form one block of rows at a time
+        table = SimpleNamespace(t=times, columns=lambda start, stop: trajectory(
+            state, f_meas, f_div, times[start:stop], gamma=loaded.gamma))
     else:
         grid = _grid(loaded, args, EVOLVE_GRID)
         table = _run_grid(loaded, state, grid, args.t_max)

@@ -185,6 +185,10 @@ class GridTrajectory:
     norm_minus: np.ndarray
     energy: np.ndarray
 
+    def columns(self, start: int, stop: int) -> dict:
+        """Every column's samples start to stop, by name (emit_trajectory)."""
+        return {name: column[start:stop] for name, column in vars(self).items()}
+
 
 def init_gaussian(grid: GridSpec, center: float,
                   velocity: float = 0.0) -> np.ndarray:
@@ -305,19 +309,29 @@ def _potential(f_meas: float, grid: GridSpec) -> np.ndarray:
     return np.exp(-1j * grid.dt * (0.5 * x * x - _SIGN * f_meas * x))
 
 
+@lru_cache(maxsize=16)
+def _phase_points(spec: GridSpec) -> np.ndarray:
+    """1j times the coarse points x[::m] and then the fine offsets
+    dx * arange(m) of _linear_phase, shape (n/m + m,)."""
+    m = 1 << (spec.n.bit_length() - 1) // 2
+    return _frozen(1j * np.concatenate([_grid_x(spec)[::m],
+                                        spec.dx * np.arange(m)]))
+
+
 def _linear_phase(theta: np.ndarray, grid: GridSpec,
                   out: np.ndarray) -> np.ndarray:
     """exp(i theta_b x_j) for every row b, into out of shape (B, n).
 
     With j = m h + l and m = 2^floor(log2(n)/2) it is the outer product of
     exp(i theta_b x_{mh}), shape (B, n/m), and exp(i theta_b dx l), shape
-    (B, m): 2 sqrt(n) complex exponentials per row instead of n. Each row is
-    computed on its own, so a run gets the same phase in any block.
+    (B, m), both taken by one exponential over _phase_points: n/m + m
+    complex exponentials per row instead of n. Each row is computed on its
+    own, so a run gets the same phase in any block.
     """
     n = grid.n
     m = 1 << (n.bit_length() - 1) // 2
-    coarse = np.exp(1j * (theta[:, None] * grid.x()[::m]))
-    fine = np.exp(1j * (theta[:, None] * (grid.dx * np.arange(m))))
+    both = np.exp(theta[:, None] * _phase_points(grid))
+    coarse, fine = both[:, :n // m], both[:, n // m:]
     np.multiply(coarse[:, :, None], fine[:, None, :],
                 out=out.reshape(len(theta), n // m, m))
     return out

@@ -16,12 +16,19 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .grid import GridSpec
 from .units import (ApparatusParams, FdivSpec, G_NEWTON, MeasurementConfig,
                     Scales)
 
 TRAJECTORY_HEADER = "t,xbar,x2bar,x_plus,x_minus,d,norm_plus,norm_minus,energy"
+_COLUMNS = TRAJECTORY_HEADER.split(",")
+# Rows emit_trajectory formats and writes at a time, and bytes file_digest
+# reads at a time: what either holds does not grow with the output.
+EMIT_ROWS = 2**14
+DIGEST_CHUNK = 2**16
 
 _TOP_KEYS = {"mass_kg", "radius_m", "density_kgm3", "G", "p", "F_meas_N",
              "tau_meas_s", "l0_m", "F_div", "grid", "gamma", "engine"}
@@ -233,24 +240,45 @@ def emit_trajectory(table, path) -> None:
     """Write the trajectory CSV: fixed header and column order, 17 significant
     digits, '\\n' line endings, one trailing newline.
 
-    table carries one array per column as attributes, a GridTrajectory or the
-    closed form's columns; d is x_plus - x_minus, and a column table lacks
-    (the grid-only ones, for the closed form) is written as empty cells.
+    table holds the whole t column, one entry per row, and table.columns(
+    start, stop) gives the arrays of rows start to stop by column name: a
+    GridTrajectory, or the closed form evaluated a block at a time. Rows go
+    out EMIT_ROWS at a time, each block formatted by its row template
+    repeated, so memory does not grow with the row count. d is
+    x_plus - x_minus, and a column the table lacks (the grid-only ones, for
+    the closed form) is written as empty cells. A run that fails once the
+    file is open removes it before the error propagates.
     """
-    if len(table.t) == 0:
+    rows = len(table.t)
+    if rows == 0:
         raise ValueError("trajectory is empty")
-    columns = [table.x_plus - table.x_minus if name == "d"
-               else getattr(table, name, None)
-               for name in TRAJECTORY_HEADER.split(",")]
-    row = ",".join("" if col is None else "%.17g" for col in columns) + "\n"
-    values = zip(*(col.tolist() for col in columns if col is not None))
-    with open(path, "w", newline="\n") as out:
-        out.write(TRAJECTORY_HEADER + "\n")
-        out.writelines(row % cells for cells in values)
+    out = open(path, "w", newline="\n")
+    try:
+        with out:
+            out.write(TRAJECTORY_HEADER + "\n")
+            for start in range(0, rows, EMIT_ROWS):
+                block = table.columns(start, min(start + EMIT_ROWS, rows))
+                columns = [block["x_plus"] - block["x_minus"] if name == "d"
+                           else block.get(name) for name in _COLUMNS]
+                row = ",".join("" if col is None else "%.17g"
+                               for col in columns) + "\n"
+                cells = np.stack([col for col in columns if col is not None],
+                                 axis=1)
+                out.write((row * len(cells)) % tuple(cells.ravel().tolist()))
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """sha256 of a file, read DIGEST_CHUNK bytes at a time into one buffer."""
+    digest = hashlib.sha256()
+    buffer = bytearray(DIGEST_CHUNK)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 def write_manifest(output_paths, command, loaded: LoadedConfig,

@@ -265,6 +265,34 @@ class TestOscillation:
         assert traj["x_plus"][0] == pytest.approx(st.plus.center)
 
 
+class TestBlocks:
+    """evolve --mode analytic evaluates the closed form one block of rows at
+    a time (io.emit_trajectory); its CSV is byte-identical to the whole
+    array's only if every block gives the same doubles."""
+
+    @pytest.mark.parametrize("regime", ["undamped", "underdamped",
+                                        "critical", "overdamped"])
+    @settings(max_examples=25, deadline=None)
+    @given(p=st.floats(0.0, 1.0), f=st.floats(0.0, 2.0),
+           fd=st.floats(-2.0, 2.0),
+           y0=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+           dt=st.floats(1e-3, 10.0), block=st.integers(2, 3000),
+           whole=st.integers(0, 4), data=st.data())
+    def test_blocks_equal_whole_array(self, regime, p, f, fd, y0, dt, block,
+                                      whole, data):
+        gamma = data.draw(GAMMA_REGIMES[regime], label="gamma")
+        # a last block of 1 to block - 1 rows: blocks never divide the rows
+        rows = whole * block + data.draw(st.integers(1, block - 1),
+                                         label="last")
+        state, times = make_state(*y0, p), np.arange(rows) * dt
+        full = trajectory(state, f, fd, times, gamma=gamma)
+        parts = [trajectory(state, f, fd, times[start:start + block],
+                            gamma=gamma) for start in range(0, rows, block)]
+        for key, column in full.items():
+            joined = np.concatenate([part[key] for part in parts])
+            assert joined.tobytes() == column.tobytes(), key
+
+
 class TestValidation:
     def test_negative_time_rejected(self):
         st = common_center_initial_condition(0.5)

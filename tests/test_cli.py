@@ -1,8 +1,10 @@
 """Command-line interface: config validation, CSV emission, manifests,
 reproducibility, and exit codes (0 ok, 1 usage, 2 criteria, 3 numerical)."""
 
+import hashlib
 import json
 import subprocess
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +12,12 @@ import pytest
 
 from gravimean import cli
 from gravimean import grid as gridmod
-from gravimean.analytic import smooth_initial_condition, trajectory
+from gravimean import io as iomod
+from gravimean.analytic import (common_center_initial_condition,
+                                smooth_initial_condition, trajectory)
 from gravimean.cli import main
 from gravimean.io import TRAJECTORY_HEADER, file_digest, verify_manifest
-from gravimean.grid import GridSpec
+from gravimean.grid import GridSpec, GridTrajectory
 from gravimean.montecarlo import MC_GRID, run_ensemble
 from gravimean.units import (ApparatusParams, FdivSpec, MeasurementConfig,
                              Scales)
@@ -50,6 +54,18 @@ def read_csv(path):
     lines = Path(path).read_text().split("\n")
     assert lines[-1] == ""  # trailing newline
     return lines[:-1]
+
+
+def whole_column_csv(columns: dict) -> str:
+    """The CSV of a table of whole columns, written row by row: the
+    reference that emit_trajectory's blocks must reproduce byte for byte."""
+    columns = dict(columns, d=columns["x_plus"] - columns["x_minus"])
+    names = TRAJECTORY_HEADER.split(",")
+    lines = [TRAJECTORY_HEADER]
+    for i in range(len(columns["t"])):
+        lines.append(",".join("%.17g" % columns[name][i] if name in columns
+                              else "" for name in names))
+    return "\n".join(lines) + "\n"
 
 
 class TestCriteria:
@@ -279,6 +295,84 @@ class TestEvolveAnalytic:
         assert main(["evolve", "--config", cfg, "--mode", "analytic",
                      "--t-max", "1.0", "--out", out]) == 1
         assert "uniform" in capsys.readouterr().err
+
+
+class TestStreamedOutput:
+    """An analytic evolve evaluates, formats and writes its rows
+    io.EMIT_ROWS at a time, and digests its output in io.DIGEST_CHUNK
+    reads, so its memory does not grow with the row count."""
+
+    def evolve(self, tmp_path, rows, name="traj.csv"):
+        # dt_sample 1 and t_max = rows - 1: exactly rows rows, t_max the last
+        out = tmp_path / name
+        code = main(["evolve", "--config", write_cfg(tmp_path, p=0.7),
+                     "--mode", "analytic", "--ic", "common",
+                     "--t-max", repr(float(rows - 1)), "--dt-sample", "1",
+                     "--out", str(out)])
+        return code, out
+
+    def test_blocks_match_whole_columns(self, tmp_path):
+        rows = 2 * iomod.EMIT_ROWS + 123
+        code, out = self.evolve(tmp_path, rows)
+        assert code == 0
+        exact = trajectory(common_center_initial_condition(0.7), 1.0, 0.3,
+                           np.arange(rows) * 1.0)
+        expected = whole_column_csv({key: exact[key] for key in
+                                     ("t", "xbar", "x_plus", "x_minus")})
+        assert out.read_text() == expected
+        assert verify_manifest(str(out) + ".manifest.json") == []
+
+    def test_grid_table_in_blocks(self, tmp_path):
+        rows = iomod.EMIT_ROWS + 7
+        rng = np.random.default_rng(3)
+        table = GridTrajectory(np.arange(rows) * 0.1, *(
+            rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
+            for _ in range(7)))
+        out = tmp_path / "grid.csv"
+        iomod.emit_trajectory(table, out)
+        assert out.read_text() == whole_column_csv(vars(table))
+
+    def test_failure_removes_partial_csv(self, tmp_path, capsys,
+                                         monkeypatch):
+        calls = []
+
+        def fail_on_second_block(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ValueError("closed form failed on the second block")
+            return trajectory(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "trajectory", fail_on_second_block)
+        code, out = self.evolve(tmp_path, iomod.EMIT_ROWS + 1)
+        assert code == 1
+        assert "on the second block" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch):
+        # a smaller block keeps the traced runs short; one block's worth is
+        # a block of the nine CSV columns as float64
+        monkeypatch.setattr(iomod, "EMIT_ROWS", 2**12)
+        block_bytes = 2**12 * 8 * len(TRAJECTORY_HEADER.split(","))
+        peaks = []
+        for blocks in (2, 8):
+            tracemalloc.start()
+            try:
+                code, _ = self.evolve(tmp_path, blocks * 2**12,
+                                      name=f"traj{blocks}.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] - peaks[0] < block_bytes
+
+    def test_file_digest_in_chunks(self, tmp_path):
+        path = tmp_path / "big.bin"
+        path.write_bytes(np.random.default_rng(8).bytes(
+            2 * iomod.DIGEST_CHUNK + 17))
+        assert file_digest(path) == hashlib.sha256(
+            path.read_bytes()).hexdigest()
 
 
 class TestFlagValidation:
