@@ -113,7 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--engine", choices=("analytic", "grid"), default=None)
     p_mc.add_argument("--trials", type=int, required=True)
     p_mc.add_argument("--seed", type=int, default=0)
-    p_mc.add_argument("--workers", type=int, default=1)
+    p_mc.add_argument("--workers", type=int, default=1,
+                      help="most worker processes; capped by "
+                           f"{THREAD_CAP_ENV} and the CPU count, with one "
+                           "per block of trials at most, so a one-block "
+                           "ensemble runs in this process")
     p_mc.add_argument("--out", default=None, help="also write the JSON here")
     p_mc.set_defaults(func=cmd_born_mc)
 
@@ -192,9 +196,12 @@ def _sample_times(t_max: float, dt_sample: float) -> np.ndarray:
         raise ConfigError(f"--t-max / --dt-sample: the run would write "
                           f"{rows:.3g} rows, more than {MAX_ROWS}")
     n = int(math.floor(t_max / dt_sample + 1e-9))
-    times = np.arange(n + 1) * dt_sample
-    if times[-1] < t_max * (1.0 - 1e-12):
-        times = np.append(times, t_max)
+    off_grid = n * dt_sample < t_max * (1.0 - 1e-12)
+    # one float64 array of the final length, 8 B per row
+    times = np.arange(n + 1 + off_grid, dtype=np.float64)
+    times *= dt_sample
+    if off_grid:
+        times[-1] = t_max
     return times
 
 

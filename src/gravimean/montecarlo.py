@@ -52,6 +52,10 @@ MC_GRID = GridSpec(half_length=20.0, n=512, dt=4e-3)
 # size (_mapped_displacements).
 BLOCK = 2**16
 
+# Most trials an ensemble may hold, 1000 times the 10^6-trial analytic
+# ensemble: about 1.5e4 blocks, so the cap bounds the time a run takes.
+MAX_TRIALS = 10**9
+
 # Largest |evolved - mapped| displacement of a directly evolved trial,
 # relative to max(1, |F tau^2 / 2|): the map is exact, and the roundoff of
 # an evolved mean grows with its excursion. A grid trial with |d| <= MAP_RTOL
@@ -286,6 +290,22 @@ def _chunk_counts(args) -> tuple[int, int, int]:
     return counts
 
 
+def _job_bounds(n_trials: int, workers: int,
+                cpus: int) -> list[tuple[int, int]]:
+    """Contiguous [start, stop) trial ranges, one per job, made of whole
+    blocks: at most one job per worker, per CPU and per block, and each job
+    but the last holds ceil(blocks / jobs) blocks.
+
+    A grid block costs three evolved rows whatever its size, so a block
+    split between two jobs, or a job per worker on a one-block ensemble,
+    only evolves the same rows again.
+    """
+    blocks = math.ceil(n_trials / BLOCK)
+    jobs = min(workers, cpus, blocks)
+    span = math.ceil(blocks / jobs) * BLOCK
+    return [(s, min(s + span, n_trials)) for s in range(0, n_trials, span)]
+
+
 def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
                  master_seed: int, workers: int = 1, *,
                  scales: Scales | None = None,
@@ -297,10 +317,12 @@ def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
     that force alone (on the grid, through the map from trial 0 of
     _mapped_displacements), so worker count, chunking and blocking cannot
     change the result. Undecided trials stay in the tally; the frequency
-    denominator excludes them.
+    denominator excludes them. workers is a cap: the jobs are planned in
+    whole blocks (_job_bounds), and a single job runs in this process.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials!r}")
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ValueError(f"--trials: n_trials must be in [1, {MAX_TRIALS}], "
+                         f"got {n_trials!r}")
     if engine not in ("analytic", "grid"):
         raise ValueError(f"engine must be 'analytic' or 'grid', got {engine!r}")
     if workers < 1:
@@ -308,13 +330,9 @@ def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
     if cfg.f_div.kind != "uniform":
         raise ValueError("ensembles need F_div kind 'uniform'")
 
-    # one chunk per worker and at most one worker per CPU: trials all cost
-    # the same, and a grid block of few trials costs more per trial
-    workers = min(workers, os.cpu_count() or 1)
-    chunk = math.ceil(n_trials / workers)
-    bounds = [(s, min(s + chunk, n_trials)) for s in range(0, n_trials, chunk)]
     jobs = [(cfg, engine, master_seed, start, stop, scales, grid)
-            for start, stop in bounds]
+            for start, stop in _job_bounds(n_trials, workers,
+                                           os.cpu_count() or 1)]
     if len(jobs) == 1:
         parts = [_chunk_counts(jobs[0])]
     else:

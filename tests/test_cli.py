@@ -3,8 +3,10 @@ reproducibility, and exit codes (0 ok, 1 usage, 2 criteria, 3 numerical)."""
 
 import hashlib
 import json
+import math
 import subprocess
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +15,13 @@ import pytest
 from gravimean import cli
 from gravimean import grid as gridmod
 from gravimean import io as iomod
+from gravimean import montecarlo
 from gravimean.analytic import (common_center_initial_condition,
                                 smooth_initial_condition, trajectory)
 from gravimean.cli import main
 from gravimean.io import TRAJECTORY_HEADER, file_digest, verify_manifest
 from gravimean.grid import GridSpec, GridTrajectory
-from gravimean.montecarlo import MC_GRID, run_ensemble
+from gravimean.montecarlo import MAX_TRIALS, MC_GRID, run_ensemble
 from gravimean.units import (ApparatusParams, FdivSpec, MeasurementConfig,
                              Scales)
 
@@ -570,6 +573,29 @@ class TestRowCap:
         assert "--t-max / --dt-sample: the run would write 1e+18 rows" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("t_max, dt_sample", [
+        (1.0, 0.1), (2e4, 0.1), (0.3, 0.1), (3.0, 1e-3),      # on the grid
+        (1.05, 0.1), (math.pi, 1e-3), (0.05, 0.1), (7.3, 0.7)])  # off it
+    def test_sample_times_unchanged(self, t_max, dt_sample):
+        # the whole-array expression the column was built with before
+        n = int(math.floor(t_max / dt_sample + 1e-9))
+        ref = np.arange(n + 1) * dt_sample
+        if ref[-1] < t_max * (1.0 - 1e-12):
+            ref = np.append(ref, t_max)
+        times = cli._sample_times(t_max, dt_sample)
+        assert times.dtype == np.float64
+        assert np.array_equal(times, ref)
+
+    @pytest.mark.parametrize("t_max", [2**15 * 0.1, 2**15 * 0.1 + 0.05])
+    def test_sample_times_8_bytes_per_row(self, t_max):
+        tracemalloc.start()
+        try:
+            times = cli._sample_times(t_max, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(times) + 1024
+
     @pytest.mark.parametrize("command", ["evolve", "compare"])
     @pytest.mark.parametrize("t_max, dt, steps", [("1e15", "1e-3", "1e+18"),
                                                   ("1e300", "1e-10", "inf")])
@@ -809,6 +835,44 @@ class TestBornMc:
     def test_zero_trials_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, F_div={"kind": "uniform"})
         assert main(["born-mc", "--config", cfg, "--trials", "0"]) == 1
+
+    def test_trials_over_the_cap_rejected(self, tmp_path, capsys,
+                                          monkeypatch):
+        # nothing may run: no block and no pool
+        monkeypatch.setattr(montecarlo, "_chunk_counts", None)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", None)
+        cfg = write_cfg(tmp_path, F_div={"kind": "uniform"})
+        assert main(["born-mc", "--config", cfg, "--trials",
+                     str(MAX_TRIALS + 1)]) == 1
+        assert "--trials" in capsys.readouterr().err
+
+    def test_real_pool_grid_json_identical(self, tmp_path, capsys,
+                                           monkeypatch):
+        # 12 trials in blocks of 4 on a 4-CPU machine: a real pool of 2
+        # and of 3 forked workers, which inherit the patched BLOCK
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo, "BLOCK", 4)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        cfg = write_cfg(tmp_path, p=0.7, F_div={"kind": "uniform"},
+                        tau_meas_s=0.5 / APP.omega_grav,
+                        grid={"n": 128, "l": 12.0, "dt": 4e-3})
+        outs = []
+        for workers in ("1", "2", "4"):
+            assert main(["born-mc", "--config", cfg, "--engine", "grid",
+                         "--trials", "12", "--seed", "5",
+                         "--workers", workers]) == 0
+            outs.append(capsys.readouterr().out)
+        assert pools == [2, 3]
+        assert outs[0] == outs[1] == outs[2]
+        counts = json.loads(outs[0])["counts"]
+        assert counts["right"] + counts["left"] + counts["undecided"] == 12
 
 
 class TestTwoDetector:

@@ -19,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 from gravimean import montecarlo
 from gravimean import grid as gridmod
 from gravimean.analytic import total_force
-from gravimean.montecarlo import (BLOCK, MAP_RTOL, MC_GRID, McSummary, _tally,
-                                  mix64, run_ensemble, run_trial, sample_fdiv,
-                                  trial_seed, two_detector_table,
-                                  wilson_interval)
+from gravimean.montecarlo import (BLOCK, MAP_RTOL, MAX_TRIALS, MC_GRID,
+                                  McSummary, _tally, mix64, run_ensemble,
+                                  run_trial, sample_fdiv, trial_seed,
+                                  two_detector_table, wilson_interval)
 from gravimean.grid import GridSpec, NumericalError
 from gravimean.units import FdivSpec, MeasurementConfig
 
@@ -235,63 +235,47 @@ class TestEnsembles:
             run_ensemble(dimensionless_cfg(0.5, kind="fixed", value=0.1),
                          "analytic", 10, master_seed=0)
 
-    @staticmethod
-    def run_on_stub_pool(monkeypatch, n_trials, workers, cpus):
-        """run_ensemble on a machine of cpus CPUs, through a stub pool that
-        runs the jobs in this process and records what a real one would
-        get; no worker process is started. Returns the pool and the
-        counts, after checking them against one worker."""
-        pools = []
-
-        class StubPool:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                self.bounds = [(job[3], job[4]) for job in jobs]
-                return [fn(job) for job in jobs]
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", StubPool)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        cfg = dimensionless_cfg(0.4)
-        s = run_ensemble(cfg, "analytic", n_trials, master_seed=7,
-                         workers=workers)
-        ref = run_ensemble(cfg, "analytic", n_trials, master_seed=7)
-        assert (s.n_right, s.n_left, s.n_undecided) == (
-            ref.n_right, ref.n_left, ref.n_undecided)
-        (pool,) = pools
-        return pool
-
     @pytest.mark.parametrize("n_trials, workers, bounds", [
-        (16, 2, [(0, 8), (8, 16)]),
-        (10, 4, [(0, 3), (3, 6), (6, 9), (9, 10)]),
-        (3, 8, [(0, 1), (1, 2), (2, 3)]),
+        (16, 2, [(0, 16)]),
+        (2 * BLOCK + 5, 2, [(0, 2 * BLOCK), (2 * BLOCK, 2 * BLOCK + 5)]),
+        (5 * BLOCK, 4, [(0, 2 * BLOCK), (2 * BLOCK, 4 * BLOCK),
+                        (4 * BLOCK, 5 * BLOCK)]),
     ])
-    def test_pool_one_chunk_per_worker_and_no_idle_workers(
+    def test_jobs_hold_whole_blocks_and_no_idle_workers(
             self, monkeypatch, n_trials, workers, bounds):
-        pool = self.run_on_stub_pool(monkeypatch, n_trials, workers, cpus=64)
-        assert pool.bounds == bounds
-        assert pool.max_workers == len(bounds)
+        # one block on two workers is one job and no pool; five blocks on
+        # four workers are three jobs of 2, 2 and 1 blocks
+        check_job_plan(monkeypatch, n_trials, workers, 64, bounds)
 
     def test_pool_no_larger_than_the_cpus(self, monkeypatch):
-        # four workers asked for on two CPUs: two chunks and two processes
-        pool = self.run_on_stub_pool(monkeypatch, 10, 4, cpus=2)
-        assert pool.bounds == [(0, 5), (5, 10)]
-        assert pool.max_workers == 2
+        # four workers asked for on two CPUs: two jobs and two processes
+        check_job_plan(monkeypatch, 4 * BLOCK, 4, 2,
+                       [(0, 2 * BLOCK), (2 * BLOCK, 4 * BLOCK)])
 
     def test_workers_beyond_the_cpus_cut_no_chunks(self, monkeypatch):
-        # a million workers asked for on two CPUs cost two chunks, not a
-        # million
-        pool = self.run_on_stub_pool(monkeypatch, 10**6, 10**6, cpus=2)
-        assert pool.bounds == [(0, 500_000), (500_000, 10**6)]
-        assert pool.max_workers == 2
+        # a million workers asked for on two CPUs cost two jobs of eight
+        # blocks each, not a million
+        check_job_plan(monkeypatch, 10**6, 10**6, 2,
+                       [(0, 8 * BLOCK), (8 * BLOCK, 10**6)])
+
+    def test_grid_rows_evolved_once_per_block(self, monkeypatch):
+        check_grid_rows_once_per_block(monkeypatch)
+
+    def test_trials_cap(self, monkeypatch):
+        # nothing runs: each job's counts come from a stub
+        jobs = []
+
+        def stub(job):
+            jobs.append(job)
+            return job[4] - job[3], 0, 0
+
+        monkeypatch.setattr(montecarlo, "_chunk_counts", stub)
+        cfg = dimensionless_cfg(0.5)
+        with pytest.raises(ValueError, match="--trials"):
+            run_ensemble(cfg, "analytic", MAX_TRIALS + 1, master_seed=0)
+        assert jobs == []
+        assert run_ensemble(cfg, "analytic", MAX_TRIALS,
+                            master_seed=0).n_right == MAX_TRIALS
 
     def test_grid_engine_small_ensemble(self):
         summary = run_ensemble(dimensionless_cfg(0.8, tau=0.5), "grid", 40,
@@ -305,6 +289,73 @@ class TestEnsembles:
 
 # Small grid for block tests: 125 steps of 128 points per trial.
 SMALL_GRID = GridSpec(half_length=12.0, n=128, dt=4e-3)
+
+
+def install_stub_pool(monkeypatch, cpus):
+    """Make run_ensemble see a machine of cpus CPUs and a stub pool that
+    runs the jobs in this process and records what a real one would get;
+    no worker process is started. Returns the list of pools made."""
+    pools = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            self.bounds = [(job[3], job[4]) for job in jobs]
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    return pools
+
+
+def counts_at(workers, n_trials, engine="analytic"):
+    s = run_ensemble(dimensionless_cfg(0.4, tau=0.5), engine, n_trials,
+                     master_seed=7, workers=workers, grid=SMALL_GRID)
+    return s.n_right, s.n_left, s.n_undecided
+
+
+def check_job_plan(monkeypatch, n_trials, workers, cpus, bounds):
+    """On cpus CPUs, the ensemble's jobs are bounds, one pool worker each,
+    and its counts are those of one worker; a single job runs in this
+    process and makes no pool."""
+    pools = install_stub_pool(monkeypatch, cpus)
+    assert counts_at(workers, n_trials) == counts_at(1, n_trials)
+    if len(bounds) == 1:
+        assert pools == []
+    else:
+        (pool,) = pools
+        assert pool.bounds == bounds
+        assert pool.max_workers == len(bounds)
+
+
+def check_grid_rows_once_per_block(monkeypatch):
+    """25 grid trials in blocks of 8 call evolve_block once per block, four
+    times, and give the same counts, whatever the worker count."""
+    calls = []
+    real = gridmod.evolve_block
+
+    def counting(psi, *rest, **kw):
+        calls.append(len(psi))
+        return real(psi, *rest, **kw)
+
+    install_stub_pool(monkeypatch, 64)
+    monkeypatch.setattr(montecarlo, "BLOCK", 8)
+    monkeypatch.setattr(gridmod, "evolve_block", counting)
+    counts = set()
+    for workers in (1, 2, 4, 8):
+        calls.clear()
+        counts.add(counts_at(workers, 25, "grid"))
+        assert calls == [3] * 4, f"workers={workers}"
+    assert len(counts) == 1
 
 
 def chunk_counts(engine, seed, start, stop, p=0.6, grid=SMALL_GRID):
