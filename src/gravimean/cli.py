@@ -212,7 +212,7 @@ def _report(result: dict, args, argv, loaded: LoadedConfig, grid,
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")
-        write_manifest([args.out], _command_line(argv), loaded, grid,
+        write_manifest(args.out, _command_line(argv), loaded, grid,
                        master_seed=master_seed)
     return 0
 
@@ -253,7 +253,7 @@ def cmd_evolve(args, argv=None) -> int:
         grid = _grid(loaded, args, EVOLVE_GRID)
         table = _run_grid(loaded, state, grid, args.t_max)
     emit_trajectory(table, args.out)
-    write_manifest([args.out], _command_line(argv), loaded, grid)
+    write_manifest(args.out, _command_line(argv), loaded, grid)
     return 0
 
 

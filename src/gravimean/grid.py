@@ -28,8 +28,8 @@ table of weights, and the core takes one density product per space wherever
 it looks at the block. |psi|^2 @ [1, x, x^2, edge] dx, at every midpoint and
 sample, gives the norms, means and second moments of all rows and the edge
 guard. |phi|^2 @ [1, k, k^2/2, alias] dx/n, at the end of every step, gives
-the norm for the drift check (Parseval) and, at a sample, the kinetic energy
-and the aliasing guard: the kinetic factor has unit modulus, so a sample
+the norm for the drift check (Parseval), the aliasing guard and, at a
+sample, the kinetic energy: the kinetic factor has unit modulus, so a sample
 needs no transform of its own. At t = 0 the k product also gives the
 pre-flight its mean momentum. The per-row linear phase
 exp(i dt (xbar + f_div) x) is the outer product of two tables of about
@@ -44,9 +44,9 @@ start, and moments reads the same weighted moments.
 
 The domain is periodic, which the physics never probes as long as the packets
 stay away from the edges and the spectrum away from the largest |k|: a
-density guard in x and an aliasing guard in k abort the run otherwise, and
-before the first step a pre-flight refuses a run whose closed-form mean
-motion would carry it there.
+density guard in x and an aliasing guard in k, read at every step and not
+only at samples, abort the run otherwise, and before the first step a
+pre-flight refuses a run whose closed-form mean motion would carry it there.
 """
 
 from __future__ import annotations
@@ -267,14 +267,22 @@ def _first_bad(bad: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.argwhere(bad)[0])
 
 
+# What the edge guard, on an x-space product, and the aliasing guard, on a
+# k-space one, say when they fail
+_EDGE = ("density {0!r} in the outer 5% of the domain at {1}; enlarge "
+         "half_length or shorten the run")
+_ALIAS = ("has a share {0!r} of its weight in the outer 5% of |k| at {1}: "
+          "the grid aliases; raise n or shrink half_length")
+
+
 def _check(values: np.ndarray, limit: float, what: str, step_no: int | None,
            t: float) -> None:
     """Raise NumericalError for the first row and branch of values, shape
     (B, 2), that is not <= limit (NaN never is). what describes the failure
     after the branch name, with {0} for the value and {1} for the time."""
-    bad = ~(values <= limit)
-    if bad.any():
-        row, branch = _first_bad(bad)
+    # the max is NaN when any value is, so one comparison covers every value
+    if not values.max() <= limit:
+        row, branch = _first_bad(~(values <= limit))
         raise NumericalError(f"{_BRANCH[branch]} branch " + what.format(
             float(values[row, branch]), _when(step_no, t)), row)
 
@@ -344,7 +352,9 @@ def _advance(phi: np.ndarray, p: float, f_div: np.ndarray,
     k-space block after the first half kinetic step, becomes the block
     before the second one. Returns the midpoint x2bar of each row."""
     psi = np.fft.ifft(phi, out=work.psi)
-    xbar, x2bar, _ = _weighted(_stats(psi, grid, work.density), p, step_no, t)
+    stats = _stats(psi, grid, work.density)
+    xbar, x2bar, _ = _weighted(stats, p, step_no, t)
+    _check(stats[..., 3], 1e-8, _EDGE, step_no, t)
     psi *= potential
     psi *= _linear_phase(grid.dt * (xbar + f_div), grid, work.phase)[:, None, :]
     np.fft.fft(psi, out=phi)
@@ -436,10 +446,11 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     that the run ends at exactly t_max; before any work, step_plan refuses
     a run of more than MAX_STEPS steps. Samples land on step 0, every
     sample_every-th step and the last step. Every run's box and mean
-    momentum are checked before the first step (_preflight), and norms,
-    moments, aliasing and the edge while stepping, each read off a column of
-    _stats or _kstats. Returns the sampled trajectory (columns of shape
-    (samples, B)), the final block and each row's phase of the x2bar/2 term.
+    momentum are checked before the first step (_preflight), and its norms,
+    moments, edge and aliasing at every step and sample, each read off a
+    column of _stats or _kstats. Returns the sampled trajectory (columns of
+    shape (samples, B)), the final block and each row's phase of the x2bar/2
+    term.
     """
     if not t_max > 0.0:
         raise ValueError(f"t_max must be > 0, got {t_max!r}")
@@ -465,21 +476,16 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
 
     def sample(stats: np.ndarray, kstats: np.ndarray, step_no: int,
                t: float) -> None:
-        # kstats is this sample's k-space product: the half kinetic factor
-        # between them has unit modulus
+        # kstats is this sample's k-space product, already guarded: the half
+        # kinetic factor between them has unit modulus
         xbar, x2bar, means = _weighted(stats, p, step_no, t)
-        _check(kstats[..., 3] / kstats[..., 0], 1e-8,
-               "has a share {0!r} of its weight in the outer 5% of |k| at "
-               "{1}: the grid aliases; raise n or shrink half_length",
-               step_no, t)
-        _check(stats[..., 3], 1e-8, "density {0!r} in the outer 5% of the "
-               "domain at {1}; enlarge half_length or shorten the run",
-               step_no, t)
+        _check(stats[..., 3], 1e-8, _EDGE, step_no, t)
         row = -(-step_no // sample_every)
         times[row] = t
         table[:, row] = (xbar, x2bar, *means.T, *stats[..., 0].T, _energy(
             kstats[..., 2], stats, xbar, x2bar, p, f_meas, f_div))
 
+    _check(kstats[..., 3] / kstats[..., 0], 1e-8, _ALIAS, 0, 0.0)
     sample(stats, kstats, 0, 0.0)
     # The block stays in k-space between steps: the second half kinetic step
     # of one step and the first of the next are one multiplication.
@@ -494,6 +500,7 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
         before, kstats = kstats, _kstats(phi, grid, work.density)
         _check(np.abs(kstats[..., 0] - before[..., 0]), 1e-8, "norm drifted "
                "by {0!r} in one step at {1}", i, t)
+        _check(kstats[..., 3] / kstats[..., 0], 1e-8, _ALIAS, i, t)
         if final or i % sample_every == 0:
             psi = np.multiply(phi, kin, out=work.psi)
             np.fft.ifft(psi, out=psi)

@@ -281,15 +281,13 @@ def file_digest(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(output_paths, command, loaded: LoadedConfig,
+def write_manifest(output_path, command, loaded: LoadedConfig,
                    grid: tuple[GridSpec, int | None] | None = None,
                    master_seed: int | None = None) -> Path:
-    """Write a manifest next to the first output, covering all of them.
+    """Write the manifest of one output next to it.
 
     grid is the (GridSpec, sample_every) the run used, None if it used none.
     """
-    outputs = [{"path": Path(p).name, "sha256": file_digest(p)}
-               for p in output_paths]
     scales = loaded.scales
     manifest = {
         "tool": "gravimean",
@@ -300,9 +298,10 @@ def write_manifest(output_paths, command, loaded: LoadedConfig,
         "config": loaded.manifest_config(grid),
         "scales": {"length_m": scales.length, "time_s": scales.time,
                    "force_N": scales.force, "energy_J": scales.energy},
-        "outputs": outputs,
+        "outputs": [{"path": Path(output_path).name,
+                     "sha256": file_digest(output_path)}],
     }
-    path = Path(str(output_paths[0]) + ".manifest.json")
+    path = Path(str(output_path) + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 

@@ -33,7 +33,7 @@ import numpy as np
 from . import analytic
 from . import grid as gridmod
 from .grid import GridSpec, NumericalError
-from .units import MeasurementConfig, Scales
+from .units import PACKET_SCALES, MeasurementConfig, Scales
 
 GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
@@ -163,14 +163,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _dimensionless_setup(cfg: MeasurementConfig,
-                         scales: Scales | None) -> tuple[float, float]:
-    """(f_meas, tau) in packet units; cfg values pass through when no scales."""
-    if scales is None:
-        return cfg.f_meas, cfg.tau_meas
-    return cfg.f_meas / scales.force, cfg.tau_meas / scales.time
-
-
 def _tally(values: np.ndarray, tol: float = 0.0) -> tuple[int, int, int]:
     """(right, left, undecided): values > tol, < -tol, and neither
     (|value| <= tol or nan)."""
@@ -195,14 +187,6 @@ def _evolve_trials(p: float, f_meas: float, f_div: np.ndarray, tau: float,
     except NumericalError as exc:
         raise NumericalError(f"trial {trials[exc.row]}: {exc}", exc.row) from exc
     return traj.xbar[-1] - traj.xbar[0]
-
-
-def _grid_displacements(p: float, f_meas: float, f_div: np.ndarray, tau: float,
-                        grid_spec: GridSpec, first: int) -> np.ndarray:
-    """Mean displacement of each trial of one block, trial first + b under
-    f_div[b], each evolved directly: the oracle of _mapped_displacements."""
-    return _evolve_trials(p, f_meas, f_div, tau, grid_spec,
-                          range(first, first + len(f_div)))
 
 
 def _mapped_displacements(p: float, f_meas: float, f_div: np.ndarray,
@@ -266,15 +250,15 @@ def run_trial(cfg: MeasurementConfig, engine: str, seed: int, *,
         f_div = sample_fdiv(seed, f_meas)
     if engine == "analytic":
         return 0.5 * analytic.total_force(cfg.p, f_meas, f_div) * tau * tau
-    return float(_grid_displacements(cfg.p, f_meas, np.array([float(f_div)]),
-                                     tau, grid, index)[0])
+    return float(_evolve_trials(cfg.p, f_meas, np.array([float(f_div)]), tau,
+                                grid, (index,))[0])
 
 
 def _chunk_counts(args) -> tuple[int, int, int]:
     """(right, left, undecided) over one contiguous index range, walked in
-    blocks of BLOCK trials so that memory does not grow with the range."""
-    cfg, engine, master_seed, start, stop, scales, grid_spec = args
-    f_meas, tau = _dimensionless_setup(cfg, scales)
+    blocks of BLOCK trials so that memory does not grow with the range.
+    p, f_meas and tau are in packet units."""
+    p, f_meas, tau, engine, master_seed, start, stop, grid_spec = args
     f_ref = sample_fdiv(trial_seed(master_seed, 0), f_meas)
     tol = 0.0 if engine == "analytic" else MAP_RTOL
     counts = (0, 0, 0)
@@ -282,9 +266,9 @@ def _chunk_counts(args) -> tuple[int, int, int]:
         hi = min(lo + BLOCK, stop)
         f_div = _sample_fdiv_block(master_seed, lo, hi, f_meas)
         if engine == "analytic":
-            values = analytic.total_force(cfg.p, f_meas, f_div)
+            values = analytic.total_force(p, f_meas, f_div)
         else:
-            values = _mapped_displacements(cfg.p, f_meas, f_div, tau,
+            values = _mapped_displacements(p, f_meas, f_div, tau,
                                            grid_spec, lo, f_ref)
         counts = tuple(a + b for a, b in zip(counts, _tally(values, tol)))
     return counts
@@ -308,7 +292,7 @@ def _job_bounds(n_trials: int, workers: int,
 
 def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
                  master_seed: int, workers: int = 1, *,
-                 scales: Scales | None = None,
+                 scales: Scales = PACKET_SCALES,
                  grid: GridSpec = MC_GRID) -> McSummary:
     """Run n_trials independent trials and tally outcomes.
 
@@ -319,6 +303,9 @@ def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
     change the result. Undecided trials stay in the tally; the frequency
     denominator excludes them. workers is a cap: the jobs are planned in
     whole blocks (_job_bounds), and a single job runs in this process.
+
+    cfg's f_meas and tau_meas are divided by scales here, once: every job
+    carries packet units, and the default PACKET_SCALES reads cfg as such.
     """
     if not 1 <= n_trials <= MAX_TRIALS:
         raise ValueError(f"--trials: n_trials must be in [1, {MAX_TRIALS}], "
@@ -330,7 +317,8 @@ def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
     if cfg.f_div.kind != "uniform":
         raise ValueError("ensembles need F_div kind 'uniform'")
 
-    jobs = [(cfg, engine, master_seed, start, stop, scales, grid)
+    f_meas, tau = cfg.f_meas / scales.force, cfg.tau_meas / scales.time
+    jobs = [(cfg.p, f_meas, tau, engine, master_seed, start, stop, grid)
             for start, stop in _job_bounds(n_trials, workers,
                                            os.cpu_count() or 1)]
     if len(jobs) == 1:

@@ -95,6 +95,10 @@ class Scales:
                    energy=HBAR * w)
 
 
+# The identity scales: packet units read through them unchanged (x / 1.0 == x).
+PACKET_SCALES = Scales(length=1.0, time=1.0, force=1.0, energy=1.0)
+
+
 @dataclass(frozen=True)
 class FdivSpec:
     """Diverting-force specification: a frozen random draw or a fixed value.

@@ -1,14 +1,20 @@
-"""Independent reference integrator used to freeze expected values.
+"""Independent references used to freeze expected values.
 
 Plain RK4 on the coupled branch-center equations. Deliberately dumb: no
 decoupling into mean and offsets, no closed forms, just the forces. Damping
 acts on the velocity relative to the weighted mean, which leaves the mean
 motion undamped.
+
+Direct evolution of every trial of an ensemble block on the grid: the
+reference that the Avron-Herbst map of montecarlo._mapped_displacements,
+which evolves three rows per block, is compared against.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from gravimean import montecarlo
 
 
 def branch_accel(y: np.ndarray, p: float, f_meas: float, f_div: float,
@@ -50,3 +56,11 @@ def rk4_path(p: float, f_meas: float, f_div: float, y0, times,
         out[i] = y
         t_prev = t
     return out
+
+
+def grid_displacements(p: float, f_meas: float, f_div: np.ndarray, tau: float,
+                       grid_spec, first: int) -> np.ndarray:
+    """Mean displacement of each trial of one block, trial first + b under
+    f_div[b], every trial evolved directly in one block."""
+    return montecarlo._evolve_trials(p, f_meas, f_div, tau, grid_spec,
+                                     range(first, first + len(f_div)))

@@ -430,6 +430,27 @@ def check_under_resolved(tmp_path, capsys, n, code):
         code == 3)
 
 
+def check_no_wrap_between_samples(tmp_path, capsys):
+    """A run whose plus branch swings to 2 * 2 (1 - p) f_meas = 18 from the
+    mean, beyond the box of half-length 16, and back, between its samples:
+    the total force is 0, so the mean stays put and the pre-flight passes.
+    Unguarded between samples it exits 0 with x_plus 2.06 where the closed
+    form gives 0. The edge guard reads every midpoint, so the run exits 3
+    at step 913, with the same message whatever the sample spacing."""
+    cfg = write_cfg(tmp_path, p=0.1, F_meas_N=5 * SC.force,
+                    F_div={"kind": "fixed", "value_N": 4 * SC.force})
+    errors = set()
+    for sample_every in ("100", "10000000"):
+        assert main(["evolve", "--config", cfg, "--mode", "grid", "--ic",
+                     "common", "--t-max", "6.283185307179586", "--grid-n",
+                     "512", "--grid-l", "16", "--dt", "2e-3",
+                     "--sample-every", sample_every,
+                     "--out", str(tmp_path / "x.csv")]) == 3
+        errors.add(capsys.readouterr().err)
+    assert len(errors) == 1, errors
+    assert "outer 5% of the domain at step 913," in errors.pop()
+
+
 class TestEvolveGrid:
     def test_basic_run(self, tmp_path):
         cfg = write_cfg(tmp_path, p=0.7)
@@ -510,6 +531,9 @@ class TestEvolveGrid:
         assert code == 3
         assert "outer 5% of the domain" in capsys.readouterr().err
 
+
+    def test_no_wrap_between_samples(self, tmp_path, capsys):
+        check_no_wrap_between_samples(tmp_path, capsys)
 
     @pytest.mark.parametrize("n, code", [(32, 3), (64, 3), (128, 0)])
     def test_under_resolved_grid_exits_3(self, tmp_path, capsys, n, code):

@@ -9,6 +9,7 @@ against deliberately broken solvers, so each law has one copy.
 """
 
 import math
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -258,14 +259,23 @@ class TestFailureModes:
     def test_aliasing_mid_run(self):
         # dx = 0.5 resolves |k| up to 2 pi; under a unit force the packet's
         # momentum spread reaches the outer 5% of |k| long before the
-        # packet reaches the outer 5% of the box
+        # packet reaches the outer 5% of the box. The guard reads every
+        # step, so the run fails at the same step between samples whether
+        # it samples every 100 steps or only at its ends.
         spec = GridSpec(half_length=16.0, n=64, dt=1e-3)
-        with pytest.raises(NumericalError,
-                           match=r"^plus branch has a share .* in the outer "
-                                 r"5% of \|k\| at step [1-9]\d*00, t=.*: the "
-                                 r"grid aliases; raise n or shrink half_length"):
-            evolve(two_branch(spec, 0.0, 0.0, 1.0), 0.0, 1.0, 3.0, spec,
-                   sample_every=100)
+        steps = set()
+        for sample_every in (100, 10**6):
+            with pytest.raises(NumericalError,
+                               match=r"^plus branch has a share .* in the "
+                                     r"outer 5% of \|k\| at step (\d+), t=.*: "
+                                     r"the grid aliases; raise n or shrink "
+                                     r"half_length") as failure:
+                evolve(two_branch(spec, 0.0, 0.0, 1.0), 0.0, 1.0, 3.0, spec,
+                       sample_every=sample_every)
+            steps.add(int(re.search(r"step (\d+),",
+                                    str(failure.value)).group(1)))
+        assert len(steps) == 1, steps
+        assert steps.pop() % 100 != 0
 
     def test_edge_hit_mid_run(self):
         check_edge_hit()

@@ -8,6 +8,7 @@ probability exactly p, verified here independently by quadrature.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,10 @@ from gravimean.montecarlo import (BLOCK, MAP_RTOL, MAX_TRIALS, MC_GRID,
                                   run_trial, sample_fdiv, trial_seed,
                                   two_detector_table, wilson_interval)
 from gravimean.grid import GridSpec, NumericalError
-from gravimean.units import FdivSpec, MeasurementConfig
+from gravimean.units import (ApparatusParams, FdivSpec, MeasurementConfig,
+                             Scales)
+
+from oracles import grid_displacements
 
 
 def dimensionless_cfg(p, f_meas=1.0, tau=1.0, kind="uniform", value=0.0):
@@ -267,7 +271,7 @@ class TestEnsembles:
 
         def stub(job):
             jobs.append(job)
-            return job[4] - job[3], 0, 0
+            return job[6] - job[5], 0, 0
 
         monkeypatch.setattr(montecarlo, "_chunk_counts", stub)
         cfg = dimensionless_cfg(0.5)
@@ -276,6 +280,22 @@ class TestEnsembles:
         assert jobs == []
         assert run_ensemble(cfg, "analytic", MAX_TRIALS,
                             master_seed=0).n_right == MAX_TRIALS
+
+    def test_si_config_read_through_scales(self):
+        # tau is 0.5 in packet units: run_ensemble divides f_meas and tau by
+        # the scales once, and the grid counts are those of the packet-unit
+        # config
+        scales = Scales.from_apparatus(ApparatusParams.derive(radius=1e-3,
+                                                              density=1e4))
+        si = MeasurementConfig(p=0.6, f_meas=1.3 * scales.force,
+                               tau_meas=0.5 * scales.time, l0=1e-9)
+        packet = replace(si, f_meas=si.f_meas / scales.force,
+                         tau_meas=si.tau_meas / scales.time)
+        assert packet.tau_meas != 1.0
+        got = run_ensemble(si, "grid", 40, master_seed=3, scales=scales,
+                           grid=SMALL_GRID)
+        want = run_ensemble(packet, "grid", 40, master_seed=3, grid=SMALL_GRID)
+        assert got.to_dict() == want.to_dict()
 
     def test_grid_engine_small_ensemble(self):
         summary = run_ensemble(dimensionless_cfg(0.8, tau=0.5), "grid", 40,
@@ -309,7 +329,7 @@ def install_stub_pool(monkeypatch, cpus):
             return False
 
         def map(self, fn, jobs):
-            self.bounds = [(job[3], job[4]) for job in jobs]
+            self.bounds = [(job[5], job[6]) for job in jobs]
             return [fn(job) for job in jobs]
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", StubPool)
@@ -359,8 +379,7 @@ def check_grid_rows_once_per_block(monkeypatch):
 
 
 def chunk_counts(engine, seed, start, stop, p=0.6, grid=SMALL_GRID):
-    cfg = dimensionless_cfg(p, tau=0.5)
-    return montecarlo._chunk_counts((cfg, engine, seed, start, stop, None,
+    return montecarlo._chunk_counts((p, 1.0, 0.5, engine, seed, start, stop,
                                      grid))
 
 
@@ -492,19 +511,18 @@ class TestBlocks:
         f_div = montecarlo._sample_fdiv_block(77, 0, n, 1.0)
         for block in (1, 3, 16):
             got = np.concatenate([
-                montecarlo._grid_displacements(0.6, 1.0, f_div[lo:lo + block],
-                                               0.5, SMALL_GRID, lo)
+                grid_displacements(0.6, 1.0, f_div[lo:lo + block], 0.5,
+                                   SMALL_GRID, lo)
                 for lo in range(0, n, block)])
             assert np.max(np.abs(got - ref)) <= 1e-12
 
     def test_block_displacements_bit_identical(self):
         f_div = montecarlo._sample_fdiv_block(3, 0, 64, 1.0)
-        whole = montecarlo._grid_displacements(0.6, 1.0, f_div, 0.5,
-                                               SMALL_GRID, 0)
+        whole = grid_displacements(0.6, 1.0, f_div, 0.5, SMALL_GRID, 0)
         for block in (1, 2, 3, 5, 16):
             got = np.concatenate([
-                montecarlo._grid_displacements(0.6, 1.0, f_div[lo:lo + block],
-                                               0.5, SMALL_GRID, lo)
+                grid_displacements(0.6, 1.0, f_div[lo:lo + block], 0.5,
+                                   SMALL_GRID, lo)
                 for lo in range(0, 64, block)])
             assert np.array_equal(got, whole), block
 
@@ -519,8 +537,7 @@ class TestBlocks:
         tau = 1.0
         mapped = montecarlo._mapped_displacements(p, f_meas, f_div, tau,
                                                   MC_GRID, 5, f_meas * u_ref)
-        evolved = montecarlo._grid_displacements(p, f_meas, f_div, tau,
-                                                 MC_GRID, 5)
+        evolved = grid_displacements(p, f_meas, f_div, tau, MC_GRID, 5)
         assert np.all(np.abs(mapped - evolved)
                       <= map_tolerance(p, f_meas, f_div, tau))
 
@@ -550,7 +567,7 @@ class TestBlocks:
         # d = F tau^2 / 2 with F = 2 (p - 1/2) f_meas + f_div
         f_div = f_meas * np.array(u)
         tau = 1.0
-        got = montecarlo._grid_displacements(p, f_meas, f_div, tau, MC_GRID, 0)
+        got = grid_displacements(p, f_meas, f_div, tau, MC_GRID, 0)
         force = 2.0 * (p - 0.5) * f_meas + f_div
         assert np.max(np.abs(got - 0.5 * force * tau * tau)) <= 1e-12
 
@@ -561,11 +578,10 @@ class TestBlocks:
         grid = GridSpec(half_length=20.0, n=256, dt=4e-3)
         with pytest.raises(NumericalError,
                            match=r"^trial 11: plus branch density .* outer 5%"):
-            montecarlo._grid_displacements(0.5, 7.0,
-                                           np.array([0.0, 4.4, -1.0]), 2.0,
-                                           grid, 10)
-        clear = montecarlo._grid_displacements(0.5, 7.0, np.array([0.0, -1.0]),
-                                               2.0, grid, 10)
+            grid_displacements(0.5, 7.0, np.array([0.0, 4.4, -1.0]), 2.0,
+                               grid, 10)
+        clear = grid_displacements(0.5, 7.0, np.array([0.0, -1.0]), 2.0,
+                                   grid, 10)
         assert clear[1] == pytest.approx(-2.0, abs=1e-9)
 
     def test_ensemble_edge_hit_names_trial(self, monkeypatch):
@@ -577,12 +593,11 @@ class TestBlocks:
         monkeypatch.setattr(montecarlo, "_sample_fdiv_block",
                             lambda seed, start, stop, f_meas: forces[start:stop])
         monkeypatch.setattr(montecarlo, "sample_fdiv", lambda seed, f_meas: 0.0)
-        cfg = dimensionless_cfg(0.5, f_meas=7.0, tau=2.0)
         grid = GridSpec(half_length=20.0, n=256, dt=4e-3)
         with pytest.raises(NumericalError,
                            match=r"^trial 11: plus branch density .* outer 5%"):
-            montecarlo._chunk_counts((cfg, "grid", 0, 10, 13, None, grid))
-        assert montecarlo._chunk_counts((cfg, "grid", 0, 12, 13, None,
+            montecarlo._chunk_counts((0.5, 7.0, 2.0, "grid", 0, 10, 13, grid))
+        assert montecarlo._chunk_counts((0.5, 7.0, 2.0, "grid", 0, 12, 13,
                                          grid)) == (0, 1, 0)
 
     def test_aliasing_trial_refused(self):
@@ -592,8 +607,8 @@ class TestBlocks:
         # start instead of F tau^2 / 2 = 7.196
         with pytest.raises(ValueError, match=r"mean momentum reaches 14\.39, "
                            r".* need n of at least 256$"):
-            montecarlo._grid_displacements(0.9, 8.0, np.array([7.992]), 1.0,
-                                           GridSpec(24.0, 128, 4e-3), 0)
+            grid_displacements(0.9, 8.0, np.array([7.992]), 1.0,
+                               GridSpec(24.0, 128, 4e-3), 0)
 
 
 class TestWilsonInterval:

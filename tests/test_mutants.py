@@ -14,7 +14,7 @@ import pytest
 from gravimean import grid as gridmod
 from gravimean import montecarlo
 
-from test_cli import check_under_resolved
+from test_cli import check_no_wrap_between_samples, check_under_resolved
 from test_grid import (check_boosted_packet_energy, check_edge_hit,
                        check_ehrenfest, check_smooth_closed_form)
 from test_montecarlo import check_grid_rows_once_per_block, check_job_plan
@@ -52,6 +52,55 @@ def test_alias_column_zeroed(monkeypatch, tmp_path, capsys):
     scale_column(monkeypatch, "_k_weights", 3, 0.0)
     with pytest.raises(CHECK_FAILED):
         check_under_resolved(tmp_path, capsys, 32, 3)
+
+
+def test_moment_weights_off_by_one_cell(monkeypatch):
+    # every column read one cell over: the means move by dx
+    real = gridmod._moment_weights
+    monkeypatch.setattr(gridmod, "_moment_weights",
+                        lambda spec: np.roll(real(spec), 1, axis=0))
+    with pytest.raises(CHECK_FAILED):
+        check_smooth_closed_form()
+
+
+def test_fine_phase_offsets_shifted(monkeypatch):
+    # the fine offsets dx l of _linear_phase rolled by one point, so that
+    # the first point of every coarse cell gets the phase of the last
+    real = gridmod._phase_points
+
+    def mutant(spec):
+        points = real(spec).copy()
+        m = 1 << (spec.n.bit_length() - 1) // 2
+        points[-m:] = np.roll(points[-m:], 1)
+        return points
+
+    monkeypatch.setattr(gridmod, "_phase_points", mutant)
+    # the comb of wrong phases scatters weight to large |k|, and the edge
+    # guard ends the law's run before its closed-form assert
+    with pytest.raises(CHECK_FAILED + (gridmod.NumericalError,)):
+        check_smooth_closed_form()
+
+
+def test_midpoint_edge_guard_dropped(monkeypatch, tmp_path, capsys):
+    # _advance sees its midpoint product with the edge column zeroed; the
+    # samples keep their guard
+    real_advance, real_stats = gridmod._advance, gridmod._stats
+
+    def blind_stats(*args):
+        stats = real_stats(*args)
+        stats[..., 3] = 0.0
+        return stats
+
+    def mutant(*args):
+        gridmod._stats = blind_stats
+        try:
+            return real_advance(*args)
+        finally:
+            gridmod._stats = real_stats
+
+    monkeypatch.setattr(gridmod, "_advance", mutant)
+    with pytest.raises(CHECK_FAILED):
+        check_no_wrap_between_samples(tmp_path, capsys)
 
 
 def test_kinetic_step_off(monkeypatch):
