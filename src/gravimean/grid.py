@@ -71,12 +71,21 @@ MAX_STEPS = 10**7
 class NumericalError(RuntimeError):
     """Numerical failures: norm drift, edge leakage, aliasing, bad moments.
 
-    row is the index, within its block, of the run that failed.
+    row is the index, within its block, of the run that failed. A guard of
+    evolve_block also sets the branch ("plus" or "minus", None for the
+    weighted variance), the step (None outside a run) and t at which it
+    failed, its quantity ("norm", "variance", "edge", "drift" or
+    "aliasing"), the value and the limit that value broke: an upper bound,
+    and for the variance a lower one.
     """
 
-    def __init__(self, message: str, row: int | None = None):
+    def __init__(self, message: str, row: int | None = None, *,
+                 branch: str | None = None, step: int | None = None,
+                 t: float | None = None, quantity: str | None = None,
+                 value: float | None = None, limit: float | None = None):
         super().__init__(message)
-        self.row = row
+        self.row, self.branch, self.step, self.t = row, branch, step, t
+        self.quantity, self.value, self.limit = quantity, value, limit
 
 
 @dataclass(frozen=True)
@@ -267,24 +276,35 @@ def _first_bad(bad: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.argwhere(bad)[0])
 
 
-# What the edge guard, on an x-space product, and the aliasing guard, on a
-# k-space one, say when they fail
-_EDGE = ("density {0!r} in the outer 5% of the domain at {1}; enlarge "
-         "half_length or shorten the run")
-_ALIAS = ("has a share {0!r} of its weight in the outer 5% of |k| at {1}: "
-          "the grid aliases; raise n or shrink half_length")
+# The per-branch guards: (quantity, limit, what a failure says after the
+# branch name, with {0} for the value and {1} for the time)
+_NORM = ("norm", 1e-6, "norm deviates from 1 by {0!r}, more than 1e-6, at {1}")
+_EDGE = ("edge", 1e-8, "density {0!r} in the outer 5% of the domain at {1}; "
+         "enlarge half_length or shorten the run")
+_DRIFT = ("drift", 1e-8, "norm drifted by {0!r} in one step at {1}")
+_ALIAS = ("aliasing", 1e-8, "has a share {0!r} of its weight in the outer 5% "
+          "of |k| at {1}: the grid aliases; raise n or shrink half_length")
 
 
-def _check(values: np.ndarray, limit: float, what: str, step_no: int | None,
+def _check(values: np.ndarray, guard: tuple, step_no: int | None,
            t: float) -> None:
     """Raise NumericalError for the first row and branch of values, shape
-    (B, 2), that is not <= limit (NaN never is). what describes the failure
-    after the branch name, with {0} for the value and {1} for the time."""
+    (B, 2), that is not <= the guard's limit (NaN never is)."""
+    quantity, limit, what = guard
     # the max is NaN when any value is, so one comparison covers every value
     if not values.max() <= limit:
         row, branch = _first_bad(~(values <= limit))
-        raise NumericalError(f"{_BRANCH[branch]} branch " + what.format(
-            float(values[row, branch]), _when(step_no, t)), row)
+        value = float(values[row, branch])
+        raise NumericalError(
+            f"{_BRANCH[branch]} branch " + what.format(value, _when(step_no, t)),
+            row, branch=_BRANCH[branch], step=step_no, t=t, quantity=quantity,
+            value=value, limit=limit)
+
+
+def _aliasing(kstats: np.ndarray, step_no: int, t: float) -> None:
+    """The aliasing guard on the k-space product kstats of step_no: the
+    share of each branch's weight in the outer 5% of |k|."""
+    _check(kstats[..., 3] / kstats[..., 0], _ALIAS, step_no, t)
 
 
 def _weighted(stats: np.ndarray, p: float, step_no: int | None,
@@ -296,17 +316,18 @@ def _weighted(stats: np.ndarray, p: float, step_no: int | None,
     weighted variance below -1e-12.
     """
     norm = stats[..., 0]
-    _check(np.abs(norm - 1.0), 1e-6,
-           "norm deviates from 1 by {0!r}, more than 1e-6, at {1}", step_no, t)
+    _check(np.abs(norm - 1.0), _NORM, step_no, t)
     per_branch = stats[..., 1:3] / norm[..., None]
     weighted = np.array([p, 1.0 - p]) @ per_branch
     xbar, x2bar = weighted[:, 0], weighted[:, 1]
     bad = ~(x2bar >= xbar * xbar - 1e-12)
     if bad.any():
         (row,) = _first_bad(bad)
+        xb, x2 = float(xbar[row]), float(x2bar[row])
         raise NumericalError(
-            f"negative variance at {_when(step_no, t)}: x2bar {float(x2bar[row])!r} "
-            f"< xbar^2 {float(xbar[row]) ** 2!r}", row)
+            f"negative variance at {_when(step_no, t)}: x2bar {x2!r} "
+            f"< xbar^2 {xb ** 2!r}", row, step=step_no, t=t,
+            quantity="variance", value=x2 - xb * xb, limit=-1e-12)
     return xbar, x2bar, per_branch[..., 0]
 
 
@@ -354,7 +375,7 @@ def _advance(phi: np.ndarray, p: float, f_div: np.ndarray,
     psi = np.fft.ifft(phi, out=work.psi)
     stats = _stats(psi, grid, work.density)
     xbar, x2bar, _ = _weighted(stats, p, step_no, t)
-    _check(stats[..., 3], 1e-8, _EDGE, step_no, t)
+    _check(stats[..., 3], _EDGE, step_no, t)
     psi *= potential
     psi *= _linear_phase(grid.dt * (xbar + f_div), grid, work.phase)[:, None, :]
     np.fft.fft(psi, out=phi)
@@ -479,13 +500,13 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
         # kstats is this sample's k-space product, already guarded: the half
         # kinetic factor between them has unit modulus
         xbar, x2bar, means = _weighted(stats, p, step_no, t)
-        _check(stats[..., 3], 1e-8, _EDGE, step_no, t)
+        _check(stats[..., 3], _EDGE, step_no, t)
         row = -(-step_no // sample_every)
         times[row] = t
         table[:, row] = (xbar, x2bar, *means.T, *stats[..., 0].T, _energy(
             kstats[..., 2], stats, xbar, x2bar, p, f_meas, f_div))
 
-    _check(kstats[..., 3] / kstats[..., 0], 1e-8, _ALIAS, 0, 0.0)
+    _aliasing(kstats, 0, 0.0)
     sample(stats, kstats, 0, 0.0)
     # The block stays in k-space between steps: the second half kinetic step
     # of one step and the first of the next are one multiplication.
@@ -498,9 +519,8 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
         x2bar = _advance(phi, p, f_div, potential, grid, i, t, work)
         phase -= 0.5 * x2bar * dt
         before, kstats = kstats, _kstats(phi, grid, work.density)
-        _check(np.abs(kstats[..., 0] - before[..., 0]), 1e-8, "norm drifted "
-               "by {0!r} in one step at {1}", i, t)
-        _check(kstats[..., 3] / kstats[..., 0], 1e-8, _ALIAS, i, t)
+        _check(np.abs(kstats[..., 0] - before[..., 0]), _DRIFT, i, t)
+        _aliasing(kstats, i, t)
         if final or i % sample_every == 0:
             psi = np.multiply(phi, kin, out=work.psi)
             np.fft.ifft(psi, out=psi)

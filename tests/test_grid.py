@@ -22,6 +22,7 @@ from gravimean.analytic import (common_center_initial_condition,
                                 equilibrium_splitting,
                                 smooth_initial_condition, trajectory)
 from gravimean import grid as gridmod
+from oracles import reference_block
 from gravimean.grid import (GridSpec, GridState, NumericalError, energy,
                             evolve, init_gaussian, moments, step)
 
@@ -250,6 +251,27 @@ def check_edge_hit():
         evolve(state, 4.0, 0.0, np.pi, EDGE_HIT, sample_every=10)
 
 
+def check_aliasing_mid_run():
+    # dx = 0.5 resolves |k| up to 2 pi; under a unit force the packet's
+    # momentum spread reaches the outer 5% of |k| long before the packet
+    # reaches the outer 5% of the box. The guard reads every step, so the
+    # run fails at the same step between samples whether it samples every
+    # 100 steps or only at its ends.
+    spec = GridSpec(half_length=16.0, n=64, dt=1e-3)
+    steps = set()
+    for sample_every in (100, 10**6):
+        with pytest.raises(NumericalError,
+                           match=r"^plus branch has a share .* in the "
+                                 r"outer 5% of \|k\| at step (\d+), t=.*: "
+                                 r"the grid aliases; raise n or shrink "
+                                 r"half_length") as failure:
+            evolve(two_branch(spec, 0.0, 0.0, 1.0), 0.0, 1.0, 3.0, spec,
+                   sample_every=sample_every)
+        steps.add(int(re.search(r"step (\d+),", str(failure.value)).group(1)))
+    assert len(steps) == 1, steps
+    assert steps.pop() % 100 != 0
+
+
 class TestFailureModes:
     def test_preflight_box_too_small(self):
         state = two_branch(SPEC, 0.0, 0.0, 1.0)
@@ -257,25 +279,7 @@ class TestFailureModes:
             evolve(state, 0.0, 1.0, 10.0, SPEC, sample_every=10)
 
     def test_aliasing_mid_run(self):
-        # dx = 0.5 resolves |k| up to 2 pi; under a unit force the packet's
-        # momentum spread reaches the outer 5% of |k| long before the
-        # packet reaches the outer 5% of the box. The guard reads every
-        # step, so the run fails at the same step between samples whether
-        # it samples every 100 steps or only at its ends.
-        spec = GridSpec(half_length=16.0, n=64, dt=1e-3)
-        steps = set()
-        for sample_every in (100, 10**6):
-            with pytest.raises(NumericalError,
-                               match=r"^plus branch has a share .* in the "
-                                     r"outer 5% of \|k\| at step (\d+), t=.*: "
-                                     r"the grid aliases; raise n or shrink "
-                                     r"half_length") as failure:
-                evolve(two_branch(spec, 0.0, 0.0, 1.0), 0.0, 1.0, 3.0, spec,
-                       sample_every=sample_every)
-            steps.add(int(re.search(r"step (\d+),",
-                                    str(failure.value)).group(1)))
-        assert len(steps) == 1, steps
-        assert steps.pop() % 100 != 0
+        check_aliasing_mid_run()
 
     def test_edge_hit_mid_run(self):
         check_edge_hit()
@@ -417,21 +421,139 @@ class TestNegativeVariance:
             evolve(state, 1.0, 0.3, 0.1, SPEC, sample_every=10)
 
 
+def check_drift_checked_between_samples(monkeypatch, factor):
+    # a phase factor of modulus 1 - 1e-7 loses about 2e-7 of norm in one
+    # step: the drift check must catch it at step 1, which is no sample
+    real = getattr(gridmod, factor)
+    monkeypatch.setattr(gridmod, factor,
+                        lambda *args: real(*args) * (1.0 - 1e-7))
+    state = smooth_grid_state(SPEC, 0.3, 1.0)
+    with pytest.raises(NumericalError,
+                       match=r"norm drifted by .* at step 1, t=0\.001"):
+        gridmod.evolve_block(gridmod._rows(state), 0.3, 1.0, np.array([0.3]),
+                             0.1, SPEC, sample_every=10)
+
+
+def failure_of_block(monkeypatch, name, call, block=None, product=None):
+    """The NumericalError of a three-row smooth block whose call number
+    call of grid.<name> (_stats or _kstats; call 1 takes the product of
+    the initial block) is corrupted: block changes the array before the
+    product is taken, product changes the product."""
+    real = getattr(gridmod, name)
+    calls = []
+
+    def fake(array, *rest):
+        calls.append(None)
+        hit = len(calls) == call
+        if hit and block is not None:
+            block(array)
+        result = real(array, *rest)
+        if hit and product is not None:
+            product(result)
+        return result
+
+    monkeypatch.setattr(gridmod, name, fake)
+    state = smooth_grid_state(SPEC, 0.3, 1.0)
+    with pytest.raises(NumericalError) as failure:
+        gridmod.evolve_block(np.repeat(gridmod._rows(state), 3, axis=0), 0.3,
+                             1.0, np.array([-0.2, 0.0, 0.3]), 0.1, SPEC,
+                             sample_every=10)
+    return failure.value
+
+
+def fields(error):
+    return (error.row, error.branch, error.step, error.t, error.quantity,
+            error.limit)
+
+
+class TestGuardOrder:
+    """The guards of a step run guard by guard, then row by row, then
+    branch by branch: at the midpoint the norm, the weighted variance and
+    the edge, at the step end the drift and the aliasing. Each failure
+    names its row, branch, step, t, quantity, value and limit. Call 2 of
+    _stats is the midpoint of step 1 and call 3 that of step 2; call 2 of
+    _kstats ends step 1 and call 3 step 2."""
+
+    def test_norm_of_a_later_row_before_edge(self, monkeypatch):
+        def product(stats):
+            stats[1, 0, 0] = 1.1
+            stats[0, :, 3] = 1.0
+
+        error = failure_of_block(monkeypatch, "_stats", 2, product=product)
+        assert str(error).startswith("plus branch norm deviates from 1 by "
+                                     "0.10000000000000009, more than 1e-6, "
+                                     "at step 1, t=0.001")
+        assert fields(error) == (1, "plus", 1, 0.001, "norm", 1e-6)
+        assert error.value == abs(1.1 - 1.0)
+
+    def test_drift_of_a_row_before_aliasing_of_a_later_one(self,
+                                                           monkeypatch):
+        def product(kstats):
+            kstats[0, 0, 0] += 1e-6
+            kstats[1, 0, 3] = 0.5 * kstats[1, 0, 0]
+
+        error = failure_of_block(monkeypatch, "_kstats", 2, product=product)
+        assert re.fullmatch(r"plus branch norm drifted by 1\.0000\d+e-06 in "
+                            r"one step at step 1, t=0\.001", str(error))
+        assert fields(error) == (0, "plus", 1, 0.001, "drift", 1e-8)
+        assert 0.99e-6 < error.value < 1.01e-6
+
+    def test_nan_row(self, monkeypatch):
+        def block(psi):
+            psi[1] = np.nan
+
+        error = failure_of_block(monkeypatch, "_stats", 2, block=block)
+        assert str(error) == ("plus branch norm deviates from 1 by nan, more "
+                              "than 1e-6, at step 1, t=0.001")
+        assert fields(error) == (1, "plus", 1, 0.001, "norm", 1e-6)
+        assert math.isnan(error.value)
+
+    def test_zero_row(self, monkeypatch):
+        def block(psi):
+            psi[2] = 0.0
+
+        error = failure_of_block(monkeypatch, "_stats", 3, block=block)
+        assert fields(error) == (2, "plus", 2, 0.002, "norm", 1e-6)
+        assert error.value == 1.0
+
+    def test_variance_fields(self, monkeypatch):
+        def product(stats):
+            stats[1, :, 2] = -stats[1, :, 0]
+
+        error = failure_of_block(monkeypatch, "_stats", 3, product=product)
+        assert str(error).startswith("negative variance at step 2, t=0.002: "
+                                     "x2bar -1.0 < xbar^2 ")
+        assert fields(error) == (1, None, 2, 0.002, "variance", -1e-12)
+        assert error.value < -1.0
+
+    def test_edge_fields(self, monkeypatch):
+        def product(stats):
+            stats[2, 1, 3] = 2e-8
+
+        error = failure_of_block(monkeypatch, "_stats", 3, product=product)
+        assert str(error).startswith("minus branch density 2e-08 in the outer "
+                                     "5% of the domain at step 2, t=0.002")
+        assert fields(error) == (2, "minus", 2, 0.002, "edge", 1e-8)
+        assert error.value == 2e-8
+
+    def test_aliasing_fields(self, monkeypatch):
+        def product(kstats):
+            kstats[1, 1, 3] = 0.25 * kstats[1, 1, 0]
+
+        error = failure_of_block(monkeypatch, "_kstats", 3, product=product)
+        assert str(error).startswith("minus branch has a share 0.25 of its "
+                                     "weight in the outer 5% of |k| at step "
+                                     "2, t=0.002")
+        assert fields(error) == (1, "minus", 2, 0.002, "aliasing", 1e-8)
+        assert error.value == 0.25
+
+
 class TestKSpaceStepping:
     """evolve_block carries the block in k-space between steps."""
 
     @pytest.mark.parametrize("factor", ["_potential", "_kinetic_half"])
     def test_drift_checked_between_samples(self, monkeypatch, factor):
-        # a phase factor of modulus 1 - 1e-7 loses about 2e-7 of norm in one
-        # step: the drift check must catch it at step 1, which is no sample
-        real = getattr(gridmod, factor)
-        monkeypatch.setattr(gridmod, factor,
-                            lambda *args: real(*args) * (1.0 - 1e-7))
-        state = smooth_grid_state(SPEC, 0.3, 1.0)
-        with pytest.raises(NumericalError,
-                           match=r"norm drifted by .* at step 1, t=0\.001"):
-            gridmod.evolve_block(gridmod._rows(state), 0.3, 1.0,
-                                 np.array([0.3]), 0.1, SPEC, sample_every=10)
+        check_drift_checked_between_samples(monkeypatch, factor)
 
     def test_one_fft_pair_per_step(self, monkeypatch):
         calls = []
@@ -464,6 +586,21 @@ class TestKSpaceStepping:
             # every row of the sample table was written
             for name, column in vars(traj).items():
                 assert np.all(np.isfinite(column)), name
+
+    @pytest.mark.parametrize("f_div", [[0.3], [-0.2, 0.0, 0.3]])
+    @pytest.mark.parametrize("sample_every", [1, 10, gridmod.MAX_STEPS])
+    @pytest.mark.parametrize("n_steps", [40, 40.5])
+    def test_matches_reference_block(self, f_div, sample_every, n_steps):
+        # bit for bit; 40.5 dt is not a whole number of steps
+        state = two_branch(SPEC, 0.4, -0.3, 0.3, v_plus=0.2, v_minus=-0.1)
+        args = (np.repeat(gridmod._rows(state), len(f_div), axis=0), 0.3, 1.0,
+                np.array(f_div), n_steps * SPEC.dt, SPEC, sample_every)
+        traj, psi, phase = gridmod.evolve_block(*args)
+        ref, ref_psi, ref_phase = reference_block(*args)
+        for name, column in vars(traj).items():
+            assert np.array_equal(column, getattr(ref, name)), name
+        assert np.array_equal(psi, ref_psi)
+        assert np.array_equal(phase, ref_phase)
 
     def test_one_density_product_per_space(self, monkeypatch):
         # x products: the initial state, every midpoint and every sample

@@ -15,7 +15,8 @@ from gravimean import grid as gridmod
 from gravimean import montecarlo
 
 from test_cli import check_no_wrap_between_samples, check_under_resolved
-from test_grid import (check_boosted_packet_energy, check_edge_hit,
+from test_grid import (check_aliasing_mid_run, check_boosted_packet_energy,
+                       check_drift_checked_between_samples, check_edge_hit,
                        check_ehrenfest, check_smooth_closed_form)
 from test_montecarlo import check_grid_rows_once_per_block, check_job_plan
 
@@ -101,6 +102,36 @@ def test_midpoint_edge_guard_dropped(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(gridmod, "_advance", mutant)
     with pytest.raises(CHECK_FAILED):
         check_no_wrap_between_samples(tmp_path, capsys)
+
+
+def test_aliasing_guard_at_samples_only(monkeypatch):
+    # the step-end aliasing guard holds its product until the step turns
+    # out to be a sample, whose energy reads that product; every other
+    # step goes unchecked
+    real_aliasing, real_energy = gridmod._aliasing, gridmod._energy
+    pending = []
+
+    def held(*args):
+        pending[:] = [args]
+
+    def energy_after_guard(*args):
+        if pending:
+            real_aliasing(*pending.pop())
+        return real_energy(*args)
+
+    monkeypatch.setattr(gridmod, "_aliasing", held)
+    monkeypatch.setattr(gridmod, "_energy", energy_after_guard)
+    with pytest.raises(CHECK_FAILED):
+        check_aliasing_mid_run()
+
+
+@pytest.mark.parametrize("factor", ["_potential", "_kinetic_half"])
+def test_drift_guard_dropped(monkeypatch, factor):
+    real = gridmod._check
+    monkeypatch.setattr(gridmod, "_check", lambda values, guard, *rest: (
+        None if guard is gridmod._DRIFT else real(values, guard, *rest)))
+    with pytest.raises(CHECK_FAILED):
+        check_drift_checked_between_samples(monkeypatch, factor)
 
 
 def test_kinetic_step_off(monkeypatch):
