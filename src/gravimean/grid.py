@@ -35,7 +35,13 @@ pre-flight its mean momentum. The per-row linear phase
 exp(i dt (xbar + f_div) x) is the outer product of two tables of about
 sqrt(n) exponentials each. The x-space block, its density, the phase and the
 table of samples, one row per sample, are allocated once per call, so no
-step allocates an array the size of the block. A run takes equal steps of
+step allocates an array the size of the block. The weight tables, the
+potential, the branch weights [p, 1 - p] and the two transforms are bound
+once per call too, so no step looks up a table. A step reads each product
+once as Python floats, and its guards, its angles dt (xbar + f_div) and its
+x2bar phase are float arithmetic on them, which rounds as the same numpy
+arithmetic on (B, 2) arrays would; the weighted moments stay one numpy
+product. A run takes equal steps of
 at most dt that end at exactly t_max (step_plan). No operation mixes rows,
 so a run evolves the same in a block of any size. The core starts at t = 0
 with no phase; evolve, the block of one, carries a state's time and global
@@ -47,6 +53,10 @@ stay away from the edges and the spectrum away from the largest |k|: a
 density guard in x and an aliasing guard in k, read at every step and not
 only at samples, abort the run otherwise, and before the first step a
 pre-flight refuses a run whose closed-form mean motion would carry it there.
+A step reads its guards in one order, guard by guard, then row by row, then
+branch by branch: the norm, the weighted variance and the edge on the
+midpoint x product, then the norm drift and the aliasing share on the
+step-end k product.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -222,20 +232,6 @@ def _rows(state: GridState) -> np.ndarray:
     return np.stack([state.psi_plus, state.psi_minus], dtype=complex)[None]
 
 
-class _Work(NamedTuple):
-    """Arrays that one evolve_block call allocates once and every step
-    reuses, so that no step allocates an array the size of the block."""
-
-    psi: np.ndarray      # the x-space block, (B, 2, n) complex
-    density: np.ndarray  # re^2 and im^2 planes of psi, (2, B, 2, n)
-    phase: np.ndarray    # the linear phase of every row, (B, n) complex
-
-
-def _work(shape: tuple) -> _Work:
-    return _Work(np.empty(shape, dtype=complex), np.empty((2,) + shape),
-                 np.empty((shape[0], shape[-1]), dtype=complex))
-
-
 def _density(psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """re^2 + im^2 of every point of psi, computed in the planes of out,
     shape (2,) + psi.shape, which are allocated when not given."""
@@ -246,11 +242,11 @@ def _density(psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.add(out[0], out[1], out=out[0])
 
 
-def _stats(psi: np.ndarray, grid: GridSpec,
+def _stats(psi: np.ndarray, weights: np.ndarray,
            scratch: np.ndarray | None = None) -> np.ndarray:
     """Norm, first and second moment (not divided by the norm) and edge
-    weight of every row and branch of psi (B, 2, n):
-    |psi|^2 @ _moment_weights, shape (B, 2, 4). scratch is the density
+    weight of every row and branch of psi (B, 2, n): |psi|^2 @ weights, the
+    _moment_weights of psi's grid, shape (B, 2, 4). scratch is the density
     buffer of _density.
 
     The product stays stacked, one (2, n) @ (n, 4) per row: a single
@@ -258,22 +254,19 @@ def _stats(psi: np.ndarray, grid: GridSpec,
     the block, and then a run would not evolve bit for bit the same in
     blocks of different sizes.
     """
-    return _density(psi, scratch) @ _moment_weights(grid)
+    return _density(psi, scratch) @ weights
 
 
-def _kstats(phi: np.ndarray, grid: GridSpec,
+def _kstats(phi: np.ndarray, weights: np.ndarray,
             scratch: np.ndarray | None = None) -> np.ndarray:
-    """The k-space counterpart of _stats: |phi|^2 @ _k_weights for every row
-    and branch of a k-space block phi (B, 2, n), shape (B, 2, 4)."""
-    return _density(phi, scratch) @ _k_weights(grid)
+    """The k-space counterpart of _stats: |phi|^2 @ weights, the _k_weights
+    of phi's grid, for every row and branch of a k-space block phi
+    (B, 2, n), shape (B, 2, 4)."""
+    return _density(phi, scratch) @ weights
 
 
 def _when(step_no: int | None, t: float) -> str:
     return f"t={t!r}" if step_no is None else f"step {step_no}, t={t!r}"
-
-
-def _first_bad(bad: np.ndarray) -> tuple:
-    return tuple(int(i) for i in np.argwhere(bad)[0])
 
 
 # The per-branch guards: (quantity, limit, what a failure says after the
@@ -286,49 +279,55 @@ _ALIAS = ("aliasing", 1e-8, "has a share {0!r} of its weight in the outer 5% "
           "of |k| at {1}: the grid aliases; raise n or shrink half_length")
 
 
-def _check(values: np.ndarray, guard: tuple, step_no: int | None,
-           t: float) -> None:
-    """Raise NumericalError for the first row and branch of values, shape
-    (B, 2), that is not <= the guard's limit (NaN never is)."""
-    quantity, limit, what = guard
-    # the max is NaN when any value is, so one comparison covers every value
-    if not values.max() <= limit:
-        row, branch = _first_bad(~(values <= limit))
-        value = float(values[row, branch])
-        raise NumericalError(
-            f"{_BRANCH[branch]} branch " + what.format(value, _when(step_no, t)),
-            row, branch=_BRANCH[branch], step=step_no, t=t, quantity=quantity,
-            value=value, limit=limit)
+def _check(values: list, guard: tuple, step_no: int | None, t: float) -> None:
+    """Raise NumericalError for the first of values, the guard's quantity
+    for the plus and then the minus branch of each row in turn (2B floats),
+    that is not <= the guard's limit (NaN never is)."""
+    limit = guard[1]
+    for i, value in enumerate(values):
+        if not value <= limit:
+            row, branch = divmod(i, 2)
+            quantity, _, what = guard
+            raise NumericalError(
+                f"{_BRANCH[branch]} branch "
+                + what.format(value, _when(step_no, t)), row,
+                branch=_BRANCH[branch], step=step_no, t=t, quantity=quantity,
+                value=value, limit=limit)
 
 
-def _aliasing(kstats: np.ndarray, step_no: int, t: float) -> None:
-    """The aliasing guard on the k-space product kstats of step_no: the
-    share of each branch's weight in the outer 5% of |k|."""
-    _check(kstats[..., 3] / kstats[..., 0], _ALIAS, step_no, t)
+def _aliasing(kstats: list, step_no: int, t: float) -> None:
+    """The aliasing guard on the k-space product of step_no, read as one
+    [norm, k, k^2/2, alias] list per row and branch: the share of each
+    branch's weight in the outer 5% of |k|."""
+    _check([alias / norm for norm, _, _, alias in kstats], _ALIAS, step_no, t)
 
 
-def _weighted(stats: np.ndarray, p: float, step_no: int | None,
-              t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """xbar (B,), x2bar (B,) and the branch means (B, 2) from the stats.
+def _weighted(stats: np.ndarray, weights: np.ndarray, step_no: int | None,
+              t: float) -> tuple[np.ndarray, list]:
+    """Check the x-space product stats, (B, 2, 4), of step_no at t, and
+    return the branch moments stats[..., 1:3] / norm, shape (B, 2, 2), and
+    the weighted moments [xbar, x2bar] of each row, weights being
+    [p, 1 - p].
 
-    Branch norms must hold to 1e-6; a larger deviation means the run has
-    already gone numerically bad and is reported as such, and so is a
-    weighted variance below -1e-12.
+    In this order, each over every row before the next: the branch norms
+    must hold to 1e-6 (a larger deviation means the run has already gone
+    numerically bad), the weighted variance must be >= -1e-12, and at most
+    1e-8 of a branch's density may sit in the outer 5% of the box (the edge
+    guard). The guards read the product as floats; the weighted moments
+    stay one numpy product, so that they round as before.
     """
-    norm = stats[..., 0]
-    _check(np.abs(norm - 1.0), _NORM, step_no, t)
-    per_branch = stats[..., 1:3] / norm[..., None]
-    weighted = np.array([p, 1.0 - p]) @ per_branch
-    xbar, x2bar = weighted[:, 0], weighted[:, 1]
-    bad = ~(x2bar >= xbar * xbar - 1e-12)
-    if bad.any():
-        (row,) = _first_bad(bad)
-        xb, x2 = float(xbar[row]), float(x2bar[row])
-        raise NumericalError(
-            f"negative variance at {_when(step_no, t)}: x2bar {x2!r} "
-            f"< xbar^2 {xb ** 2!r}", row, step=step_no, t=t,
-            quantity="variance", value=x2 - xb * xb, limit=-1e-12)
-    return xbar, x2bar, per_branch[..., 0]
+    flat = stats.reshape(-1, 4).tolist()
+    _check([abs(norm - 1.0) for norm, _, _, _ in flat], _NORM, step_no, t)
+    per_branch = stats[..., 1:3] / stats[..., :1]
+    moments = (weights @ per_branch).tolist()
+    for row, (xbar, x2bar) in enumerate(moments):
+        if not x2bar >= xbar * xbar - 1e-12:
+            raise NumericalError(
+                f"negative variance at {_when(step_no, t)}: x2bar {x2bar!r} "
+                f"< xbar^2 {xbar ** 2!r}", row, step=step_no, t=t,
+                quantity="variance", value=x2bar - xbar * xbar, limit=-1e-12)
+    _check([edge for _, _, _, edge in flat], _EDGE, step_no, t)
+    return per_branch, moments
 
 
 def _potential(f_meas: float, grid: GridSpec) -> np.ndarray:
@@ -347,43 +346,76 @@ def _phase_points(spec: GridSpec) -> np.ndarray:
                                         spec.dx * np.arange(m)]))
 
 
-def _linear_phase(theta: np.ndarray, grid: GridSpec,
-                  out: np.ndarray) -> np.ndarray:
-    """exp(i theta_b x_j) for every row b, into out of shape (B, n).
+def _linear_phase(grid: GridSpec, rows: int) -> Callable:
+    """A function that takes one angle theta_b per row, rows floats, and
+    returns exp(i theta_b x_j) for every row b, shape (rows, 1, n), in a
+    buffer that each call overwrites.
 
     With j = m h + l and m = 2^floor(log2(n)/2) it is the outer product of
     exp(i theta_b x_{mh}), shape (B, n/m), and exp(i theta_b dx l), shape
     (B, m), both taken by one exponential over _phase_points: n/m + m
     complex exponentials per row instead of n. Each row is computed on its
-    own, so a run gets the same phase in any block.
+    own, so a run gets the same phase in any block. The points, m and every
+    buffer and view are bound here once.
     """
     n = grid.n
     m = 1 << (n.bit_length() - 1) // 2
-    both = np.exp(theta[:, None] * _phase_points(grid))
-    coarse, fine = both[:, :n // m], both[:, n // m:]
-    np.multiply(coarse[:, :, None], fine[:, None, :],
-                out=out.reshape(len(theta), n // m, m))
-    return out
+    points = _phase_points(grid)
+    # complex, as the product with points would cast theta anyway
+    theta = np.empty((rows, 1), dtype=complex)
+    both = np.empty((rows, n // m + m), dtype=complex)
+    coarse, fine = both[:, :n // m, None], both[:, None, n // m:]
+    out = np.empty((rows, 1, n), dtype=complex)
+    outer = out.reshape(rows, n // m, m)
+
+    def phase(angles: list) -> np.ndarray:
+        for row, angle in enumerate(angles):
+            theta[row, 0] = angle
+        np.multiply(theta, points, out=both)
+        np.exp(both, out=both)
+        np.multiply(coarse, fine, out=outer)
+        return out
+
+    return phase
 
 
-def _advance(phi: np.ndarray, p: float, f_div: np.ndarray,
-             potential: np.ndarray, grid: GridSpec, step_no: int | None,
-             t: float, work: _Work) -> np.ndarray:
+class _Work(NamedTuple):
+    """What one evolve_block call binds once and every step reads: the
+    x-space block and its density planes, so that no step allocates an
+    array the size of the block, and the run's tables, constants and
+    transforms, so that no step looks one up again."""
+
+    psi: np.ndarray         # the x-space block, (B, 2, n) complex
+    density: np.ndarray     # re^2 and im^2 planes of psi, (2, B, 2, n)
+    x_weights: np.ndarray   # _moment_weights
+    k_weights: np.ndarray   # _k_weights
+    weights: np.ndarray     # the branch weights [p, 1 - p]
+    potential: np.ndarray   # _potential, (2, n)
+    linear_phase: Callable  # _linear_phase of the block
+    f_div: list             # each row's f_div
+    dt: float
+    fft: Callable
+    ifft: Callable
+
+
+def _advance(phi: np.ndarray, step_no: int, t: float, work: _Work) -> list:
     """The middle of one Strang step of every row, in place: phi, the
     k-space block after the first half kinetic step, becomes the block
-    before the second one. Returns the midpoint x2bar of each row."""
-    psi = np.fft.ifft(phi, out=work.psi)
-    stats = _stats(psi, grid, work.density)
-    xbar, x2bar, _ = _weighted(stats, p, step_no, t)
-    _check(stats[..., 3], _EDGE, step_no, t)
-    psi *= potential
-    psi *= _linear_phase(grid.dt * (xbar + f_div), grid, work.phase)[:, None, :]
-    np.fft.fft(psi, out=phi)
-    return x2bar
+    before the second one. Returns the midpoint [xbar, x2bar] of each
+    row."""
+    psi = work.ifft(phi, out=work.psi)
+    _, moments = _weighted(_stats(psi, work.x_weights, work.density),
+                           work.weights, step_no, t)
+    psi *= work.potential
+    dt = work.dt
+    psi *= work.linear_phase([dt * (xbar + f_div) for (xbar, _), f_div
+                              in zip(moments, work.f_div)])
+    work.fft(psi, out=phi)
+    return moments
 
 
 def _energy(kinetic: np.ndarray, stats: np.ndarray, xbar: np.ndarray,
-            x2bar: np.ndarray, p: float, f_meas: float,
+            x2bar: np.ndarray, weights: np.ndarray, f_meas: float,
             f_div: np.ndarray) -> np.ndarray:
     """Conserved energy functional of every row: the weighted kinetic and
     external-force terms per branch plus the pairwise interaction energy,
@@ -391,7 +423,7 @@ def _energy(kinetic: np.ndarray, stats: np.ndarray, xbar: np.ndarray,
     (x2bar - xbar^2) / 2. The constant-phase part of the potential does not
     enter."""
     force = (-_SIGN[:, 0] * f_meas - f_div[:, None]) * stats[..., 1]
-    return 0.5 * (x2bar - xbar**2) + (kinetic + force) @ np.array([p, 1.0 - p])
+    return 0.5 * (x2bar - xbar**2) + (kinetic + force) @ weights
 
 
 def _preflight(stats: np.ndarray, kstats: np.ndarray, p: float,
@@ -468,8 +500,9 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     a run of more than MAX_STEPS steps. Samples land on step 0, every
     sample_every-th step and the last step. Every run's box and mean
     momentum are checked before the first step (_preflight), and its norms,
-    moments, edge and aliasing at every step and sample, each read off a
-    column of _stats or _kstats. Returns the sampled trajectory (columns of
+    moments and edge at every midpoint and sample (_weighted), and its norm
+    drift and aliasing at the end of every step, each read off a column of
+    _stats or _kstats. Returns the sampled trajectory (columns of
     shape (samples, B)), the final block and each row's phase of the x2bar/2
     term.
     """
@@ -479,16 +512,20 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
     n_steps, dt = step_plan(t_max, grid.dt)
     grid = replace(grid, dt=dt)
-    work = _work(psi.shape)
-    stats = _stats(psi, grid, work.density)
+    fft, ifft = np.fft.fft, np.fft.ifft
+    weights = np.array([p, 1.0 - p])
+    work = _Work(np.empty(psi.shape, dtype=complex),
+                 np.empty((2,) + psi.shape), _moment_weights(grid),
+                 _k_weights(grid), weights, _potential(f_meas, grid),
+                 _linear_phase(grid, len(psi)), f_div.tolist(), dt, fft, ifft)
+    stats = _stats(psi, work.x_weights, work.density)
     # the one transform to k-space: the pre-flights, sample 0 and the first
     # step all read it
-    phi = np.fft.fft(psi)
-    kstats = _kstats(phi, grid, work.density)
+    phi = fft(psi)
+    kstats = _kstats(phi, work.k_weights, work.density)
     _preflight(stats, kstats, p, f_meas, f_div, t_max, grid)
 
-    potential = _potential(f_meas, grid)
-    phase = np.zeros(len(psi))
+    phase = [0.0] * len(psi)
     # the sample table: row r holds step r * sample_every, the last row the
     # last step; 1 + ceil(n_steps / sample_every) rows, NaN until written
     rows = 1 + -(-n_steps // sample_every)
@@ -499,14 +536,17 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
                t: float) -> None:
         # kstats is this sample's k-space product, already guarded: the half
         # kinetic factor between them has unit modulus
-        xbar, x2bar, means = _weighted(stats, p, step_no, t)
-        _check(stats[..., 3], _EDGE, step_no, t)
+        per_branch, moments = _weighted(stats, weights, step_no, t)
+        xbar, x2bar = np.array(moments).T
         row = -(-step_no // sample_every)
         times[row] = t
-        table[:, row] = (xbar, x2bar, *means.T, *stats[..., 0].T, _energy(
-            kstats[..., 2], stats, xbar, x2bar, p, f_meas, f_div))
+        table[:, row] = (xbar, x2bar, *per_branch[..., 0].T, *stats[..., 0].T,
+                         _energy(kstats[..., 2], stats, xbar, x2bar, weights,
+                                 f_meas, f_div))
 
-    _aliasing(kstats, 0, 0.0)
+    # every guard reads a product as one list of floats per row and branch
+    k = kstats.reshape(-1, 4).tolist()
+    _aliasing(k, 0, 0.0)
     sample(stats, kstats, 0, 0.0)
     # The block stays in k-space between steps: the second half kinetic step
     # of one step and the first of the next are one multiplication.
@@ -516,18 +556,20 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     for i in range(1, n_steps + 1):
         final = i == n_steps
         t = t_max if final else i * dt
-        x2bar = _advance(phi, p, f_div, potential, grid, i, t, work)
-        phase -= 0.5 * x2bar * dt
-        before, kstats = kstats, _kstats(phi, grid, work.density)
-        _check(np.abs(kstats[..., 0] - before[..., 0]), _DRIFT, i, t)
-        _aliasing(kstats, i, t)
+        for row, (_, x2bar) in enumerate(_advance(phi, i, t, work)):
+            phase[row] -= 0.5 * x2bar * dt
+        kstats = _kstats(phi, work.k_weights, work.density)
+        before, k = k, kstats.reshape(-1, 4).tolist()
+        _check([abs(now[0] - then[0]) for now, then in zip(k, before)],
+               _DRIFT, i, t)
+        _aliasing(k, i, t)
         if final or i % sample_every == 0:
             psi = np.multiply(phi, kin, out=work.psi)
-            np.fft.ifft(psi, out=psi)
-            sample(_stats(psi, grid, work.density), kstats, i, t)
+            ifft(psi, out=psi)
+            sample(_stats(psi, work.x_weights, work.density), kstats, i, t)
         if not final:
             phi *= kin2
-    return GridTrajectory(times, *table), psi, phase
+    return GridTrajectory(times, *table), psi, np.array(phase)
 
 
 def evolve(state0: GridState, f_meas: float, f_div: float, t_max: float,
@@ -560,9 +602,10 @@ def step(state: GridState, f_meas: float, f_div: float, grid: GridSpec,
 def moments(state: GridState, grid: GridSpec) -> tuple[float, float]:
     """Weighted moments (xbar, x2bar) of the two-branch density, checked as
     at every sample (_weighted)."""
-    xbar, x2bar, _ = _weighted(_stats(_rows(state), grid), state.p, None,
-                               state.t)
-    return float(xbar[0]), float(x2bar[0])
+    _, ((xbar, x2bar),) = _weighted(
+        _stats(_rows(state), _moment_weights(grid)),
+        np.array([state.p, 1.0 - state.p]), None, state.t)
+    return xbar, x2bar
 
 
 def energy(state: GridState, f_meas: float, f_div: float, grid: GridSpec) -> float:

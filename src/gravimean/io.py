@@ -27,7 +27,7 @@ TRAJECTORY_HEADER = "t,xbar,x2bar,x_plus,x_minus,d,norm_plus,norm_minus,energy"
 _COLUMNS = TRAJECTORY_HEADER.split(",")
 # Rows emit_trajectory formats and writes at a time, and bytes file_digest
 # reads at a time: what either holds does not grow with the output.
-EMIT_ROWS = 2**14
+EMIT_ROWS = 2**11
 DIGEST_CHUNK = 2**16
 
 _TOP_KEYS = {"mass_kg", "radius_m", "density_kgm3", "G", "p", "F_meas_N",

@@ -353,16 +353,14 @@ class TestStreamedOutput:
         assert not out.exists()
         assert not Path(str(out) + ".manifest.json").exists()
 
-    def test_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch):
-        # a smaller block keeps the traced runs short; one block's worth is
-        # a block of the nine CSV columns as float64
-        monkeypatch.setattr(iomod, "EMIT_ROWS", 2**12)
-        block_bytes = 2**12 * 8 * len(TRAJECTORY_HEADER.split(","))
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        # one block's worth is a block of the nine CSV columns as float64
+        block_bytes = iomod.EMIT_ROWS * 8 * len(TRAJECTORY_HEADER.split(","))
         peaks = []
         for blocks in (2, 8):
             tracemalloc.start()
             try:
-                code, _ = self.evolve(tmp_path, blocks * 2**12,
+                code, _ = self.evolve(tmp_path, blocks * iomod.EMIT_ROWS,
                                       name=f"traj{blocks}.csv")
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
