@@ -22,9 +22,10 @@ from gravimean.analytic import (common_center_initial_condition,
                                 equilibrium_splitting,
                                 smooth_initial_condition, trajectory)
 from gravimean import grid as gridmod
-from oracles import reference_block
 from gravimean.grid import (GridSpec, GridState, NumericalError, energy,
                             evolve, init_gaussian, moments, step)
+
+from oracles import reference_block
 
 SPEC = GridSpec(half_length=16.0, n=512, dt=1e-3)
 
