@@ -35,9 +35,9 @@ pre-flight its mean momentum. The per-row linear phase
 exp(i dt (xbar + f_div) x) is the outer product of two tables of about
 sqrt(n) exponentials each. The x-space block, its density, the phase and the
 table of samples, one row per sample, are allocated once per call, so no
-step allocates an array the size of the block. The weight tables, the
-potential, the branch weights [p, 1 - p] and the two transforms are bound
-once per call too, so no step looks up a table. A step reads each product
+step allocates an array the size of the block. Every table is built once
+per call and bound with [p, 1 - p] and the two transforms: no step builds or
+looks up a table, and no table outlives its call. A step reads each product
 once as Python floats, and its guards, its angles dt (xbar + f_div) and its
 x2bar phase are float arithmetic on them, which rounds as the same numpy
 arithmetic on (B, 2) arrays would; the weighted moments stay one numpy
@@ -52,7 +52,9 @@ The domain is periodic, which the physics never probes as long as the packets
 stay away from the edges and the spectrum away from the largest |k|: a
 density guard in x and an aliasing guard in k, read at every step and not
 only at samples, abort the run otherwise, and before the first step a
-pre-flight refuses a run whose closed-form mean motion would carry it there.
+pre-flight refuses a run whose closed-form mean motion would carry it there;
+the norm guard reads the initial x product before the pre-flight, which
+divides by the norms.
 A step reads its guards in one order, guard by guard, then row by row, then
 branch by branch: the norm, the weighted variance and the edge on the
 midpoint x product, then the norm drift and the aliasing share on the
@@ -63,7 +65,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -86,7 +87,8 @@ class NumericalError(RuntimeError):
     weighted variance), the step (None outside a run) and t at which it
     failed, its quantity ("norm", "variance", "edge", "drift" or
     "aliasing"), the value and the limit that value broke: an upper bound,
-    and for the variance a lower one.
+    and for the variance a lower one. The ensemble's map check
+    (montecarlo) sets the quantity "map", the residual and its bound.
     """
 
     def __init__(self, message: str, row: int | None = None, *,
@@ -123,52 +125,33 @@ class GridSpec:
         return 2.0 * self.half_length / self.n
 
     def x(self) -> np.ndarray:
-        return _grid_x(self)
+        return -self.half_length + self.dx * np.arange(self.n)
 
     def k(self) -> np.ndarray:
-        return _grid_k(self)
+        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-@lru_cache(maxsize=16)
-def _grid_x(spec: GridSpec) -> np.ndarray:
-    return _frozen(-spec.half_length + spec.dx * np.arange(spec.n))
-
-
-@lru_cache(maxsize=16)
-def _grid_k(spec: GridSpec) -> np.ndarray:
-    return _frozen(2.0 * np.pi * np.fft.fftfreq(spec.n, d=spec.dx))
-
-
-@lru_cache(maxsize=16)
 def _kinetic_half(spec: GridSpec) -> np.ndarray:
-    return _frozen(np.exp(-0.25j * _grid_k(spec) ** 2 * spec.dt))
+    return np.exp(-0.25j * spec.k() ** 2 * spec.dt)
 
 
-@lru_cache(maxsize=16)
 def _moment_weights(spec: GridSpec) -> np.ndarray:
     """Columns 1, x, x^2 and the mask of the outer 5% of the box, where the
     edge guard looks, times dx, shape (n, 4)."""
-    x = _grid_x(spec)
-    return _frozen(np.stack([np.ones_like(x), x, x * x,
-                             np.abs(x) >= 0.95 * spec.half_length],
-                            axis=1) * spec.dx)
+    x = spec.x()
+    return np.stack([np.ones_like(x), x, x * x,
+                     np.abs(x) >= 0.95 * spec.half_length], axis=1) * spec.dx
 
 
-@lru_cache(maxsize=16)
 def _k_weights(spec: GridSpec) -> np.ndarray:
     """Columns 1, k, k^2/2 and the mask of the outer 5% of |k|, where the
     aliasing guard looks, times dx/n, shape (n, 4): a k-space density times
     them gives the norm (Parseval), the mean momentum and the kinetic energy
     (not divided by the norm) and the weight the guard sees."""
-    k = _grid_k(spec)
-    return _frozen(np.stack([np.ones_like(k), k, 0.5 * k * k,
-                             np.abs(k) >= 0.95 * np.pi / spec.dx],
-                            axis=1) * (spec.dx / spec.n))
+    k = spec.k()
+    return np.stack([np.ones_like(k), k, 0.5 * k * k,
+                     np.abs(k) >= 0.95 * np.pi / spec.dx],
+                    axis=1) * (spec.dx / spec.n)
 
 
 @dataclass
@@ -337,13 +320,11 @@ def _potential(f_meas: float, grid: GridSpec) -> np.ndarray:
     return np.exp(-1j * grid.dt * (0.5 * x * x - _SIGN * f_meas * x))
 
 
-@lru_cache(maxsize=16)
 def _phase_points(spec: GridSpec) -> np.ndarray:
-    """1j times the coarse points x[::m] and then the fine offsets
-    dx * arange(m) of _linear_phase, shape (n/m + m,)."""
+    """1j times the coarse points x[::m] and the fine offsets dx * arange(m)
+    of _linear_phase, shape (n/m + m,), built once per call of it."""
     m = 1 << (spec.n.bit_length() - 1) // 2
-    return _frozen(1j * np.concatenate([_grid_x(spec)[::m],
-                                        spec.dx * np.arange(m)]))
+    return 1j * np.concatenate([spec.x()[::m], spec.dx * np.arange(m)])
 
 
 def _linear_phase(grid: GridSpec, rows: int) -> Callable:
@@ -498,8 +479,9 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     Every step has the one length step_plan gives, at most grid.dt, so
     that the run ends at exactly t_max; before any work, step_plan refuses
     a run of more than MAX_STEPS steps. Samples land on step 0, every
-    sample_every-th step and the last step. Every run's box and mean
-    momentum are checked before the first step (_preflight), and its norms,
+    sample_every-th step and the last step. Every run's norms at t = 0 and
+    then its box and mean momentum (_preflight) are checked before the
+    first step, and its norms,
     moments and edge at every midpoint and sample (_weighted), and its norm
     drift and aliasing at the end of every step, each read off a column of
     _stats or _kstats. Returns the sampled trajectory (columns of
@@ -519,6 +501,9 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
                  _k_weights(grid), weights, _potential(f_meas, grid),
                  _linear_phase(grid, len(psi)), f_div.tolist(), dt, fft, ifft)
     stats = _stats(psi, work.x_weights, work.density)
+    # an unnormalised block fails here, before _preflight divides by its norms
+    _check([abs(norm - 1.0) for norm in stats[..., 0].ravel().tolist()],
+           _NORM, 0, 0.0)
     # the one transform to k-space: the pre-flights, sample 0 and the first
     # step all read it
     phi = fft(psi)

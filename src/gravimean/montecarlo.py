@@ -185,7 +185,10 @@ def _evolve_trials(p: float, f_meas: float, f_div: np.ndarray, tau: float,
             np.repeat(psi[None], len(f_div), axis=0), p, f_meas, f_div, tau,
             grid_spec, sample_every=gridmod.MAX_STEPS)
     except NumericalError as exc:
-        raise NumericalError(f"trial {trials[exc.row]}: {exc}", exc.row) from exc
+        raise NumericalError(
+            f"trial {trials[exc.row]}: {exc}", exc.row, branch=exc.branch,
+            step=exc.step, t=exc.t, quantity=exc.quantity, value=exc.value,
+            limit=exc.limit) from exc
     return traj.xbar[-1] - traj.xbar[0]
 
 
@@ -217,11 +220,14 @@ def _mapped_displacements(p: float, f_meas: float, f_div: np.ndarray,
     mapped = evolved[0] + (f_div - f_ref) * half_tau2
     for row, b in ((1, lo), (2, hi)):
         reach = abs(analytic.total_force(p, f_meas, f_div[b])) * half_tau2
-        if not abs(evolved[row] - mapped[b]) <= MAP_RTOL * max(1.0, reach):
+        residual = abs(evolved[row] - mapped[b])
+        bound = MAP_RTOL * max(1.0, reach)
+        if not residual <= bound:
             raise NumericalError(
                 f"trial {trials[row]}: evolved displacement {evolved[row]!r} "
                 f"differs from its mapped value {mapped[b]!r} by more than "
-                f"{MAP_RTOL:g} x max(1, |F tau^2/2|)", row)
+                f"{MAP_RTOL:g} x max(1, |F tau^2/2|)", row, quantity="map",
+                value=residual, limit=bound)
     return mapped
 
 

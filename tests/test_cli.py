@@ -635,6 +635,28 @@ class TestRowCap:
                 in capsys.readouterr().err)
 
 
+def check_run_steps(tmp_path, capsys, monkeypatch, command):
+    """A grid evolve or compare of 1e12 steps but few rows, so that no row
+    count can see it, exits 1 before it takes a product or a step. A run
+    let through fails the check at its first product, and so at the
+    latest at its first step, instead of stepping 1e12 times."""
+    def refused(*args):
+        pytest.fail("the run went past the step limit")
+
+    monkeypatch.setattr(gridmod, "_stats", refused)
+    monkeypatch.setattr(gridmod, "_advance", refused)
+    out = tmp_path / "x.csv"
+    argv = [command, "--config", write_cfg(tmp_path), "--t-max", "1",
+            "--dt", "1e-12", "--sample-every", "1000000000",
+            "--grid-n", "256", "--grid-l", "16"]
+    if command == "evolve":
+        argv += ["--mode", "grid", "--out", str(out)]
+    assert main(argv) == 1
+    assert ("t_max / dt = 1.0 / 1e-12: the run would take 1e+12 steps, "
+            "more than 10000000" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 class TestGridCaps:
     """A grid of more than grid.MAX_N points, or a grid run of more than
     grid.MAX_STEPS steps, exits 1 before anything is allocated or
@@ -674,18 +696,7 @@ class TestGridCaps:
 
     @pytest.mark.parametrize("command", ["evolve", "compare"])
     def test_run_steps(self, tmp_path, capsys, monkeypatch, command):
-        # few rows, so no row count can see it, but 1e12 steps
-        monkeypatch.setattr(gridmod, "_stats", None)
-        out = tmp_path / "x.csv"
-        argv = [command, "--config", write_cfg(tmp_path), "--t-max", "1",
-                "--dt", "1e-12", "--sample-every", "1000000000",
-                "--grid-n", "256", "--grid-l", "16"]
-        if command == "evolve":
-            argv += ["--mode", "grid", "--out", str(out)]
-        assert main(argv) == 1
-        assert ("t_max / dt = 1.0 / 1e-12: the run would take 1e+12 steps, "
-                "more than 10000000" in capsys.readouterr().err)
-        assert not out.exists()
+        check_run_steps(tmp_path, capsys, monkeypatch, command)
 
 
 class TestCompare:

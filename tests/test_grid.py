@@ -471,7 +471,8 @@ class TestGuardOrder:
     """The guards of a step run guard by guard, then row by row, then
     branch by branch: at the midpoint the norm, the weighted variance and
     the edge, at the step end the drift and the aliasing. Each failure
-    names its row, branch, step, t, quantity, value and limit. Call 2 of
+    names its row, branch, step, t, quantity, value and limit. At t = 0
+    the norm guard runs first, before the pre-flight. Call 2 of
     _stats is the midpoint of step 1 and call 3 that of step 2; call 2 of
     _kstats ends step 1 and call 3 step 2."""
 
@@ -516,6 +517,19 @@ class TestGuardOrder:
         error = failure_of_block(monkeypatch, "_stats", 3, block=block)
         assert fields(error) == (2, "plus", 2, 0.002, "norm", 1e-6)
         assert error.value == 1.0
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    def test_unnormalised_initial_row(self, monkeypatch, fill):
+        # the norm guard reads the initial product before the pre-flight,
+        # which would divide by these norms and blame the box
+        def block(psi):
+            psi[1] = fill
+
+        error = failure_of_block(monkeypatch, "_stats", 1, block=block)
+        assert str(error).startswith("plus branch norm deviates from 1 by ")
+        assert str(error).endswith(", more than 1e-6, at step 0, t=0.0")
+        assert fields(error) == (1, "plus", 0, 0.0, "norm", 1e-6)
+        assert error.value == 1.0 if fill == 0.0 else math.isnan(error.value)
 
     def test_variance_fields(self, monkeypatch):
         def product(stats):
@@ -602,6 +616,25 @@ class TestKSpaceStepping:
             assert np.array_equal(column, getattr(ref, name)), name
         assert np.array_equal(psi, ref_psi)
         assert np.array_equal(phase, ref_phase)
+
+    @pytest.mark.parametrize("n_steps", [1, 10, 300])
+    def test_tables_built_once_per_call(self, monkeypatch, n_steps):
+        # nothing caches a table across calls, so a table built per step
+        # would cost its build at every step
+        tables = ("_moment_weights", "_k_weights", "_kinetic_half",
+                  "_phase_points", "_potential")
+        calls = []
+        for name in tables:
+            def counted(*args, _name=name, _real=getattr(gridmod, name)):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(gridmod, name, counted)
+        state = smooth_grid_state(SPEC, 0.3, 1.0)
+        gridmod.evolve_block(np.repeat(gridmod._rows(state), 3, axis=0), 0.3,
+                             1.0, np.array([-0.2, 0.0, 0.3]),
+                             n_steps * SPEC.dt, SPEC, sample_every=10)
+        assert sorted(calls) == sorted(tables)
 
     def test_one_density_product_per_space(self, monkeypatch):
         # x products: the initial state, every midpoint and every sample

@@ -555,9 +555,15 @@ class TestBlocks:
         monkeypatch.setattr(gridmod, "evolve_block", offset)
         f_div = np.array([0.2, -0.1, 0.6, 0.0, -0.3, 0.1])
         with pytest.raises(NumericalError,
-                           match=rf"^trial {trial}: evolved displacement "):
+                           match=rf"^trial {trial}: evolved displacement "
+                           ) as failure:
             montecarlo._mapped_displacements(0.6, 1.0, f_div, 0.5,
                                              SMALL_GRID, 3, 0.25)
+        # both rows travel less than 1, so the bound is MAP_RTOL itself
+        error = failure.value
+        assert (error.row, error.quantity, error.limit) == (row, "map",
+                                                            MAP_RTOL)
+        assert error.value == pytest.approx(1e-9, abs=1e-12)
 
     @settings(max_examples=10, deadline=None)
     @given(p=st.floats(0.05, 0.95), f_meas=st.floats(0.1, 2.0),
@@ -571,15 +577,24 @@ class TestBlocks:
         force = 2.0 * (p - 0.5) * f_meas + f_div
         assert np.max(np.abs(got - 0.5 * force * tau * tau)) <= 1e-12
 
+    @staticmethod
+    def assert_edge_fields(error, row):
+        # the core's fields come through the trial's re-raise unchanged
+        assert (error.row, error.branch, error.step, error.t, error.quantity,
+                error.limit) == (row, "plus", 478, 478 * 4e-3, "edge", 1e-8)
+        assert 1e-8 < error.value < 1.02e-8
+
     def test_edge_hit_names_trial(self):
         # the branches sit 7 from the mean; trial 11's force carries its mean
         # to 8.8 by t = 2, which the box admits, and its plus branch into
         # the outer 5%, while its neighbours stay clear
         grid = GridSpec(half_length=20.0, n=256, dt=4e-3)
         with pytest.raises(NumericalError,
-                           match=r"^trial 11: plus branch density .* outer 5%"):
+                           match=r"^trial 11: plus branch density .* outer 5%"
+                           ) as failure:
             grid_displacements(0.5, 7.0, np.array([0.0, 4.4, -1.0]), 2.0,
                                grid, 10)
+        self.assert_edge_fields(failure.value, 1)
         clear = grid_displacements(0.5, 7.0, np.array([0.0, -1.0]), 2.0,
                                    grid, 10)
         assert clear[1] == pytest.approx(-2.0, abs=1e-9)
@@ -595,8 +610,11 @@ class TestBlocks:
         monkeypatch.setattr(montecarlo, "sample_fdiv", lambda seed, f_meas: 0.0)
         grid = GridSpec(half_length=20.0, n=256, dt=4e-3)
         with pytest.raises(NumericalError,
-                           match=r"^trial 11: plus branch density .* outer 5%"):
+                           match=r"^trial 11: plus branch density .* outer 5%"
+                           ) as failure:
             montecarlo._chunk_counts((0.5, 7.0, 2.0, "grid", 0, 10, 13, grid))
+        # row 2 of the three evolved rows: the block's largest force
+        self.assert_edge_fields(failure.value, 2)
         assert montecarlo._chunk_counts((0.5, 7.0, 2.0, "grid", 0, 12, 13,
                                          grid)) == (0, 1, 0)
 

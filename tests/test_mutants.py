@@ -14,7 +14,8 @@ import pytest
 from gravimean import grid as gridmod
 from gravimean import montecarlo
 
-from test_cli import check_no_wrap_between_samples, check_under_resolved
+from test_cli import (check_no_wrap_between_samples, check_run_steps,
+                      check_under_resolved)
 from test_grid import (check_aliasing_mid_run, check_boosted_packet_energy,
                        check_drift_checked_between_samples, check_edge_hit,
                        check_ehrenfest, check_smooth_closed_form)
@@ -146,6 +147,18 @@ def test_force_sign_flipped(monkeypatch):
     monkeypatch.setattr(gridmod, "_SIGN", -gridmod._SIGN)
     with pytest.raises(CHECK_FAILED):
         check_smooth_closed_form()
+
+
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+def test_step_check_dropped(monkeypatch, tmp_path, capsys, command):
+    # step_plan without its MAX_STEPS refusal: ceil(t_max/dt) equal steps
+    def unbounded(t_max, dt):
+        n_steps = max(1, math.ceil(t_max / dt))
+        return n_steps, t_max / n_steps
+
+    monkeypatch.setattr(gridmod, "step_plan", unbounded)
+    with pytest.raises(CHECK_FAILED):
+        check_run_steps(tmp_path, capsys, monkeypatch, command)
 
 
 def one_chunk_per_worker(n_trials, workers, cpus):
