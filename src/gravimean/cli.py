@@ -239,20 +239,29 @@ def _run_grid(loaded: LoadedConfig, state, grid, t_max: float):
     return traj
 
 
-def cmd_evolve(args, argv=None) -> int:
-    loaded = load_config(args.config)
+def _emit_evolve(loaded: LoadedConfig, args) -> tuple[GridSpec, int] | None:
+    """Run one evolution and write its CSV; returns the (grid, sample_every)
+    the run used, None for the closed form. The trajectory table, and with
+    it the analytic time column, is freed on return, before the manifest's
+    digest loads OpenSSL."""
     state = _initial_state(loaded, args)
     if (args.mode or loaded.engine or "analytic") == "analytic":
-        grid = None
         f_meas, f_div = loaded.f_meas_dimensionless, loaded.f_div_dimensionless()
         times = _sample_times(args.t_max, args.dt_sample)
         # emit_trajectory asks for the closed form one block of rows at a time
-        table = SimpleNamespace(t=times, columns=lambda start, stop: trajectory(
-            state, f_meas, f_div, times[start:stop], gamma=loaded.gamma))
-    else:
-        grid = _grid(loaded, args, EVOLVE_GRID)
-        table = _run_grid(loaded, state, grid, args.t_max)
-    emit_trajectory(table, args.out)
+        emit_trajectory(SimpleNamespace(
+            t=times, columns=lambda start, stop: trajectory(
+                state, f_meas, f_div, times[start:stop], gamma=loaded.gamma)),
+            args.out)
+        return None
+    grid = _grid(loaded, args, EVOLVE_GRID)
+    emit_trajectory(_run_grid(loaded, state, grid, args.t_max), args.out)
+    return grid
+
+
+def cmd_evolve(args, argv=None) -> int:
+    loaded = load_config(args.config)
+    grid = _emit_evolve(loaded, args)
     write_manifest(args.out, _command_line(argv), loaded, grid)
     return 0
 

@@ -4,12 +4,13 @@ Configs are strict JSON: unknown keys are rejected with their path so typos
 surface instead of silently falling back to defaults. Simulation output is
 dimensionless; every emitted file gets a sibling manifest recording the fully
 resolved config, the unit scales for SI reconstruction, the command line, the
-seed, and a digest of each output file.
+seed, and a digest of each output file. Only file_digest imports hashlib,
+and with it OpenSSL, so a run that writes or verifies no manifest never
+loads it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -271,7 +272,12 @@ def emit_trajectory(table, path) -> None:
 
 
 def file_digest(path) -> str:
-    """sha256 of a file, read DIGEST_CHUNK bytes at a time into one buffer."""
+    """sha256 of a file, read DIGEST_CHUNK bytes at a time into one buffer.
+
+    hashlib is imported here, not at the top: it loads OpenSSL, which only
+    a run that writes or verifies a manifest needs."""
+    import hashlib
+
     digest = hashlib.sha256()
     buffer = bytearray(DIGEST_CHUNK)
     view = memoryview(buffer)
@@ -307,18 +313,33 @@ def write_manifest(output_path, command, loaded: LoadedConfig,
 
 
 def verify_manifest(manifest_path) -> list[str]:
-    """Recompute output digests; returns a list of mismatch descriptions."""
+    """Recompute output digests; returns a list of problem descriptions.
+
+    A manifest that lists no outputs, or an entry whose path is missing or
+    is not a bare file name next to the manifest (write_manifest writes
+    only such names), is a problem: it would check nothing, or a file
+    elsewhere."""
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
+    outputs = manifest.get("outputs")
+    if not outputs:
+        return ["manifest lists no outputs"]
     problems = []
-    for entry in manifest.get("outputs", []):
-        target = manifest_path.parent / entry["path"]
-        if not target.exists():
-            problems.append(f"missing output file: {entry['path']}")
+    for index, entry in enumerate(outputs):
+        name = entry.get("path")
+        if not isinstance(name, str):
+            problems.append(f"output {index} has no path")
             continue
-        actual = file_digest(target)
-        if actual != entry["sha256"]:
-            problems.append(
-                f"digest mismatch for {entry['path']}: manifest {entry['sha256']}, "
-                f"file {actual}")
+        if name in ("", "..") or Path(name).name != name:
+            problems.append(f"output {index}: path {name!r} is not a bare "
+                            f"file name")
+            continue
+        target = manifest_path.parent / name
+        if not target.exists():
+            problems.append(f"missing output file: {name}")
+            continue
+        actual, expected = file_digest(target), entry.get("sha256")
+        if actual != expected:
+            problems.append(f"digest mismatch for {name}: manifest "
+                            f"{expected}, file {actual}")
     return problems

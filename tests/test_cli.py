@@ -4,8 +4,11 @@ reproducibility, and exit codes (0 ok, 1 usage, 2 criteria, 3 numerical)."""
 import hashlib
 import json
 import math
+import os
 import subprocess
+import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -27,6 +30,7 @@ from gravimean.units import (ApparatusParams, FdivSpec, MeasurementConfig,
 
 APP = ApparatusParams.derive(radius=1e-3, density=1e4)
 SC = Scales.from_apparatus(APP)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_cfg(tmp_path, name="cfg.json", drop=(), **overrides):
@@ -374,6 +378,105 @@ class TestStreamedOutput:
             2 * iomod.DIGEST_CHUNK + 17))
         assert file_digest(path) == hashlib.sha256(
             path.read_bytes()).hexdigest()
+
+
+# Runs in a fresh interpreter: argv[1] is a JSON list of [argv, exit code]
+# runs that take no digest, argv[2] an evolve that writes a manifest.
+NO_DIGEST_PROBE = """
+import json, sys
+assert "_hashlib" not in sys.modules, "OpenSSL loaded at start"
+from gravimean import cli
+from gravimean.io import verify_manifest
+assert "_hashlib" not in sys.modules, "OpenSSL loaded by the import"
+runs, evolve = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+for argv, code in runs:
+    assert cli.main(argv) == code, argv
+    assert "_hashlib" not in sys.modules, f"OpenSSL loaded by {argv}"
+assert cli.main(evolve) == 0
+assert verify_manifest(evolve[-1] + ".manifest.json") == []
+"""
+
+
+class TestResidentMemory:
+    """OpenSSL (hashlib) is loaded only by a run that takes a digest, and an
+    evolve frees its trajectory table before the manifest takes one."""
+
+    def test_no_openssl_without_a_digest(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        passing = write_cfg(tmp_path, "pass.json", F_meas_N=1e-13,
+                            tau_meas_s=1.0)
+        uniform = write_cfg(tmp_path, "uniform.json", p=0.8,
+                            F_div={"kind": "uniform"},
+                            tau_meas_s=0.5 / APP.omega_grav,
+                            grid={"n": 256, "l": 12.0, "dt": 4e-3})
+        grid = ["--grid-n", "256", "--grid-l", "16", "--dt", "2e-3"]
+        runs = [(["criteria", "--config", passing], 0),
+                (["two-detector", "--p", "0.3"], 0),
+                (["born-mc", "--config", uniform, "--trials", "200"], 0),
+                (["born-mc", "--config", uniform, "--engine", "grid",
+                  "--trials", "4"], 0),
+                (["compare", "--config", cfg, "--t-max", "0.5"] + grid, 0)]
+        evolve = ["evolve", "--config", cfg, "--t-max", "1.0",
+                  "--out", str(tmp_path / "traj.csv")]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_DIGEST_PROBE, json.dumps(runs),
+             json.dumps(evolve)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_time_column_freed_before_digest(self, tmp_path, monkeypatch):
+        refs, alive = [], []
+        real_times, real_manifest = cli._sample_times, cli.write_manifest
+
+        def recorded_times(*args):
+            times = real_times(*args)
+            refs.append(weakref.ref(times))
+            return times
+
+        def checked_manifest(*args, **kwargs):
+            alive.extend(ref() is not None for ref in refs)
+            return real_manifest(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_sample_times", recorded_times)
+        monkeypatch.setattr(cli, "write_manifest", checked_manifest)
+        out = str(tmp_path / "traj.csv")
+        assert main(["evolve", "--config", write_cfg(tmp_path), "--mode",
+                     "analytic", "--t-max", "1.0", "--out", out]) == 0
+        assert alive == [False]
+        assert verify_manifest(out + ".manifest.json") == []
+
+
+class TestVerifyManifest:
+    """verify_manifest reports a manifest that checks nothing, or that
+    points outside its own directory, as a problem."""
+
+    def verify(self, tmp_path, manifest):
+        path = tmp_path / "out.csv.manifest.json"
+        path.write_text(json.dumps(manifest))
+        return verify_manifest(path)
+
+    @pytest.mark.parametrize("manifest", [{}, {"outputs": []}])
+    def test_no_outputs(self, tmp_path, manifest):
+        assert self.verify(tmp_path, manifest) == [
+            "manifest lists no outputs"]
+
+    def test_entry_without_path(self, tmp_path):
+        assert self.verify(tmp_path, {"outputs": [{"sha256": "0" * 64}]}) == [
+            "output 0 has no path"]
+
+    @pytest.mark.parametrize("where", ["absolute", "parent"])
+    def test_path_not_a_bare_name(self, tmp_path, where):
+        # the file exists outside the manifest's directory, with the digest
+        # the entry records
+        target = tmp_path / "x.csv"
+        target.write_text("1\n")
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        name = str(target) if where == "absolute" else "../x.csv"
+        problems = self.verify(sub, {"outputs": [
+            {"path": name, "sha256": file_digest(target)}]})
+        assert problems == [f"output 0: path {name!r} is not a bare file name"]
 
 
 class TestFlagValidation:

@@ -147,21 +147,30 @@ class TestMeanMotion:
         assert np.max(np.abs(traj.xbar - fit)) < 1e-6
 
 
+def check_second_order_in_dt(vbar0=0.0):
+    # common-center start exercises the oscillating offsets; halving dt
+    # must shrink the analytic discrepancy by about 4. At vbar0 = 0 the
+    # mean of this p = 0.5, f_div = 0 state never moves, so only a moving
+    # mean can tell the midpoint xbar from one a half step off
+    t_max = 2.0 * np.pi
+    errs = []
+    for dt, every in ((2e-3, 50), (1e-3, 100)):
+        spec = GridSpec(half_length=16.0, n=512, dt=dt)
+        state = two_branch(spec, 0.0, 0.0, 0.5, vbar0, vbar0)
+        traj, _ = evolve(state, 1.0, 0.0, t_max, spec, sample_every=every)
+        exact = trajectory(common_center_initial_condition(0.5, vbar0=vbar0),
+                           1.0, 0.0, traj.t)
+        errs.append(np.max(np.abs(traj.x_plus - exact["x_plus"])))
+    ratio = errs[0] / errs[1]
+    assert 3.5 <= ratio <= 4.5
+
+
 class TestConvergence:
     def test_second_order_in_dt(self):
-        # common-center start exercises the oscillating offsets; halving dt
-        # must shrink the analytic discrepancy by about 4
-        t_max = 2.0 * np.pi
-        errs = []
-        for dt, every in ((2e-3, 50), (1e-3, 100)):
-            spec = GridSpec(half_length=16.0, n=512, dt=dt)
-            state = two_branch(spec, 0.0, 0.0, 0.5)
-            traj, _ = evolve(state, 1.0, 0.0, t_max, spec, sample_every=every)
-            exact = trajectory(common_center_initial_condition(0.5), 1.0, 0.0,
-                               traj.t)
-            errs.append(np.max(np.abs(traj.x_plus - exact["x_plus"])))
-        ratio = errs[0] / errs[1]
-        assert 3.5 <= ratio <= 4.5
+        check_second_order_in_dt()
+
+    def test_second_order_in_dt_moving_mean(self):
+        check_second_order_in_dt(vbar0=0.5)
 
     def test_grid_refinement_converged(self):
         # doubling N changes nothing at this resolution

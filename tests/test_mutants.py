@@ -18,7 +18,8 @@ from test_cli import (check_no_wrap_between_samples, check_run_steps,
                       check_under_resolved)
 from test_grid import (check_aliasing_mid_run, check_boosted_packet_energy,
                        check_drift_checked_between_samples, check_edge_hit,
-                       check_ehrenfest, check_smooth_closed_form)
+                       check_ehrenfest, check_second_order_in_dt,
+                       check_smooth_closed_form)
 from test_montecarlo import check_grid_rows_once_per_block, check_job_plan
 
 # what a failing check raises: a failed assert, or pytest.raises that saw
@@ -133,6 +134,34 @@ def test_drift_guard_dropped(monkeypatch, factor):
         None if guard is gridmod._DRIFT else real(values, guard, *rest)))
     with pytest.raises(CHECK_FAILED):
         check_drift_checked_between_samples(monkeypatch, factor)
+
+
+def test_moments_before_half_kinetic_step(monkeypatch):
+    # the coupling reads the moments of the step-start state,
+    # ifft(phi * conj(kin)), instead of the midpoint's: a first-order
+    # splitting. The midpoint product keeps its guards
+    real_kinetic, real_advance = gridmod._kinetic_half, gridmod._advance
+    real_weighted = gridmod._weighted
+    kin = []
+
+    def recorded_kinetic(spec):
+        kin[:] = [real_kinetic(spec)]
+        return kin[0]
+
+    def mutant(phi, step_no, t, work):
+        start = work.ifft(phi * kin[0].conj())
+        _, lagged = real_weighted(gridmod._stats(start, work.x_weights),
+                                  work.weights, step_no, t)
+        gridmod._weighted = lambda *args: (real_weighted(*args)[0], lagged)
+        try:
+            return real_advance(phi, step_no, t, work)
+        finally:
+            gridmod._weighted = real_weighted
+
+    monkeypatch.setattr(gridmod, "_kinetic_half", recorded_kinetic)
+    monkeypatch.setattr(gridmod, "_advance", mutant)
+    with pytest.raises(CHECK_FAILED):
+        check_second_order_in_dt(vbar0=0.5)
 
 
 def test_kinetic_step_off(monkeypatch):
