@@ -246,16 +246,16 @@ def _emit_evolve(loaded: LoadedConfig, args) -> tuple[GridSpec, int] | None:
     digest loads OpenSSL."""
     state = _initial_state(loaded, args)
     if (args.mode or loaded.engine or "analytic") == "analytic":
+        grid = None
         f_meas, f_div = loaded.f_meas_dimensionless, loaded.f_div_dimensionless()
         times = _sample_times(args.t_max, args.dt_sample)
         # emit_trajectory asks for the closed form one block of rows at a time
-        emit_trajectory(SimpleNamespace(
-            t=times, columns=lambda start, stop: trajectory(
-                state, f_meas, f_div, times[start:stop], gamma=loaded.gamma)),
-            args.out)
-        return None
-    grid = _grid(loaded, args, EVOLVE_GRID)
-    emit_trajectory(_run_grid(loaded, state, grid, args.t_max), args.out)
+        table = SimpleNamespace(t=times, columns=lambda start, stop: trajectory(
+            state, f_meas, f_div, times[start:stop], gamma=loaded.gamma))
+    else:
+        grid = _grid(loaded, args, EVOLVE_GRID)
+        table = _run_grid(loaded, state, grid, args.t_max)
+    emit_trajectory(table, args.out)
     return grid
 
 
