@@ -9,8 +9,8 @@ Subcommands:
   two-detector  joint outcome tables for two back-to-back runs
 
 Exit codes: 0 success, 1 bad usage or config, 2 criteria not satisfied,
-3 numerical failure (norm drift, a negative variance, or probability reaching
-the grid edge or the largest |k| of the grid).
+3 numerical failure (norm drift, a negative variance, probability at the
+grid edge or the largest |k| of the grid, or a non-finite trajectory value).
 """
 
 from __future__ import annotations

@@ -18,54 +18,51 @@ being folded into the array multiplication; densities and all other
 observables are unaffected by construction.
 
 One core advances a block of B independent runs held as one array of shape
-(B, 2, n): row b holds the plus and minus branch of run b. The runs share the
-grid, p and f_meas and each has its own f_div. The block is carried in
-k-space from step to step: the second half kinetic step of one step and the
-first of the next combine into one full kinetic factor, so a step costs one
-batched FFT pair along the last axis, an ifft to the midpoint and an fft
-back. The block returns to x-space only at samples. Each space has one
-table of weights, and the core takes one density product per space wherever
-it looks at the block. |psi|^2 @ [1, x, x^2, edge] dx, at every midpoint and
-sample, gives the norms, means and second moments of all rows and the edge
-guard. |phi|^2 @ [1, k, k^2/2, alias] dx/n, at the end of every step, gives
-the norm for the drift check (Parseval), the aliasing guard and, at a
-sample, the kinetic energy: the kinetic factor has unit modulus, so a sample
-needs no transform of its own. At t = 0 the k product also gives the
-pre-flight its mean momentum. The per-row linear phase
-exp(i dt (xbar + f_div) x) is the outer product of two tables of about
-sqrt(n) exponentials each. The x-space block, its density, the phase and the
-table of samples, one row per sample, are allocated once per call, so no
-step allocates an array the size of the block. Every table is built once
-per call and bound with [p, 1 - p] and the two transforms: no step builds or
-looks up a table, and no table outlives its call. A step reads each product
-once as Python floats, and its guards, its angles dt (xbar + f_div) and its
-x2bar phase are float arithmetic on them, which rounds as the same numpy
-arithmetic on (B, 2) arrays would; the weighted moments stay one numpy
-product. A run takes equal steps of
-at most dt that end at exactly t_max (step_plan). No operation mixes rows,
-so a run evolves the same in a block of any size. The core starts at t = 0
-with no phase; evolve, the block of one, carries a state's time and global
-phase. step is evolve over one dt, energy the energy evolve records at its
-start, and moments reads the same weighted moments.
+(B, 2, n): row b holds the plus and minus branch of run b, and the runs share
+the grid, p and f_meas, each with its own f_div. No operation mixes rows, so
+a run evolves the same in a block of any size. The block stays in k-space
+between steps, where the second half kinetic step of one step and the first
+of the next are one factor, so a step costs one batched FFT pair, an ifft to
+the midpoint and an fft back; it returns to x-space only at samples. Each
+space has one weight table and one density product. |psi|^2 @ [1, x, x^2,
+edge] dx, at every midpoint and sample, gives the norms, means and second
+moments and the edge guard. |phi|^2 @ [1, k, k^2/2, alias] dx/n, at every
+step end, gives the norm of the drift check (Parseval), the aliasing guard,
+at a sample the kinetic energy (the kinetic factor has unit modulus), and at
+t = 0 the pre-flight's mean momentum. The linear phase exp(i dt (xbar +
+f_div) x) of each row is the outer product of two tables of about sqrt(n)
+exponentials each.
 
-The domain is periodic, which the physics never probes as long as the packets
-stay away from the edges and the spectrum away from the largest |k|: a
-density guard in x and an aliasing guard in k, read at every step and not
-only at samples, abort the run otherwise, and before the first step a
-pre-flight refuses a run whose closed-form mean motion would carry it there;
-the norm guard reads the initial x product before the pre-flight, which
-divides by the norms.
-A step reads its guards in one order, guard by guard, then row by row, then
-branch by branch: the norm, the weighted variance and the edge on the
-midpoint x product, then the norm drift and the aliasing share on the
-step-end k product.
+evolve_block allocates its buffers and builds every table once per call, and
+after the pre-flight _advance builds the step once, binding the potential,
+the linear phase, f_div, dt and both transforms: no step builds or looks up a
+table or allocates an array the size of the block, and nothing outlives the
+call; _stats, _kstats and _density are still called by name at every step. A
+step reads each product once as Python floats; its guards, angles
+dt (xbar + f_div) and x2bar phase are float arithmetic on them, which rounds
+as the same numpy arithmetic on (B, 2) arrays would, and the weighted moments
+stay one numpy product. A run takes equal steps of at most dt that end at
+exactly t_max (step_plan). The core starts at t = 0 with no phase; evolve,
+the block of one, carries a state's time and global phase. step is evolve
+over one dt, energy the energy evolve records at its start, and moments
+reads the same weighted moments.
+
+The domain is periodic, which the physics never probes while the packets
+stay off the edges and the spectrum off the largest |k|: an edge guard in x
+and an aliasing guard in k, read at every step and not only at samples, abort
+the run otherwise, and before the first step a pre-flight refuses a run whose
+closed-form mean motion would carry it there (the norm guard reads the
+initial x product first, as the pre-flight divides by the norms). A step
+reads its guards guard by guard, then row by row, then branch by branch: the
+norm, the weighted variance and the edge on the midpoint x product, then the
+norm drift and the aliasing share on the step-end k product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -84,11 +81,10 @@ class NumericalError(RuntimeError):
 
     row is the index, within its block, of the run that failed. A guard of
     evolve_block also sets the branch ("plus" or "minus", None for the
-    weighted variance), the step (None outside a run) and t at which it
-    failed, its quantity ("norm", "variance", "edge", "drift" or
-    "aliasing"), the value and the limit that value broke: an upper bound,
-    and for the variance a lower one. The ensemble's map check
-    (montecarlo) sets the quantity "map", the residual and its bound.
+    variance), the step (None outside a run) and t, its quantity ("norm",
+    "variance", "edge", "drift" or "aliasing"), the value and the limit it
+    broke: an upper bound, and for the variance a lower one. The ensemble's
+    map check sets the quantity "map", the residual and its bound.
     """
 
     def __init__(self, message: str, row: int | None = None, *,
@@ -289,15 +285,12 @@ def _weighted(stats: np.ndarray, weights: np.ndarray, step_no: int | None,
               t: float) -> tuple[np.ndarray, list]:
     """Check the x-space product stats, (B, 2, 4), of step_no at t, and
     return the branch moments stats[..., 1:3] / norm, shape (B, 2, 2), and
-    the weighted moments [xbar, x2bar] of each row, weights being
-    [p, 1 - p].
+    the weighted moments [xbar, x2bar] of each row, weights being [p, 1 - p].
 
     In this order, each over every row before the next: the branch norms
-    must hold to 1e-6 (a larger deviation means the run has already gone
-    numerically bad), the weighted variance must be >= -1e-12, and at most
-    1e-8 of a branch's density may sit in the outer 5% of the box (the edge
-    guard). The guards read the product as floats; the weighted moments
-    stay one numpy product, so that they round as before.
+    must hold to 1e-6 (beyond it the run has already gone bad), the weighted
+    variance must be >= -1e-12, and at most 1e-8 of a branch's density may
+    sit in the outer 5% of the box (the edge guard).
     """
     flat = stats.reshape(-1, 4).tolist()
     _check([abs(norm - 1.0) for norm, _, _, _ in flat], _NORM, step_no, t)
@@ -330,14 +323,11 @@ def _phase_points(spec: GridSpec) -> np.ndarray:
 def _linear_phase(grid: GridSpec, rows: int) -> Callable:
     """A function that takes one angle theta_b per row, rows floats, and
     returns exp(i theta_b x_j) for every row b, shape (rows, 1, n), in a
-    buffer that each call overwrites.
-
-    With j = m h + l and m = 2^floor(log2(n)/2) it is the outer product of
-    exp(i theta_b x_{mh}), shape (B, n/m), and exp(i theta_b dx l), shape
-    (B, m), both taken by one exponential over _phase_points: n/m + m
-    complex exponentials per row instead of n. Each row is computed on its
-    own, so a run gets the same phase in any block. The points, m and every
-    buffer and view are bound here once.
+    buffer that each call overwrites. With j = m h + l and
+    m = 2^floor(log2(n)/2) it is the outer product of exp(i theta_b x_{mh})
+    and exp(i theta_b dx l), both taken by one exponential over
+    _phase_points: n/m + m exponentials per row instead of n, each row on
+    its own. The points, m and every buffer and view are bound here once.
     """
     n = grid.n
     m = 1 << (n.bit_length() - 1) // 2
@@ -360,39 +350,31 @@ def _linear_phase(grid: GridSpec, rows: int) -> Callable:
     return phase
 
 
-class _Work(NamedTuple):
-    """What one evolve_block call binds once and every step reads: the
-    x-space block and its density planes, so that no step allocates an
-    array the size of the block, and the run's tables, constants and
-    transforms, so that no step looks one up again."""
+def _advance(grid: GridSpec, f_meas: float, f_div: list,
+             weights: np.ndarray, psi: np.ndarray, density: np.ndarray,
+             x_weights: np.ndarray) -> Callable:
+    """The middle of one Strang step of every row, built once per
+    evolve_block call. Binds the potential and the linear phase, each row's
+    f_div, dt and the two transforms, and returns advance(phi, step_no, t):
+    in place, phi, the k-space block after the first half kinetic step,
+    becomes the block before the second one, through the x-space buffer psi
+    and the density planes. advance returns the midpoint [xbar, x2bar] of
+    each row."""
+    potential = _potential(f_meas, grid)
+    linear_phase = _linear_phase(grid, len(psi))
+    dt, fft, ifft = grid.dt, np.fft.fft, np.fft.ifft
 
-    psi: np.ndarray         # the x-space block, (B, 2, n) complex
-    density: np.ndarray     # re^2 and im^2 planes of psi, (2, B, 2, n)
-    x_weights: np.ndarray   # _moment_weights
-    k_weights: np.ndarray   # _k_weights
-    weights: np.ndarray     # the branch weights [p, 1 - p]
-    potential: np.ndarray   # _potential, (2, n)
-    linear_phase: Callable  # _linear_phase of the block
-    f_div: list             # each row's f_div
-    dt: float
-    fft: Callable
-    ifft: Callable
+    def advance(phi: np.ndarray, step_no: int, t: float) -> list:
+        block = ifft(phi, out=psi)
+        _, moments = _weighted(_stats(block, x_weights, density), weights,
+                               step_no, t)
+        block *= potential
+        block *= linear_phase([dt * (xbar + f) for (xbar, _), f
+                               in zip(moments, f_div)])
+        fft(block, out=phi)
+        return moments
 
-
-def _advance(phi: np.ndarray, step_no: int, t: float, work: _Work) -> list:
-    """The middle of one Strang step of every row, in place: phi, the
-    k-space block after the first half kinetic step, becomes the block
-    before the second one. Returns the midpoint [xbar, x2bar] of each
-    row."""
-    psi = work.ifft(phi, out=work.psi)
-    _, moments = _weighted(_stats(psi, work.x_weights, work.density),
-                           work.weights, step_no, t)
-    psi *= work.potential
-    dt = work.dt
-    psi *= work.linear_phase([dt * (xbar + f_div) for (xbar, _), f_div
-                              in zip(moments, work.f_div)])
-    work.fft(psi, out=phi)
-    return moments
+    return advance
 
 
 def _energy(kinetic: np.ndarray, stats: np.ndarray, xbar: np.ndarray,
@@ -413,14 +395,12 @@ def _preflight(stats: np.ndarray, kstats: np.ndarray, p: float,
     """Refuse, with ValueError, a run whose box or grid spacing cannot hold
     the closed-form mean motion xbar0 + vbar0 t + F t^2/2 of any row.
 
-    The box must hold a margin + the mean excursion + the packet width: the
-    mean excursion is the exact quadratic bound; branch offsets and
-    oscillation amplitudes live inside the fixed margin of 8. The weighted
-    mean momentum vbar0 + F t is exact under a uniform force, and a mean
-    momentum in the outer 5% of |k| puts more weight there than the aliasing
-    guard allows, so it must stay below 0.95 pi/dx at both ends of the run: a
-    necessary condition, which refuses no run the grid resolves. stats and
-    kstats are the x- and k-space products of the block at t = 0.
+    The box must hold a margin of 8, for the branch offsets and their
+    oscillations, + the exact quadratic bound of the mean + the packet
+    width. The mean momentum vbar0 + F t is exact under a uniform force and
+    must stay below 0.95 pi/dx, where the aliasing guard looks, at both ends
+    of the run: a necessary condition, which refuses no run the grid
+    resolves. stats and kstats are the block's x and k products at t = 0.
     """
     weights = np.array([p, 1.0 - p])
     per_branch = stats[..., 1:3] / stats[..., :1]
@@ -476,17 +456,15 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     """Run a block of B runs, psi of shape (B, 2, n) and f_div of shape (B,),
     from t = 0 to t_max.
 
-    Every step has the one length step_plan gives, at most grid.dt, so
-    that the run ends at exactly t_max; before any work, step_plan refuses
-    a run of more than MAX_STEPS steps. Samples land on step 0, every
-    sample_every-th step and the last step. Every run's norms at t = 0 and
-    then its box and mean momentum (_preflight) are checked before the
-    first step, and its norms,
-    moments and edge at every midpoint and sample (_weighted), and its norm
-    drift and aliasing at the end of every step, each read off a column of
-    _stats or _kstats. Returns the sampled trajectory (columns of
-    shape (samples, B)), the final block and each row's phase of the x2bar/2
-    term.
+    Every step has the one length step_plan gives, at most grid.dt, so that
+    the run ends at exactly t_max; step_plan refuses a run of more than
+    MAX_STEPS steps before any work. Samples land on step 0, every
+    sample_every-th step and the last step. Before the first step every
+    run's norms at t = 0 and then its box and mean momentum (_preflight) are
+    checked; then its norms, moments and edge at every midpoint and sample
+    (_weighted), and its norm drift and aliasing at every step end. Returns
+    the sampled trajectory (columns of shape (samples, B)), the final block
+    and each row's phase of the x2bar/2 term.
     """
     if not t_max > 0.0:
         raise ValueError(f"t_max must be > 0, got {t_max!r}")
@@ -494,21 +472,23 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
     n_steps, dt = step_plan(t_max, grid.dt)
     grid = replace(grid, dt=dt)
-    fft, ifft = np.fft.fft, np.fft.ifft
     weights = np.array([p, 1.0 - p])
-    work = _Work(np.empty(psi.shape, dtype=complex),
-                 np.empty((2,) + psi.shape), _moment_weights(grid),
-                 _k_weights(grid), weights, _potential(f_meas, grid),
-                 _linear_phase(grid, len(psi)), f_div.tolist(), dt, fft, ifft)
-    stats = _stats(psi, work.x_weights, work.density)
+    x_weights, k_weights = _moment_weights(grid), _k_weights(grid)
+    # the x-space block and its density planes, allocated once so that no
+    # step allocates an array the size of the block
+    block = np.empty(psi.shape, dtype=complex)
+    density = np.empty((2,) + psi.shape)
+    stats = _stats(psi, x_weights, density)
     # an unnormalised block fails here, before _preflight divides by its norms
     _check([abs(norm - 1.0) for norm in stats[..., 0].ravel().tolist()],
            _NORM, 0, 0.0)
     # the one transform to k-space: the pre-flights, sample 0 and the first
     # step all read it
-    phi = fft(psi)
-    kstats = _kstats(phi, work.k_weights, work.density)
+    phi = np.fft.fft(psi)
+    kstats = _kstats(phi, k_weights, density)
     _preflight(stats, kstats, p, f_meas, f_div, t_max, grid)
+    advance = _advance(grid, f_meas, f_div.tolist(), weights, block, density,
+                       x_weights)
 
     phase = [0.0] * len(psi)
     # the sample table: row r holds step r * sample_every, the last row the
@@ -541,17 +521,16 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     for i in range(1, n_steps + 1):
         final = i == n_steps
         t = t_max if final else i * dt
-        for row, (_, x2bar) in enumerate(_advance(phi, i, t, work)):
+        for row, (_, x2bar) in enumerate(advance(phi, i, t)):
             phase[row] -= 0.5 * x2bar * dt
-        kstats = _kstats(phi, work.k_weights, work.density)
+        kstats = _kstats(phi, k_weights, density)
         before, k = k, kstats.reshape(-1, 4).tolist()
         _check([abs(now[0] - then[0]) for now, then in zip(k, before)],
                _DRIFT, i, t)
         _aliasing(k, i, t)
         if final or i % sample_every == 0:
-            psi = np.multiply(phi, kin, out=work.psi)
-            ifft(psi, out=psi)
-            sample(_stats(psi, work.x_weights, work.density), kstats, i, t)
+            psi = np.fft.ifft(np.multiply(phi, kin, out=block), out=block)
+            sample(_stats(psi, x_weights, density), kstats, i, t)
         if not final:
             phi *= kin2
     return GridTrajectory(times, *table), psi, np.array(phase)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid import GridSpec
+from .grid import GridSpec, NumericalError
 from .units import (ApparatusParams, FdivSpec, G_NEWTON, MeasurementConfig,
                     Scales)
 
@@ -150,8 +150,11 @@ def load_config(path) -> LoadedConfig:
                                            radius=body.get("radius_m"),
                                            density=body.get("density_kgm3"),
                                            big_g=big_g)
-    except (ValueError, ZeroDivisionError) as exc:  # radius**3 can underflow
+    except ValueError as exc:
         raise ConfigError(f"mass_kg/radius_m/density_kgm3: {exc}")
+    except ArithmeticError:  # radius**3 can underflow or overflow
+        raise ConfigError("mass_kg/radius_m/density_kgm3: the sphere they "
+                          "give leaves the float range")
 
     fdiv_raw = raw["F_div"]
     if not isinstance(fdiv_raw, dict) or "kind" not in fdiv_raw:
@@ -169,10 +172,11 @@ def load_config(path) -> LoadedConfig:
     else:
         raise ConfigError(f"F_div.kind: expected 'uniform' or 'fixed', got {kind!r}")
 
+    # read before the try, whose handler re-labels MeasurementConfig's errors
+    numbers = {field: _require_number(raw, key)
+               for field, key, _ in _MEASUREMENT_KEYS}
     try:
-        measurement = MeasurementConfig(
-            f_div=fdiv, **{field: _require_number(raw, key)
-                           for field, key, _ in _MEASUREMENT_KEYS})
+        measurement = MeasurementConfig(f_div=fdiv, **numbers)
     except ValueError as exc:
         msg = str(exc)
         field = msg.split(" ", 1)[0]
@@ -247,15 +251,17 @@ def emit_trajectory(table, path) -> None:
     out EMIT_ROWS at a time, each block formatted by its row template
     repeated, so memory does not grow with the row count. d is
     x_plus - x_minus, and a column the table lacks (the grid-only ones, for
-    the closed form) is written as empty cells. A run that fails once the
-    file is open removes it before the error propagates.
+    the closed form) is written as empty cells. A cell that is not finite
+    raises NumericalError (_finite_cells). A run that fails once the file
+    is open removes it before the error propagates.
     """
     rows = len(table.t)
     if rows == 0:
         raise ValueError("trajectory is empty")
     out = open(path, "w", newline="\n")
     try:
-        with out:
+        # a cell that overflows is left to _finite_cells, not warned about
+        with out, np.errstate(all="ignore"):
             out.write(TRAJECTORY_HEADER + "\n")
             for start in range(0, rows, EMIT_ROWS):
                 block = table.columns(start, min(start + EMIT_ROWS, rows))
@@ -265,10 +271,24 @@ def emit_trajectory(table, path) -> None:
                                for col in columns) + "\n"
                 cells = np.stack([col for col in columns if col is not None],
                                  axis=1)
+                _finite_cells(cells, columns, start)
                 out.write((row * len(cells)) % tuple(cells.ravel().tolist()))
     except BaseException:
         Path(path).unlink(missing_ok=True)
         raise
+
+
+def _finite_cells(cells: np.ndarray, columns: list, start: int) -> None:
+    """Raise NumericalError naming the first cell of cells, rows start on
+    of the trajectory's non-empty columns (columns holds None for an empty
+    one), that is not finite."""
+    finite = np.isfinite(cells)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        name = [n for n, c in zip(_COLUMNS, columns) if c is not None][col]
+        raise NumericalError(
+            f"trajectory row {start + row} (t={float(cells[row, 0])!r}): "
+            f"{name} is {float(cells[row, col])!r}, not a finite number")
 
 
 def file_digest(path) -> str:
@@ -318,15 +338,19 @@ def verify_manifest(manifest_path) -> list[str]:
     A manifest that lists no outputs, or an entry whose path is missing or
     is not a bare file name next to the manifest (write_manifest writes
     only such names), is a problem: it would check nothing, or a file
-    elsewhere."""
+    elsewhere. A file that is not JSON, and a manifest, an outputs list or
+    an entry that is not of the shape write_manifest writes, is one too."""
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
-    outputs = manifest.get("outputs")
-    if not outputs:
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:
+        return [f"manifest is not JSON: {exc}"]
+    outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
+    if not outputs or not isinstance(outputs, list):
         return ["manifest lists no outputs"]
     problems = []
     for index, entry in enumerate(outputs):
-        name = entry.get("path")
+        name = entry.get("path") if isinstance(entry, dict) else None
         if not isinstance(name, str):
             problems.append(f"output {index} has no path")
             continue

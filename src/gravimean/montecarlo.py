@@ -185,10 +185,9 @@ def _evolve_trials(p: float, f_meas: float, f_div: np.ndarray, tau: float,
             np.repeat(psi[None], len(f_div), axis=0), p, f_meas, f_div, tau,
             grid_spec, sample_every=gridmod.MAX_STEPS)
     except NumericalError as exc:
-        raise NumericalError(
-            f"trial {trials[exc.row]}: {exc}", exc.row, branch=exc.branch,
-            step=exc.step, t=exc.t, quantity=exc.quantity, value=exc.value,
-            limit=exc.limit) from exc
+        # the core's own error, every field kept, its message led by the trial
+        exc.args = (f"trial {trials[exc.row]}: {exc}",)
+        raise
     return traj.xbar[-1] - traj.xbar[0]
 
 
@@ -199,18 +198,14 @@ def _mapped_displacements(p: float, f_meas: float, f_div: np.ndarray,
     f_div[b], from three evolved rows and the Avron-Herbst map.
 
     The self-gravity potential depends on x - xbar only, so a uniform force
-    moves the two-branch state rigidly: every trial is the reference trial 0,
-    under f_ref, moved by (f_div - f_ref) tau^2 / 2. Trial b's value is
-    d_ref + (f_div[b] - f_ref) tau^2 / 2, elementwise. d_ref comes from row 0
-    of a three-row block in every block, and no operation mixes rows, so the
-    value does not depend on the block or chunk. The block's trials of
-    smallest and largest f_div are evolved too and must match their mapped
-    value to MAP_RTOL.
-
-    Like every trial they start from rest, so the closed-form box and
-    momentum bounds of evolve_block are affine in F at each t and peak at
-    those two rows, which travel furthest in x and in k: the pre-flights and
-    the edge and aliasing guards on them cover every trial of the block.
+    moves the two-branch state rigidly: trial b's value is the reference
+    trial 0's d_ref, under f_ref, plus (f_div[b] - f_ref) tau^2 / 2,
+    elementwise. d_ref comes from row 0 of a three-row block in every block,
+    and no operation mixes rows, so the value does not depend on the block
+    or chunk. The block's trials of smallest and largest f_div are evolved
+    too and must match their mapped value to MAP_RTOL. Every trial starts
+    from rest, so the closed-form box and momentum bounds are affine in F
+    and peak at those two rows: their pre-flights and guards cover the block.
     """
     lo, hi = int(np.argmin(f_div)), int(np.argmax(f_div))
     trials = (0, first + lo, first + hi)
@@ -334,9 +329,7 @@ def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             parts = list(pool.map(_chunk_counts, jobs))
 
-    right = sum(p[0] for p in parts)
-    left = sum(p[1] for p in parts)
-    undecided = sum(p[2] for p in parts)
+    right, left, undecided = map(sum, zip(*parts))
     decided = n_trials - undecided
     frequency = right / decided if decided else math.nan
     ci_low, ci_high = wilson_interval(right, decided)

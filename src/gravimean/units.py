@@ -163,15 +163,10 @@ class CriteriaReport:
         return self.sizebound_ok and self.displacement_ok and self.timing_ok
 
     def to_dict(self) -> dict:
-        return {
-            "d_est": self.d_est,
-            "d_derived": self.d_derived,
-            "sizebound_ok": self.sizebound_ok,
-            "displacement_ok": self.displacement_ok,
-            "timing_ok": self.timing_ok,
-            "R_min": self.r_min,
-            "all_ok": self.all_ok,
-        }
+        """Every field, with r_min as R_min, and all_ok."""
+        record = dict(vars(self), R_min=self.r_min, all_ok=self.all_ok)
+        del record["r_min"]
+        return record
 
 
 def classicality_report(params: ApparatusParams,
@@ -183,15 +178,23 @@ def classicality_report(params: ApparatusParams,
     moves the apparatus at least l0 within tau (non-strict). timing: the
     apparatus must respond faster than the landscape scale allows,
     (omega tau)^2 > l0 / R, equivalently R > R_min = l0 / (omega tau)^2.
+    A tau_meas whose squares, or R_min, leave the float range raises
+    ValueError.
     """
     w2 = params.omega_grav**2
     d_est = cfg.f_meas / (params.mass * w2)
     d_derived = 2.0 * d_est
     sizebound_ok = (params.x0 < SMALL_RATIO * params.radius) and (d_est < params.radius)
-    displacement_ok = (cfg.f_meas / params.mass) * cfg.tau_meas**2 >= cfg.l0
-    wt2 = (params.omega_grav * cfg.tau_meas) ** 2
+    try:
+        displacement_ok = (cfg.f_meas / params.mass) * cfg.tau_meas**2 >= cfg.l0
+        wt2 = (params.omega_grav * cfg.tau_meas) ** 2
+        r_min = cfg.l0 / wt2
+    except ArithmeticError:  # a square overflows, or (omega tau)^2 is 0
+        r_min = math.inf
+    if not r_min < math.inf:
+        raise ValueError(f"tau_meas_s: {cfg.tau_meas!r} s takes tau^2, "
+                         f"(omega tau)^2 or R_min out of the float range")
     timing_ok = wt2 > cfg.l0 / params.radius
-    r_min = cfg.l0 / wt2
     return CriteriaReport(d_est=d_est, d_derived=d_derived,
                           sizebound_ok=sizebound_ok,
                           displacement_ok=displacement_ok,

@@ -207,12 +207,66 @@ class TestConfigValidation:
                             drop=("density_kgm3",), mass_kg=1e-50,
                             radius_m=1e-120)
 
+    @pytest.mark.parametrize("value, says", [
+        ("x", "expected a number, got 'x'"),
+        (float("inf"), "expected a finite number, got inf")],
+        ids=["string", "inf"])
+    @pytest.mark.parametrize("key", ["p", "F_meas_N", "tau_meas_s", "l0_m"])
+    def test_measurement_key_named_once(self, tmp_path, capsys, key, value,
+                                        says):
+        cfg = write_cfg(tmp_path, **{key: value})
+        assert main(["criteria", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {key}: {says}\n"
+
+    @pytest.mark.parametrize("command", ["criteria", "evolve"])
+    def test_radius_cube_overflow_rejected(self, tmp_path, capsys, command):
+        # radius**3 overflows a float before any check could see it
+        cfg = write_cfg(tmp_path, radius_m=1e150)
+        argv = ([] if command == "criteria" else
+                ["--mode", "analytic", "--t-max", "1", "--out",
+                 str(tmp_path / "x.csv")])
+        assert main([command, "--config", cfg] + argv) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: mass_kg/radius_m/density_kgm3: ")
+
+    @pytest.mark.parametrize("tau", [1e-200, 1e-160, 1e200])
+    def test_criteria_tau_out_of_float_range(self, tmp_path, capsys, tau):
+        # (omega tau)^2 underflows to 0, or l0 / (omega tau)^2 overflows to
+        # inf, or tau^2 overflows: each would end in a traceback or an
+        # Infinity in the JSON
+        assert main(["criteria", "--config",
+                     write_cfg(tmp_path, tau_meas_s=tau)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: tau_meas_s: {tau!r} s takes tau^2, "
+                                f"(omega tau)^2 or R_min out of the float "
+                                f"range\n")
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["criteria", "--config", str(tmp_path / "nope.json")]) == 1
         assert "not found" in capsys.readouterr().err
 
 
+def check_non_finite_row_refused(tmp_path, capsys):
+    """An analytic evolve whose closed form overflows (xbar = vbar0 t is
+    inf from row 1 on, and d = inf - inf is nan) exits 3 naming the first
+    row and column that are not finite, and leaves no CSV and no manifest."""
+    out = tmp_path / "overflow.csv"
+    code = main(["evolve", "--config", write_cfg(tmp_path), "--mode",
+                 "analytic", "--t-max", "1e200", "--dt-sample", "1e198",
+                 "--vbar0", "1e200", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == ("error: trajectory row 1 (t=1e+198): xbar is inf, not a "
+                   "finite number\n")
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
+
+
 class TestEvolveAnalytic:
+    def test_non_finite_row_refused(self, tmp_path, capsys):
+        check_non_finite_row_refused(tmp_path, capsys)
+
     def run_basic(self, tmp_path):
         cfg = write_cfg(tmp_path, p=0.7)
         out = str(tmp_path / "traj.csv")
@@ -456,10 +510,25 @@ class TestVerifyManifest:
         path.write_text(json.dumps(manifest))
         return verify_manifest(path)
 
-    @pytest.mark.parametrize("manifest", [{}, {"outputs": []}])
+    # a manifest or an outputs value not of the written shape lists no
+    # outputs either
+    @pytest.mark.parametrize("manifest", [
+        {}, {"outputs": []}, [], "str", {"outputs": "x.csv"},
+        {"outputs": {"path": "x"}}])
     def test_no_outputs(self, tmp_path, manifest):
         assert self.verify(tmp_path, manifest) == [
             "manifest lists no outputs"]
+
+    def test_entry_not_an_object(self, tmp_path):
+        assert self.verify(tmp_path, {"outputs": ["x.csv"]}) == [
+            "output 0 has no path"]
+
+    def test_not_json(self, tmp_path):
+        path = tmp_path / "out.csv.manifest.json"
+        path.write_text("{not json")
+        problems = verify_manifest(path)
+        assert len(problems) == 1
+        assert problems[0].startswith("manifest is not JSON: ")
 
     def test_entry_without_path(self, tmp_path):
         assert self.verify(tmp_path, {"outputs": [{"sha256": "0" * 64}]}) == [

@@ -629,9 +629,10 @@ class TestKSpaceStepping:
     @pytest.mark.parametrize("n_steps", [1, 10, 300])
     def test_tables_built_once_per_call(self, monkeypatch, n_steps):
         # nothing caches a table across calls, so a table built per step
-        # would cost its build at every step
+        # would cost its build at every step; so would the step _advance
+        # builds and the linear phase it binds
         tables = ("_moment_weights", "_k_weights", "_kinetic_half",
-                  "_phase_points", "_potential")
+                  "_phase_points", "_potential", "_advance", "_linear_phase")
         calls = []
         for name in tables:
             def counted(*args, _name=name, _real=getattr(gridmod, name)):

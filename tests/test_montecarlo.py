@@ -577,6 +577,26 @@ class TestBlocks:
         force = 2.0 * (p - 0.5) * f_meas + f_div
         assert np.max(np.abs(got - 0.5 * force * tau * tau)) <= 1e-12
 
+    def test_core_error_reaches_caller_as_raised(self, monkeypatch):
+        # the trial's re-raise is the core's own error, every field kept,
+        # with the trial of its row leading the message
+        raised = NumericalError("plus branch edge", 1, branch="plus", step=3,
+                                t=0.25, quantity="edge", value=2e-8,
+                                limit=1e-8)
+
+        def failing(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(gridmod, "evolve_block", failing)
+        with pytest.raises(NumericalError) as failure:
+            montecarlo._evolve_trials(0.5, 1.0, np.array([0.0, 0.1]), 1.0,
+                                      SMALL_GRID, (0, 7))
+        assert failure.value is raised
+        assert str(raised) == "trial 7: plus branch edge"
+        assert (raised.row, raised.branch, raised.step, raised.t,
+                raised.quantity, raised.value, raised.limit) == (
+                    1, "plus", 3, 0.25, "edge", 2e-8, 1e-8)
+
     @staticmethod
     def assert_edge_fields(error, row):
         # the core's fields come through the trial's re-raise unchanged

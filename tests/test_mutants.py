@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from gravimean import grid as gridmod
+from gravimean import io as iomod
 from gravimean import montecarlo
 
-from test_cli import (check_no_wrap_between_samples, check_run_steps,
+from test_cli import (check_no_wrap_between_samples,
+                      check_non_finite_row_refused, check_run_steps,
                       check_under_resolved)
 from test_grid import (check_aliasing_mid_run, check_boosted_packet_energy,
                        check_drift_checked_between_samples, check_edge_hit,
@@ -85,8 +87,8 @@ def test_fine_phase_offsets_shifted(monkeypatch):
 
 
 def test_midpoint_edge_guard_dropped(monkeypatch, tmp_path, capsys):
-    # _advance sees its midpoint product with the edge column zeroed; the
-    # samples keep their guard
+    # the step _advance builds sees its midpoint product with the edge
+    # column zeroed; the samples keep their guard
     real_advance, real_stats = gridmod._advance, gridmod._stats
 
     def blind_stats(*args):
@@ -94,12 +96,17 @@ def test_midpoint_edge_guard_dropped(monkeypatch, tmp_path, capsys):
         stats[..., 3] = 0.0
         return stats
 
-    def mutant(*args):
-        gridmod._stats = blind_stats
-        try:
-            return real_advance(*args)
-        finally:
-            gridmod._stats = real_stats
+    def mutant(*build):
+        advance = real_advance(*build)
+
+        def blind(*args):
+            gridmod._stats = blind_stats
+            try:
+                return advance(*args)
+            finally:
+                gridmod._stats = real_stats
+
+        return blind
 
     monkeypatch.setattr(gridmod, "_advance", mutant)
     with pytest.raises(CHECK_FAILED):
@@ -148,15 +155,21 @@ def test_moments_before_half_kinetic_step(monkeypatch):
         kin[:] = [real_kinetic(spec)]
         return kin[0]
 
-    def mutant(phi, step_no, t, work):
-        start = work.ifft(phi * kin[0].conj())
-        _, lagged = real_weighted(gridmod._stats(start, work.x_weights),
-                                  work.weights, step_no, t)
-        gridmod._weighted = lambda *args: (real_weighted(*args)[0], lagged)
-        try:
-            return real_advance(phi, step_no, t, work)
-        finally:
-            gridmod._weighted = real_weighted
+    def mutant(grid, f_meas, f_div, weights, psi, density, x_weights):
+        advance = real_advance(grid, f_meas, f_div, weights, psi, density,
+                               x_weights)
+
+        def lagged_advance(phi, step_no, t):
+            start = np.fft.ifft(phi * kin[0].conj())
+            _, lagged = real_weighted(gridmod._stats(start, x_weights),
+                                      weights, step_no, t)
+            gridmod._weighted = lambda *args: (real_weighted(*args)[0], lagged)
+            try:
+                return advance(phi, step_no, t)
+            finally:
+                gridmod._weighted = real_weighted
+
+        return lagged_advance
 
     monkeypatch.setattr(gridmod, "_kinetic_half", recorded_kinetic)
     monkeypatch.setattr(gridmod, "_advance", mutant)
@@ -188,6 +201,13 @@ def test_step_check_dropped(monkeypatch, tmp_path, capsys, command):
     monkeypatch.setattr(gridmod, "step_plan", unbounded)
     with pytest.raises(CHECK_FAILED):
         check_run_steps(tmp_path, capsys, monkeypatch, command)
+
+
+def test_non_finite_cell_check_dropped(monkeypatch, tmp_path, capsys):
+    # emit_trajectory writes inf and nan cells as it finds them
+    monkeypatch.setattr(iomod, "_finite_cells", lambda *args: None)
+    with pytest.raises(CHECK_FAILED):
+        check_non_finite_row_refused(tmp_path, capsys)
 
 
 def one_chunk_per_worker(n_trials, workers, cpus):
