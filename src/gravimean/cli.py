@@ -37,20 +37,16 @@ from .units import classicality_report
 
 THREAD_CAP_ENV = "GRAVIMEAN_THREADS"
 
-# Default (grid, sample_every) of evolve and compare, and of born-mc, whose
-# trials sample only their start and end.
-EVOLVE_GRID = (GridSpec(half_length=32.0, n=1024, dt=1e-3), 10)
-BORN_MC_GRID = (MC_GRID, None)
+# Default grid block of evolve and compare, and of born-mc, whose trials
+# sample only their start and end, so it takes no sample_every.
+EVOLVE_GRID = {"n": 1024, "l": 32.0, "dt": 1e-3, "sample_every": 10}
+BORN_MC_GRID = {"n": MC_GRID.n, "l": MC_GRID.half_length, "dt": MC_GRID.dt}
 
 # Most rows an analytic run may write, 50 times the benchmark's long one; a
 # grid run writes at most a row per step, and grid.MAX_STEPS bounds those.
 # Rows are written a block at a time, so the cap bounds the time and disk a
 # run takes, not its memory (beyond the 8 bytes per row of its t column).
 MAX_ROWS = 10**7
-
-# (grid block key, argparse dest of the flag that overrides it)
-_GRID_FLAGS = (("n", "grid_n"), ("l", "grid_l"), ("dt", "dt"),
-               ("sample_every", "sample_every"))
 
 
 def _finite(text: str) -> float:
@@ -86,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ev = sub.add_parser("evolve", help="run one deterministic evolution")
     p_ev.add_argument("--config", required=True)
-    p_ev.add_argument("--mode", choices=("analytic", "grid"), default=None,
+    p_ev.add_argument("--mode", dest="engine", choices=("analytic", "grid"),
                       help="engine; defaults to the config's engine key, "
                            "then analytic")
     p_ev.add_argument("--t-max", type=_positive, required=True,
@@ -130,9 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_grid_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--grid-n", type=int, default=None,
+    sub.add_argument("--grid-n", dest="n", metavar="GRID_N", type=int,
                      help="grid points (power of two, at most 2**20)")
-    sub.add_argument("--grid-l", type=_finite, default=None,
+    sub.add_argument("--grid-l", dest="l", metavar="GRID_L", type=_finite,
                      help="half length of the box in packet widths")
     sub.add_argument("--dt", type=_finite, default=None,
                      help="largest grid time step")
@@ -152,19 +148,24 @@ def _command_line(argv) -> list:
     return ["gravimean"] + list(argv if argv is not None else sys.argv[1:])
 
 
-def _grid(loaded: LoadedConfig, args,
-          defaults: tuple[GridSpec, int | None]) -> tuple[GridSpec, int | None]:
-    """The (grid, sample_every) a run uses: flags override the config's grid
-    block, and the command's defaults fill the keys neither sets."""
-    default, sample_every = defaults
-    block = dict(loaded.grid)
-    block.update((key, getattr(args, flag)) for key, flag in _GRID_FLAGS
-                 if getattr(args, flag, None) is not None)
-    spec = GridSpec(half_length=block.get("l", default.half_length),
-                    n=block.get("n", default.n), dt=block.get("dt", default.dt))
-    if sample_every is not None:  # grid.evolve rejects values below 1
-        sample_every = block.get("sample_every", sample_every)
-    return spec, sample_every
+def _grid(loaded: LoadedConfig, args, defaults: dict) -> dict:
+    """The grid block a run uses: the defaults, then the config's grid block,
+    then the flags given, for the keys of defaults (sample_every is None
+    without one). Raises ValueError if n, l, dt or sample_every is invalid."""
+    block = {"sample_every": None, **defaults}
+    for given in (loaded.grid, vars(args)):
+        block.update((key, given[key]) for key in defaults
+                     if given.get(key) is not None)
+    _spec(block)
+    if block["sample_every"] is not None and block["sample_every"] < 1:
+        raise ValueError(
+            f"sample_every must be >= 1, got {block['sample_every']!r}")
+    return block
+
+
+def _spec(block: dict) -> GridSpec:
+    """The GridSpec of a grid block; GridSpec checks n, l and dt."""
+    return GridSpec(half_length=block["l"], n=block["n"], dt=block["dt"])
 
 
 def _worker_cap(requested: int) -> int:
@@ -229,23 +230,24 @@ def _run_grid(loaded: LoadedConfig, state, grid, t_max: float):
     if loaded.gamma != 0.0:
         raise ConfigError("gamma: the grid engine has no damping; "
                           "use the analytic engine for gamma > 0")
-    spec, sample_every = grid
+    spec = _spec(grid)
     psi_plus, psi_minus = (init_gaussian(spec, b.center, velocity=b.velocity)
                            for b in (state.plus, state.minus))
     traj, _final = evolve_grid(GridState(psi_plus, psi_minus, state.p),
                                loaded.f_meas_dimensionless,
                                loaded.f_div_dimensionless(), t_max, spec,
-                               sample_every=sample_every)
+                               sample_every=grid["sample_every"])
     return traj
 
 
-def _emit_evolve(loaded: LoadedConfig, args) -> tuple[GridSpec, int] | None:
-    """Run one evolution and write its CSV; returns the (grid, sample_every)
-    the run used, None for the closed form. The trajectory table, and with
-    it the analytic time column, is freed on return, before the manifest's
-    digest loads OpenSSL."""
+def _emit_evolve(loaded: LoadedConfig, args) -> dict | None:
+    """Run one evolution and write its CSV; returns the grid block the run
+    used, None for the closed form, which checks the block and ignores it.
+    The trajectory table, and with it the analytic time column, is freed on
+    return, before the manifest's digest loads OpenSSL."""
     state = _initial_state(loaded, args)
-    if (args.mode or loaded.engine or "analytic") == "analytic":
+    grid = _grid(loaded, args, EVOLVE_GRID)
+    if (args.engine or loaded.engine or "analytic") == "analytic":
         grid = None
         f_meas, f_div = loaded.f_meas_dimensionless, loaded.f_div_dimensionless()
         times = _sample_times(args.t_max, args.dt_sample)
@@ -253,7 +255,6 @@ def _emit_evolve(loaded: LoadedConfig, args) -> tuple[GridSpec, int] | None:
         table = SimpleNamespace(t=times, columns=lambda start, stop: trajectory(
             state, f_meas, f_div, times[start:stop], gamma=loaded.gamma))
     else:
-        grid = _grid(loaded, args, EVOLVE_GRID)
         table = _run_grid(loaded, state, grid, args.t_max)
     emit_trajectory(table, args.out)
     return grid
@@ -273,11 +274,10 @@ def cmd_compare(args, argv=None) -> int:
     grid_traj = _run_grid(loaded, state, grid, args.t_max)
     exact = trajectory(state, loaded.f_meas_dimensionless,
                        loaded.f_div_dimensionless(), grid_traj.t)
-    spec = grid[0]
     report = {
         "t_max": args.t_max,
         "n_samples": int(len(grid_traj.t)),
-        "grid": {"n": spec.n, "l": spec.half_length, "dt": spec.dt},
+        "grid": {key: grid[key] for key in ("n", "l", "dt")},
         "max_abs_diff": {
             "xbar": float(np.max(np.abs(grid_traj.xbar - exact["xbar"]))),
             "x_plus": float(np.max(np.abs(grid_traj.x_plus - exact["x_plus"]))),
@@ -293,7 +293,7 @@ def cmd_born_mc(args, argv=None) -> int:
     grid = _grid(loaded, args, BORN_MC_GRID)
     summary = run_ensemble(loaded.measurement, engine, args.trials, args.seed,
                            workers=_worker_cap(args.workers),
-                           scales=loaded.scales, grid=grid[0])
+                           scales=loaded.scales, grid=_spec(grid))
     return _report(summary.to_dict(), args, argv, loaded,
                    grid if engine == "grid" else None, master_seed=args.seed)
 

@@ -71,22 +71,17 @@ class LoadedConfig:
                 '"value_N": ...}; the uniform kind is for ensembles')
         return self.measurement.f_div.value / self.scales.force
 
-    def manifest_config(self, grid: tuple[GridSpec, int | None] | None) -> dict:
+    def manifest_config(self, grid: dict | None) -> dict:
         """The config as a manifest records it: every value after defaults,
-        in SI and in packet units, and the (GridSpec, sample_every) the run
-        used (None if it used no grid)."""
+        in SI and in packet units, and the grid block the run used as given
+        (None if it used no grid)."""
         a, m = self.apparatus, self.measurement
-        record = None
-        if grid is not None:
-            spec, sample_every = grid
-            record = {"n": spec.n, "l": spec.half_length, "dt": spec.dt,
-                      "sample_every": sample_every}
         fixed = m.f_div.kind == "fixed"
         si = {"mass_kg": a.mass, "radius_m": a.radius,
               "density_kgm3": a.density, "G": a.big_g,
               "F_div": ({"kind": "fixed", "value_N": m.f_div.value} if fixed
                         else {"kind": "uniform"}),
-              "gamma": self.gamma, "engine": self.engine, "grid": record}
+              "gamma": self.gamma, "engine": self.engine, "grid": grid}
         dimensionless = {"gamma": self.gamma,
                          "f_div": (self.f_div_dimensionless() if fixed
                                    else "uniform")}
@@ -308,11 +303,11 @@ def file_digest(path) -> str:
 
 
 def write_manifest(output_path, command, loaded: LoadedConfig,
-                   grid: tuple[GridSpec, int | None] | None = None,
+                   grid: dict | None = None,
                    master_seed: int | None = None) -> Path:
     """Write the manifest of one output next to it.
 
-    grid is the (GridSpec, sample_every) the run used, None if it used none.
+    grid is the grid block the run used (cli._grid), None if it used none.
     """
     scales = loaded.scales
     manifest = {
@@ -338,11 +333,14 @@ def verify_manifest(manifest_path) -> list[str]:
     A manifest that lists no outputs, or an entry whose path is missing or
     is not a bare file name next to the manifest (write_manifest writes
     only such names), is a problem: it would check nothing, or a file
-    elsewhere. A file that is not JSON, and a manifest, an outputs list or
-    an entry that is not of the shape write_manifest writes, is one too."""
+    elsewhere. A path that cannot be read, a file that is not JSON, and a
+    manifest, an outputs list or an entry that is not of the shape
+    write_manifest writes, is one too."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
+    except OSError as exc:
+        return [f"cannot read manifest: {exc}"]
     except ValueError as exc:
         return [f"manifest is not JSON: {exc}"]
     outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
@@ -359,7 +357,7 @@ def verify_manifest(manifest_path) -> list[str]:
                             f"file name")
             continue
         target = manifest_path.parent / name
-        if not target.exists():
+        if not target.is_file():  # a directory cannot be digested either
             problems.append(f"missing output file: {name}")
             continue
         actual, expected = file_digest(target), entry.get("sha256")

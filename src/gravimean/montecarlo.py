@@ -180,10 +180,10 @@ def _evolve_trials(p: float, f_meas: float, f_div: np.ndarray, tau: float,
     psi = np.stack([gridmod.init_gaussian(grid_spec, d_plus),
                     gridmod.init_gaussian(grid_spec, d_minus)])
     try:
-        # no run takes more than MAX_STEPS steps, so only its ends are sampled
+        # sampled every MAX_STEPS steps, more than any run takes: only its ends
         traj, _, _ = gridmod.evolve_block(
             np.repeat(psi[None], len(f_div), axis=0), p, f_meas, f_div, tau,
-            grid_spec, sample_every=gridmod.MAX_STEPS)
+            grid_spec, gridmod.MAX_STEPS)
     except NumericalError as exc:
         # the core's own error, every field kept, its message led by the trial
         exc.args = (f"trial {trials[exc.row]}: {exc}",)

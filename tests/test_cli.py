@@ -357,6 +357,38 @@ class TestEvolveAnalytic:
                      "--t-max", "1.0", "--out", out]) == 1
         assert "uniform" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--grid-n", "3", "n must be a power of two from 1 to 1048576, got 3"),
+        ("--dt", "-5", "dt must be finite and > 0, got -5.0"),
+        ("--sample-every", "0", "sample_every must be >= 1, got 0"),
+    ])
+    def test_invalid_grid_flag_exits_1(self, tmp_path, capsys, flag, value,
+                                       message):
+        # the closed form ignores the grid, but checks its flags as the
+        # grid engine does: same exit, same message, no CSV, no manifest
+        cfg = write_cfg(tmp_path)
+        for mode in ("analytic", "grid"):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["evolve", "--config", cfg, "--mode", mode,
+                         "--t-max", "5", flag, value, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
+            assert not Path(str(out) + ".manifest.json").exists()
+
+    def test_valid_grid_flags_ignored(self, tmp_path):
+        cfg = write_cfg(tmp_path, p=0.7)
+        digests = set()
+        for name, flags in (("plain", []),
+                            ("flags", ["--grid-n", "256", "--grid-l", "16",
+                                       "--dt", "0.4", "--sample-every", "3"])):
+            out = str(tmp_path / f"{name}.csv")
+            assert main(["evolve", "--config", cfg, "--mode", "analytic",
+                         "--t-max", "1.0", "--dt-sample", "0.5", *flags,
+                         "--out", out]) == 0
+            digests.add(file_digest(out))
+            assert manifest_grid(out) is None
+        assert len(digests) == 1
+
 
 class TestStreamedOutput:
     """An analytic evolve evaluates, formats and writes its rows
@@ -529,6 +561,24 @@ class TestVerifyManifest:
         problems = verify_manifest(path)
         assert len(problems) == 1
         assert problems[0].startswith("manifest is not JSON: ")
+
+    def test_missing_manifest(self, tmp_path):
+        problems = verify_manifest(tmp_path / "nope.manifest.json")
+        assert len(problems) == 1
+        assert problems[0].startswith("cannot read manifest: ")
+        assert "No such file" in problems[0]
+
+    def test_manifest_path_is_a_directory(self, tmp_path):
+        problems = verify_manifest(tmp_path)
+        assert len(problems) == 1
+        assert problems[0].startswith("cannot read manifest: ")
+        assert "Is a directory" in problems[0]
+
+    def test_output_is_a_directory(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        assert self.verify(tmp_path, {"outputs": [
+            {"path": "sub", "sha256": "0" * 64}]}) == [
+            "missing output file: sub"]
 
     def test_entry_without_path(self, tmp_path):
         assert self.verify(tmp_path, {"outputs": [{"sha256": "0" * 64}]}) == [
@@ -892,6 +942,17 @@ class TestCompare:
         assert json.loads(Path(out).read_text())["n_samples"] >= 2
         assert verify_manifest(out + ".manifest.json") == []
 
+    def test_printed_grid_is_the_manifest_record(self, tmp_path, capsys):
+        # flags over a config block, whose sample_every fills the record
+        cfg = write_cfg(tmp_path, grid={"n": 512, "l": 12.0, "dt": 4e-3,
+                                        "sample_every": 25})
+        out = str(tmp_path / "cmp.json")
+        assert main(["compare", "--config", cfg, "--t-max", "0.2",
+                     "--grid-n", "256", "--grid-l", "16", "--out", out]) == 0
+        printed = json.loads(capsys.readouterr().out)["grid"]
+        assert printed == {"n": 256, "l": 16.0, "dt": 4e-3}
+        assert manifest_grid(out) == dict(printed, sample_every=25)
+
 
 class TestBornMc:
     def test_matches_library_call(self, tmp_path, capsys):
@@ -1017,6 +1078,18 @@ class TestBornMc:
             grid=GridSpec(half_length=MC_GRID.half_length, n=256,
                           dt=MC_GRID.dt))
         assert json.loads(capsys.readouterr().out) == ref.to_dict()
+
+    def test_grid_block_sample_every_not_recorded(self, tmp_path, capsys):
+        # born-mc trials sample only their ends: the block's sample_every
+        # is not the command's, and the manifest records null for it
+        cfg = write_cfg(tmp_path, p=0.8, F_div={"kind": "uniform"},
+                        tau_meas_s=0.5 / APP.omega_grav,
+                        grid={"n": 256, "sample_every": 7})
+        out = str(tmp_path / "mc.json")
+        assert main(["born-mc", "--config", cfg, "--engine", "grid",
+                     "--trials", "2", "--seed", "3", "--out", out]) == 0
+        assert manifest_grid(out) == {"n": 256, "l": 20.0, "dt": 0.004,
+                                      "sample_every": None}
 
     def test_analytic_manifest_has_no_grid(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, F_div={"kind": "uniform"},
