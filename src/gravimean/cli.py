@@ -192,14 +192,16 @@ def _initial_state(loaded: LoadedConfig, args):
 
 def _sample_times(t_max: float, dt_sample: float) -> np.ndarray:
     """Analytic output times; over MAX_ROWS of them fail before allocation."""
-    rows = t_max / dt_sample + 2
+    ratio = t_max / dt_sample
+    # a ratio past the cap is refused as it is, so floor never sees inf
+    n = math.floor(ratio + 1e-9) if ratio <= MAX_ROWS else ratio
+    off_grid = n * dt_sample < t_max * (1.0 - 1e-12)
+    rows = n + 1 + off_grid
     if not rows <= MAX_ROWS:
         raise ConfigError(f"--t-max / --dt-sample: the run would write "
-                          f"{rows:.3g} rows, more than {MAX_ROWS}")
-    n = int(math.floor(t_max / dt_sample + 1e-9))
-    off_grid = n * dt_sample < t_max * (1.0 - 1e-12)
+                          f"{rows:.8g} rows, more than {MAX_ROWS}")
     # one float64 array of the final length, 8 B per row
-    times = np.arange(n + 1 + off_grid, dtype=np.float64)
+    times = np.arange(rows, dtype=np.float64)
     times *= dt_sample
     if off_grid:
         times[-1] = t_max
@@ -300,7 +302,7 @@ def cmd_born_mc(args, argv=None) -> int:
 
 def cmd_two_detector(args, argv=None) -> int:
     table = two_detector_table(args.p)
-    print(json.dumps(table.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(vars(table), indent=2, sort_keys=True))
     return 0
 
 

@@ -66,6 +66,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import analytic
+
 # Branch signs of the measurement force, plus then minus, as a column.
 _SIGN = np.array([[1.0], [-1.0]])
 _BRANCH = ("plus", "minus")
@@ -389,7 +391,7 @@ def _energy(kinetic: np.ndarray, stats: np.ndarray, xbar: np.ndarray,
     return 0.5 * (x2bar - xbar**2) + (kinetic + force) @ weights
 
 
-def _preflight(stats: np.ndarray, kstats: np.ndarray, p: float,
+def _preflight(stats: np.ndarray, kstats: np.ndarray, weights: np.ndarray,
                f_meas: float, f_div: np.ndarray, t_max: float,
                grid: GridSpec) -> None:
     """Refuse, with ValueError, a run whose box or grid spacing cannot hold
@@ -400,13 +402,12 @@ def _preflight(stats: np.ndarray, kstats: np.ndarray, p: float,
     width. The mean momentum vbar0 + F t is exact under a uniform force and
     must stay below 0.95 pi/dx, where the aliasing guard looks, at both ends
     of the run: a necessary condition, which refuses no run the grid
-    resolves. stats and kstats are the block's x and k products at t = 0.
+    resolves. weights is [p, 1 - p], stats and kstats the t = 0 products.
     """
-    weights = np.array([p, 1.0 - p])
     per_branch = stats[..., 1:3] / stats[..., :1]
     xbar0 = per_branch[..., 0] @ weights
     vbar0 = (kstats[..., 1] / kstats[..., 0]) @ weights
-    force = 2.0 * (p - 0.5) * f_meas + f_div
+    force = analytic.total_force(weights[0], f_meas, f_div)
     with np.errstate(divide="ignore", invalid="ignore"):
         vertex = -vbar0 / force
     vertex = np.where((vertex > 0.0) & (vertex < t_max), vertex, 0.0)
@@ -486,7 +487,7 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     # step all read it
     phi = np.fft.fft(psi)
     kstats = _kstats(phi, k_weights, density)
-    _preflight(stats, kstats, p, f_meas, f_div, t_max, grid)
+    _preflight(stats, kstats, weights, f_meas, f_div, t_max, grid)
     advance = _advance(grid, f_meas, f_div.tolist(), weights, block, density,
                        x_weights)
 

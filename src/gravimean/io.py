@@ -48,20 +48,22 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class LoadedConfig:
-    """A validated config. grid holds the keys of the config's grid block
-    (n and sample_every as int, l and dt as float); the command that runs
-    fills in the rest."""
+    """A validated config. packet holds the measurement in packet units, as
+    converted once at load (f_div is a float or "uniform"). grid holds the
+    keys of the config's grid block (n and sample_every as int, l and dt as
+    float); the command that runs fills in the rest."""
 
     apparatus: ApparatusParams
     measurement: MeasurementConfig
     scales: Scales
+    packet: dict
     grid: dict
     gamma: float
     engine: str | None
 
     @property
     def f_meas_dimensionless(self) -> float:
-        return self.measurement.f_meas / self.scales.force
+        return self.packet["f_meas"]
 
     def f_div_dimensionless(self) -> float:
         """Fixed diverting force in packet units; rejects the uniform kind."""
@@ -69,27 +71,20 @@ class LoadedConfig:
             raise ConfigError(
                 'F_div.kind: deterministic evolution needs {"kind": "fixed", '
                 '"value_N": ...}; the uniform kind is for ensembles')
-        return self.measurement.f_div.value / self.scales.force
+        return self.packet["f_div"]
 
     def manifest_config(self, grid: dict | None) -> dict:
         """The config as a manifest records it: every value after defaults,
-        in SI and in packet units, and the grid block the run used as given
-        (None if it used no grid)."""
+        in SI and in packet units as the run read them, and the grid block
+        the run used as given (None if it used no grid)."""
         a, m = self.apparatus, self.measurement
-        fixed = m.f_div.kind == "fixed"
         si = {"mass_kg": a.mass, "radius_m": a.radius,
               "density_kgm3": a.density, "G": a.big_g,
-              "F_div": ({"kind": "fixed", "value_N": m.f_div.value} if fixed
-                        else {"kind": "uniform"}),
+              **{key: getattr(m, field) for field, key, _ in _MEASUREMENT_KEYS},
+              "F_div": ({"kind": "fixed", "value_N": m.f_div.value}
+                        if m.f_div.kind == "fixed" else {"kind": "uniform"}),
               "gamma": self.gamma, "engine": self.engine, "grid": grid}
-        dimensionless = {"gamma": self.gamma,
-                         "f_div": (self.f_div_dimensionless() if fixed
-                                   else "uniform")}
-        for field, key, scale in _MEASUREMENT_KEYS:
-            si[key] = value = getattr(m, field)
-            dimensionless[field] = (value / getattr(self.scales, scale)
-                                    if scale else value)
-        return {"si": si, "dimensionless": dimensionless}
+        return {"si": si, "dimensionless": {"gamma": self.gamma, **self.packet}}
 
 
 def _require_number(obj: dict, key: str, path: str = "") -> float:
@@ -111,8 +106,8 @@ def _require_number(obj: dict, key: str, path: str = "") -> float:
 def load_config(path) -> LoadedConfig:
     """Read and fully validate a JSON config file.
 
-    Returns the apparatus, measurement settings, unit scales, the grid
-    block as given, damping and default engine.
+    Returns the apparatus, measurement settings in SI and packet units, unit
+    scales, the grid block as given, damping and default engine.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -208,32 +203,38 @@ def load_config(path) -> LoadedConfig:
     if engine is not None and engine not in ("analytic", "grid"):
         raise ConfigError(f"engine: expected 'analytic' or 'grid', got {engine!r}")
 
-    scales = _packet_scales(apparatus, measurement)
+    scales, packet = _packet_units(apparatus, measurement)
     return LoadedConfig(apparatus=apparatus, measurement=measurement,
-                        scales=scales, grid=grid, gamma=gamma, engine=engine)
+                        scales=scales, packet=packet, grid=grid, gamma=gamma,
+                        engine=engine)
 
 
-def _packet_scales(apparatus: ApparatusParams,
-                   measurement: MeasurementConfig) -> Scales:
-    """The unit scales, after checking that they and every value the run
-    uses in packet units are finite: a finite SI value can still overflow
-    there."""
+def _packet_units(apparatus: ApparatusParams,
+                  measurement: MeasurementConfig) -> tuple[Scales, dict]:
+    """The unit scales and LoadedConfig.packet, after checking that the
+    scales and every value the run uses in packet units are finite, and that
+    no value is 0 there unless it is in SI: a finite SI value can still
+    overflow or underflow there."""
     scales = Scales.from_apparatus(apparatus)
     for name, value in vars(scales).items():
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(
                 f"mass_kg/radius_m/density_kgm3/G: the {name} scale is "
                 f"{value!r}, not a finite positive number")
-    derived = [(key, getattr(measurement, field), getattr(scales, scale))
-               for field, key, scale in _MEASUREMENT_KEYS if scale]
+    packet = {"p": measurement.p, "f_div": "uniform"}
+    derived = [(field, key, getattr(measurement, field), getattr(scales, s))
+               for field, key, s in _MEASUREMENT_KEYS if s]
     if measurement.f_div.kind == "fixed":
-        derived.append(("F_div.value_N", measurement.f_div.value, scales.force))
-    for key, value, scale in derived:
-        if not math.isfinite(value / scale):
+        derived.append(("f_div", "F_div.value_N", measurement.f_div.value,
+                        scales.force))
+    for field, key, value, scale in derived:
+        packet[field] = quotient = value / scale
+        underflow = quotient == 0.0 and value != 0.0
+        if underflow or not math.isfinite(quotient):
             raise ConfigError(
-                f"{key}: {value!r} is {value / scale!r} in packet units; "
-                f"expected a finite number")
-    return scales
+                f"{key}: {value!r} is {quotient!r} in packet units; expected "
+                f"a {'nonzero' if underflow else 'finite'} number")
+    return scales, packet
 
 
 def emit_trajectory(table, path) -> None:

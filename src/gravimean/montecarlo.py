@@ -144,11 +144,6 @@ class TwoDetectorTable:
     model_probs: tuple[float, float, float, float]
     born_probs: tuple[float, float, float, float]
 
-    def to_dict(self) -> dict:
-        return {"p": self.p,
-                "model_probs": list(self.model_probs),
-                "born_probs": list(self.born_probs)}
-
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
@@ -316,7 +311,8 @@ def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     if cfg.f_div.kind != "uniform":
-        raise ValueError("ensembles need F_div kind 'uniform'")
+        raise ValueError('F_div.kind: an ensemble needs {"kind": "uniform"}; '
+                         'the fixed kind is for deterministic evolution')
 
     f_meas, tau = cfg.f_meas / scales.force, cfg.tau_meas / scales.time
     jobs = [(cfg.p, f_meas, tau, engine, master_seed, start, stop, grid)

@@ -197,6 +197,25 @@ class TestConfigValidation:
         assert f"{where}: 1e+300 is inf in packet units" in err
         assert not (tmp_path / "x.out").exists()
 
+    @pytest.mark.parametrize("command", ["born-mc-analytic", "born-mc-grid",
+                                         "criteria"])
+    def test_underflow_in_packet_units_rejected(self, tmp_path, capsys,
+                                                command):
+        # 5e-324 s is finite and > 0 but 0.0 in units of 1/omega: analytic
+        # born-mc ran on it and grid born-mc refused it naming no key
+        cfg = write_cfg(tmp_path, F_div={"kind": "uniform"},
+                        tau_meas_s=5e-324)
+        out = tmp_path / "born.json"
+        argv = (["criteria", "--config", cfg] if command == "criteria" else
+                ["born-mc", "--config", cfg, "--engine",
+                 command.split("-")[-1], "--trials", "4", "--out", str(out)])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: tau_meas_s: 5e-324 is 0.0 in packet "
+                                "units; expected a nonzero number\n")
+        assert list(tmp_path.iterdir()) == [Path(cfg)]
+
     def test_non_finite_scale_rejected(self, tmp_path, capsys):
         # G M overflows, so omega is inf and the length scale 0
         self.check_rejected(tmp_path, capsys, "the length scale is 0.0",
@@ -302,6 +321,26 @@ class TestEvolveAnalytic:
             assert float(cells[3]) == exact["x_plus"][i]
             assert float(cells[4]) == exact["x_minus"][i]
             assert float(cells[5]) == exact["x_plus"][i] - exact["x_minus"][i]
+
+    def test_manifest_records_what_the_run_read(self, tmp_path):
+        # the CSV is the closed form on the manifest's packet-unit values,
+        # bit for bit: the manifest holds the numbers the run used
+        cfg = write_cfg(tmp_path, p=0.7, F_meas_N=1.3 * SC.force,
+                        F_div={"kind": "fixed", "value_N": 0.37 * SC.force},
+                        gamma=0.5)
+        out = str(tmp_path / "traj.csv")
+        assert main(["evolve", "--config", cfg, "--mode", "analytic",
+                     "--t-max", "5.0", "--out", out]) == 0
+        read = json.loads(Path(out + ".manifest.json").read_text())
+        packet = read["config"]["dimensionless"]
+        csv = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(0, 1, 3, 4),
+                         ndmin=2)
+        exact = trajectory(smooth_initial_condition(packet["p"],
+                                                    packet["f_meas"]),
+                           packet["f_meas"], packet["f_div"], csv[:, 0],
+                           gamma=packet["gamma"])
+        for col, name in enumerate(("t", "xbar", "x_plus", "x_minus")):
+            assert np.array_equal(csv[:, col], exact[name]), name
 
     def test_manifest_written_and_clean(self, tmp_path):
         _, out = self.run_basic(tmp_path)
@@ -817,6 +856,26 @@ class TestRowCap:
         assert "--t-max / --dt-sample: the run would write 1e+18 rows" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("t_max, rows", [("8.7", 10), ("9.7", 11)])
+    def test_analytic_rows_exact(self, tmp_path, capsys, monkeypatch, t_max,
+                                 rows):
+        # t = 0, 1, ..., 8 and 8.7 are 10 rows, which the cap of 10 holds;
+        # an estimate of t_max / dt_sample + 2 refused them
+        monkeypatch.setattr(cli, "MAX_ROWS", 10)
+        out = tmp_path / "x.csv"
+        code = main(["evolve", "--config", write_cfg(tmp_path), "--mode",
+                     "analytic", "--t-max", t_max, "--dt-sample", "1",
+                     "--out", str(out)])
+        if rows <= 10:
+            assert code == 0
+            assert len(read_csv(out)) == 1 + rows
+        else:
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error: --t-max / --dt-sample: the run would write {rows} "
+                f"rows, more than 10\n")
+            assert not out.exists()
+
     @pytest.mark.parametrize("t_max, dt_sample", [
         (1.0, 0.1), (2e4, 0.1), (0.3, 0.1), (3.0, 1e-3),      # on the grid
         (1.05, 0.1), (math.pi, 1e-3), (0.05, 0.1), (7.3, 0.7)])  # off it
@@ -1108,7 +1167,9 @@ class TestBornMc:
     def test_fixed_fdiv_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         assert main(["born-mc", "--config", cfg, "--trials", "10"]) == 1
-        assert "uniform" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: F_div.kind: ")
+        assert "uniform" in err
 
     def test_zero_trials_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, F_div={"kind": "uniform"})
@@ -1157,6 +1218,7 @@ class TestTwoDetector:
     def test_table(self, capsys):
         assert main(["two-detector", "--p", "0.3"]) == 0
         out = json.loads(capsys.readouterr().out)
+        assert set(out) == {"p", "model_probs", "born_probs"}
         assert out["model_probs"] == pytest.approx([0.21, 0.09, 0.49, 0.21])
         assert out["born_probs"] == pytest.approx([0.0, 0.3, 0.7, 0.0])
 

@@ -700,7 +700,3 @@ class TestTwoDetector:
             two_detector_table(1.5)
         with pytest.raises(ValueError):
             two_detector_table(-0.1)
-
-    def test_to_dict(self):
-        d = two_detector_table(0.3).to_dict()
-        assert set(d) == {"p", "model_probs", "born_probs"}

@@ -84,7 +84,14 @@ def matrix() -> list:
     runs.append(("born-mc-grid-block-2^16", "born-block",
                  ["born-mc", "--engine", "grid", "--trials", str(BLOCK),
                   "--seed", "7"], "born-block.json"))
+    runs.append(("born-mc-fixed-force", "evolve",
+                 ["born-mc", "--trials", "4"], "born-fixed.json"))
     runs.append(("criteria", "evolve", ["criteria"], None))
+    # tau_meas_s 5e-324 s is 0.0 in units of 1/omega
+    runs.append(("born-mc-analytic-tau-underflow", "tiny-tau",
+                 ["born-mc", "--engine", "analytic", "--trials", "4"],
+                 "born-tiny-tau.json"))
+    runs.append(("criteria-tau-underflow", "tiny-tau", ["criteria"], None))
     runs.append(("two-detector", None, ["two-detector", "--p", "0.6"], None))
     for flag, value in (("--grid-n", "3"), ("--dt", "-5"),
                         ("--sample-every", "0")):
@@ -133,6 +140,7 @@ def main(argv: list) -> int:
             "born": si_config(scales, 0.6, 1.0, 1.0),
             "born-block": si_config(scales, 0.6, 1.0, 1.0,
                                     grid={"n": 256, "sample_every": 7}),
+            "tiny-tau": si_config(scales, 0.6, 1.0, 1.0, tau_meas_s=5e-324),
         }
         for name, cfg in configs.items():
             (work / f"{name}.json").write_text(json.dumps(cfg))
