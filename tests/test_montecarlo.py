@@ -700,3 +700,8 @@ class TestTwoDetector:
             two_detector_table(1.5)
         with pytest.raises(ValueError):
             two_detector_table(-0.1)
+
+    def test_to_dict(self):
+        # two-detector prints vars(table); its keys are the table's fields.
+        d = vars(two_detector_table(0.3))
+        assert set(d) == {"p", "model_probs", "born_probs"}
