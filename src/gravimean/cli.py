@@ -11,6 +11,7 @@ Subcommands:
 Exit codes: 0 success, 1 bad usage or config, 2 criteria not satisfied,
 3 numerical failure (norm drift, a negative variance, probability at the
 grid edge or the largest |k| of the grid, or a non-finite trajectory value).
+A run that exits 1 or 3 leaves no output file, manifest or stdout result.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -34,8 +34,6 @@ from .io import (ConfigError, LoadedConfig, emit_trajectory, load_config,
                  write_manifest)
 from .montecarlo import MC_GRID, run_ensemble, two_detector_table
 from .units import classicality_report
-
-THREAD_CAP_ENV = "GRAVIMEAN_THREADS"
 
 # Default grid block of evolve and compare, and of born-mc, whose trials
 # sample only their start and end, so it takes no sample_every.
@@ -83,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev = sub.add_parser("evolve", help="run one deterministic evolution")
     p_ev.add_argument("--config", required=True)
     p_ev.add_argument("--mode", dest="engine", choices=("analytic", "grid"),
-                      help="engine; defaults to the config's engine key, "
-                           "then analytic")
+                      default="analytic", help="engine; default analytic")
     p_ev.add_argument("--t-max", type=_positive, required=True,
                       help="duration in units of 1/omega")
     p_ev.add_argument("--dt-sample", type=_positive, default=0.1,
@@ -106,14 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("born-mc",
                           help="outcome frequencies over the diverting force")
     p_mc.add_argument("--config", required=True)
-    p_mc.add_argument("--engine", choices=("analytic", "grid"), default=None)
+    p_mc.add_argument("--engine", choices=("analytic", "grid"),
+                      default="analytic")
     p_mc.add_argument("--trials", type=int, required=True)
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--workers", type=int, default=1,
-                      help="most worker processes; capped by "
-                           f"{THREAD_CAP_ENV} and the CPU count, with one "
-                           "per block of trials at most, so a one-block "
-                           "ensemble runs in this process")
+                      help="most worker processes; capped by the CPU "
+                           "count, with one per block of trials at most, so "
+                           "a one-block ensemble runs in this process")
     p_mc.add_argument("--out", default=None, help="also write the JSON here")
     p_mc.set_defaults(func=cmd_born_mc)
 
@@ -168,19 +165,6 @@ def _spec(block: dict) -> GridSpec:
     return GridSpec(half_length=block["l"], n=block["n"], dt=block["dt"])
 
 
-def _worker_cap(requested: int) -> int:
-    raw = os.environ.get(THREAD_CAP_ENV)
-    if raw is None:
-        return requested
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREAD_CAP_ENV}: expected an integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError(f"{THREAD_CAP_ENV}: must be >= 1, got {cap}")
-    return min(requested, cap)
-
-
 def _initial_state(loaded: LoadedConfig, args):
     p = loaded.measurement.p
     if args.ic == "smooth":
@@ -210,13 +194,13 @@ def _sample_times(t_max: float, dt_sample: float) -> np.ndarray:
 
 def _report(result: dict, args, argv, loaded: LoadedConfig, grid,
             master_seed: int | None = None) -> int:
-    """Print the JSON result and, with --out, write it and its manifest."""
+    """With --out, write the JSON result and its manifest; then print it."""
     text = json.dumps(result, indent=2, sort_keys=True)
-    print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")
         write_manifest(args.out, _command_line(argv), loaded, grid,
                        master_seed=master_seed)
+    print(text)
     return 0
 
 
@@ -249,7 +233,7 @@ def _emit_evolve(loaded: LoadedConfig, args) -> dict | None:
     return, before the manifest's digest loads OpenSSL."""
     state = _initial_state(loaded, args)
     grid = _grid(loaded, args, EVOLVE_GRID)
-    if (args.engine or loaded.engine or "analytic") == "analytic":
+    if args.engine == "analytic":
         grid = None
         f_meas, f_div = loaded.f_meas_dimensionless, loaded.f_div_dimensionless()
         times = _sample_times(args.t_max, args.dt_sample)
@@ -291,13 +275,13 @@ def cmd_compare(args, argv=None) -> int:
 
 def cmd_born_mc(args, argv=None) -> int:
     loaded = load_config(args.config)
-    engine = args.engine or loaded.engine or "analytic"
     grid = _grid(loaded, args, BORN_MC_GRID)
-    summary = run_ensemble(loaded.measurement, engine, args.trials, args.seed,
-                           workers=_worker_cap(args.workers),
+    summary = run_ensemble(loaded.measurement, args.engine, args.trials,
+                           args.seed, workers=args.workers,
                            scales=loaded.scales, grid=_spec(grid))
     return _report(summary.to_dict(), args, argv, loaded,
-                   grid if engine == "grid" else None, master_seed=args.seed)
+                   grid if args.engine == "grid" else None,
+                   master_seed=args.seed)
 
 
 def cmd_two_detector(args, argv=None) -> int:

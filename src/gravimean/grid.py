@@ -117,6 +117,11 @@ class GridSpec:
                              f"got {self.n!r}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
+        # the largest moment weight, x^2 dx at x = -half_length, in Python
+        # floats, which overflow to inf without a warning
+        length = float(self.half_length)
+        if not math.isfinite(length * length * (2.0 * length / self.n)):
+            raise ValueError(f"half_length {length!r} too large: x^2 dx overflows")
 
     @property
     def dx(self) -> float:

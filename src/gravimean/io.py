@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .grid import GridSpec, NumericalError
+from .grid import MAX_N, GridSpec, NumericalError
 from .units import (ApparatusParams, FdivSpec, G_NEWTON, MeasurementConfig,
                     Scales)
 
@@ -32,7 +32,7 @@ EMIT_ROWS = 2**11
 DIGEST_CHUNK = 2**16
 
 _TOP_KEYS = {"mass_kg", "radius_m", "density_kgm3", "G", "p", "F_meas_N",
-             "tau_meas_s", "l0_m", "F_div", "grid", "gamma", "engine"}
+             "tau_meas_s", "l0_m", "F_div", "grid", "gamma"}
 _REQUIRED_KEYS = {"p", "F_meas_N", "tau_meas_s", "l0_m", "F_div"}
 _GRID_KEYS = {"n", "l", "dt", "sample_every"}
 # (MeasurementConfig field, its SI config key, the Scales attribute that
@@ -59,7 +59,6 @@ class LoadedConfig:
     packet: dict
     grid: dict
     gamma: float
-    engine: str | None
 
     @property
     def f_meas_dimensionless(self) -> float:
@@ -83,7 +82,7 @@ class LoadedConfig:
               **{key: getattr(m, field) for field, key, _ in _MEASUREMENT_KEYS},
               "F_div": ({"kind": "fixed", "value_N": m.f_div.value}
                         if m.f_div.kind == "fixed" else {"kind": "uniform"}),
-              "gamma": self.gamma, "engine": self.engine, "grid": grid}
+              "gamma": self.gamma, "grid": grid}
         return {"si": si, "dimensionless": {"gamma": self.gamma, **self.packet}}
 
 
@@ -107,7 +106,7 @@ def load_config(path) -> LoadedConfig:
     """Read and fully validate a JSON config file.
 
     Returns the apparatus, measurement settings in SI and packet units, unit
-    scales, the grid block as given, damping and default engine.
+    scales, the grid block as given and damping.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -189,9 +188,10 @@ def load_config(path) -> LoadedConfig:
         raise ConfigError(
             f"grid.sample_every: expected a positive integer, got {grid['sample_every']!r}")
     try:
-        # GridSpec checks each field on its own, so the placeholders let
-        # only the keys the block sets fail
-        GridSpec(half_length=grid.get("l", 1.0), n=grid.get("n", 1),
+        # GridSpec checks each field on its own, and l against n, so the
+        # placeholders (the largest n, for the smallest dx) let only the
+        # keys the block sets fail
+        GridSpec(half_length=grid.get("l", 1.0), n=grid.get("n", MAX_N),
                  dt=grid.get("dt", 1.0))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}")
@@ -199,14 +199,10 @@ def load_config(path) -> LoadedConfig:
     gamma = _require_number(raw, "gamma") if "gamma" in raw else 0.0
     if gamma < 0.0:
         raise ConfigError(f"gamma: must be >= 0, got {gamma!r}")
-    engine = raw.get("engine")
-    if engine is not None and engine not in ("analytic", "grid"):
-        raise ConfigError(f"engine: expected 'analytic' or 'grid', got {engine!r}")
 
     scales, packet = _packet_units(apparatus, measurement)
     return LoadedConfig(apparatus=apparatus, measurement=measurement,
-                        scales=scales, packet=packet, grid=grid, gamma=gamma,
-                        engine=engine)
+                        scales=scales, packet=packet, grid=grid, gamma=gamma)
 
 
 def _packet_units(apparatus: ApparatusParams,
@@ -306,7 +302,8 @@ def file_digest(path) -> str:
 def write_manifest(output_path, command, loaded: LoadedConfig,
                    grid: dict | None = None,
                    master_seed: int | None = None) -> Path:
-    """Write the manifest of one output next to it.
+    """Write the manifest of one output next to it; a run whose manifest
+    cannot be written removes the output before the error propagates.
 
     grid is the grid block the run used (cli._grid), None if it used none.
     """
@@ -324,7 +321,11 @@ def write_manifest(output_path, command, loaded: LoadedConfig,
                      "sha256": file_digest(output_path)}],
     }
     path = Path(str(output_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    try:
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except BaseException:
+        Path(output_path).unlink(missing_ok=True)
+        raise
     return path
 
 

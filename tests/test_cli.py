@@ -132,7 +132,11 @@ class TestConfigValidation:
         self.check_rejected(tmp_path, capsys, "G: must be > 0", G=-1.0)
 
     def test_bad_engine(self, tmp_path, capsys):
-        self.check_rejected(tmp_path, capsys, "engine", engine="exact")
+        # the engine comes from --mode / --engine alone: the config key is
+        # unknown, whatever its value
+        for engine in ("exact", "grid"):
+            self.check_rejected(tmp_path, capsys, "unknown key: engine",
+                                engine=engine)
 
     def test_missing_required_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, drop=("p",))
@@ -349,6 +353,7 @@ class TestEvolveAnalytic:
         manifest = json.loads(Path(manifest_path).read_text())
         assert manifest["tool"] == "gravimean"
         assert manifest["config"]["si"]["grid"] is None
+        assert "engine" not in manifest["config"]["si"]
         assert manifest["config"]["si"]["G"] == 6.674e-11
         assert manifest["config"]["dimensionless"]["f_meas"] == 1.0
         assert manifest["command"][0] == "gravimean"
@@ -415,15 +420,17 @@ class TestEvolveAnalytic:
             assert not Path(str(out) + ".manifest.json").exists()
 
     def test_valid_grid_flags_ignored(self, tmp_path):
+        # without --mode the run is analytic too
         cfg = write_cfg(tmp_path, p=0.7)
         digests = set()
-        for name, flags in (("plain", []),
-                            ("flags", ["--grid-n", "256", "--grid-l", "16",
-                                       "--dt", "0.4", "--sample-every", "3"])):
+        for name, flags in (("plain", ["--mode", "analytic"]),
+                            ("no-mode", []),
+                            ("flags", ["--mode", "analytic", "--grid-n", "256",
+                                       "--grid-l", "16", "--dt", "0.4",
+                                       "--sample-every", "3"])):
             out = str(tmp_path / f"{name}.csv")
-            assert main(["evolve", "--config", cfg, "--mode", "analytic",
-                         "--t-max", "1.0", "--dt-sample", "0.5", *flags,
-                         "--out", out]) == 0
+            assert main(["evolve", "--config", cfg, "--t-max", "1.0",
+                         "--dt-sample", "0.5", *flags, "--out", out]) == 0
             digests.add(file_digest(out))
             assert manifest_grid(out) is None
         assert len(digests) == 1
@@ -1043,21 +1050,18 @@ class TestBornMc:
             counts.append(json.loads(capsys.readouterr().out)["counts"])
         assert counts[0] == counts[1]
 
-    def test_thread_cap_env(self, tmp_path, capsys, monkeypatch):
+    def test_worker_count_from_the_flag_alone(self, tmp_path, capsys,
+                                              monkeypatch):
+        # no environment variable caps --workers: GRAVIMEAN_THREADS set to
+        # a non-integer changes nothing
         cfg = write_cfg(tmp_path, p=0.4, F_div={"kind": "uniform"})
-        assert main(["born-mc", "--config", cfg, "--trials", "400",
-                     "--seed", "5", "--workers", "1"]) == 0
-        ref = json.loads(capsys.readouterr().out)["counts"]
-        monkeypatch.setenv("GRAVIMEAN_THREADS", "1")
-        assert main(["born-mc", "--config", cfg, "--trials", "400",
-                     "--seed", "5", "--workers", "8"]) == 0
-        assert json.loads(capsys.readouterr().out)["counts"] == ref
-
-    def test_bad_thread_cap(self, tmp_path, capsys, monkeypatch):
-        cfg = write_cfg(tmp_path, F_div={"kind": "uniform"})
+        argv = ["born-mc", "--config", cfg, "--trials", "400", "--seed", "5",
+                "--workers", "2"]
+        assert main(argv) == 0
+        ref = capsys.readouterr().out
         monkeypatch.setenv("GRAVIMEAN_THREADS", "many")
-        assert main(["born-mc", "--config", cfg, "--trials", "10"]) == 1
-        assert "GRAVIMEAN_THREADS" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert capsys.readouterr().out == ref
 
     def test_grid_engine(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, p=0.8, F_div={"kind": "uniform"},
@@ -1158,12 +1162,6 @@ class TestBornMc:
                      "--out", out]) == 0
         assert manifest_grid(out) is None
 
-    def test_engine_default_from_config(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, F_div={"kind": "uniform"},
-                        engine="analytic")
-        assert main(["born-mc", "--config", cfg, "--trials", "50"]) == 0
-        assert json.loads(capsys.readouterr().out)["engine"] == "analytic"
-
     def test_fixed_fdiv_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         assert main(["born-mc", "--config", cfg, "--trials", "10"]) == 1
@@ -1212,6 +1210,72 @@ class TestBornMc:
         assert outs[0] == outs[1] == outs[2]
         counts = json.loads(outs[0])["counts"]
         assert counts["right"] + counts["left"] + counts["undecided"] == 12
+
+
+class TestFailedRunWritesNothing:
+    """A run that exits 1 prints no result and leaves no output file and
+    no manifest, whichever of the two it could not write."""
+
+    def check(self, capsys, argv, out):
+        assert main([*argv, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not Path(out).is_file()
+        assert not Path(out + ".manifest.json").is_file()
+
+    def born_mc(self, tmp_path):
+        cfg = write_cfg(tmp_path, F_div={"kind": "uniform"})
+        return ["born-mc", "--config", cfg, "--trials", "10"]
+
+    def test_born_mc_out_in_missing_directory(self, tmp_path, capsys):
+        self.check(capsys, self.born_mc(tmp_path),
+                   str(tmp_path / "missing" / "x.json"))
+
+    def test_born_mc_out_is_a_directory(self, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        self.check(capsys, self.born_mc(tmp_path), str(tmp_path / "d"))
+
+    def test_born_mc_manifest_path_is_a_directory(self, tmp_path, capsys):
+        out = str(tmp_path / "x.json")
+        Path(out + ".manifest.json").mkdir()
+        self.check(capsys, self.born_mc(tmp_path), out)
+
+    def test_compare_out_in_missing_directory(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        self.check(capsys, ["compare", "--config", cfg, "--t-max", "0.5",
+                            "--grid-n", "256", "--grid-l", "16",
+                            "--dt", "2e-3"],
+                   str(tmp_path / "missing" / "x.json"))
+
+    def test_evolve_manifest_path_is_a_directory(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "x.csv")
+        Path(out + ".manifest.json").mkdir()
+        self.check(capsys, ["evolve", "--config", cfg, "--mode", "analytic",
+                            "--t-max", "1"], out)
+
+
+class TestHugeBox:
+    """A half-length whose x^2 dx moment weight overflows is refused by
+    GridSpec, from the flag or the config, before any NaN arises."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("length", [1e200, 1e308])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_refused(self, tmp_path, capsys, source, length):
+        argv = ["evolve", "--mode", "grid", "--t-max", "0.01",
+                "--grid-n", "64", "--out", str(tmp_path / "x.csv")]
+        if source == "flag":
+            cfg = write_cfg(tmp_path)
+            argv += ["--grid-l", repr(length)]
+        else:
+            cfg = write_cfg(tmp_path, grid={"l": length})
+        assert main([*argv, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"half_length {length!r} too large: x^2 dx overflows" in err
+        assert "nan" not in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestTwoDetector:

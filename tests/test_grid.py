@@ -50,7 +50,7 @@ class TestGridSpec:
     @pytest.mark.parametrize("kwargs", [
         {"n": 500}, {"n": 0}, {"n": -8},
         {"half_length": 0.0}, {"dt": 0.0}, {"dt": -1e-3},
-        {"n": 2 * gridmod.MAX_N},
+        {"n": 2 * gridmod.MAX_N}, {"half_length": 1e200},
     ])
     def test_validation(self, kwargs):
         base = {"half_length": 16.0, "n": 512, "dt": 1e-3}
@@ -61,6 +61,13 @@ class TestGridSpec:
     def test_largest_grid(self):
         assert gridmod.MAX_N == 2**20
         assert GridSpec(half_length=16.0, n=gridmod.MAX_N, dt=1e-3).n == 2**20
+
+    def test_largest_box(self):
+        # at n = 1 the largest moment weight, 2 half_length^3, is 2e306 at
+        # 1e102 and overflows at 1e103
+        assert GridSpec(half_length=1e102, n=1, dt=1.0).dx == 2e102
+        with pytest.raises(ValueError, match="half_length 1e\\+103 too large"):
+            GridSpec(half_length=1e103, n=1, dt=1.0)
 
     @pytest.mark.parametrize("field", ["half_length", "dt"])
     def test_rejects_nan(self, field):

@@ -98,6 +98,21 @@ def matrix() -> list:
         runs.append((f"evolve-analytic-invalid{flag}", "evolve",
                      ["evolve", "--mode", "analytic", "--t-max", "5",
                       flag, value], f"invalid{flag}.csv"))
+    for command in ("criteria", "evolve", "compare", "born-mc",
+                    "two-detector"):
+        runs.append((f"help-{command}", None, [command, "--help"], None))
+    # the engine is a flag, not a config key
+    runs.append(("born-mc-config-engine", "born-engine",
+                 ["born-mc", "--trials", "4"], "born-config-engine.json"))
+    # an --out that cannot be written: no stdout result, no files
+    runs.append(("born-mc-out-missing-dir", "born",
+                 ["born-mc", "--trials", "4"], "missing/born.json"))
+    # boxes whose x^2 dx moment weight overflows
+    for length in ("1e200", "1e308"):
+        runs.append((f"evolve-grid-l-{length}", "evolve",
+                     ["evolve", "--mode", "grid", "--t-max", "0.01",
+                      "--grid-n", "64", "--grid-l", length],
+                     f"grid-l-{length}.csv"))
     return runs
 
 
@@ -141,6 +156,7 @@ def main(argv: list) -> int:
             "born-block": si_config(scales, 0.6, 1.0, 1.0,
                                     grid={"n": 256, "sample_every": 7}),
             "tiny-tau": si_config(scales, 0.6, 1.0, 1.0, tau_meas_s=5e-324),
+            "born-engine": si_config(scales, 0.6, 1.0, 1.0, engine="grid"),
         }
         for name, cfg in configs.items():
             (work / f"{name}.json").write_text(json.dumps(cfg))
