@@ -121,11 +121,16 @@ def _relax(a0, s0, gamma: float, t):
         a = e * (a0 * c + b * s)
         da = e * ((b * wd - 0.5 * gamma * a0) * c - (a0 * wd + 0.5 * gamma * b) * s)
         return a, da
-    sq = math.sqrt(disc)
-    r1, r2 = -0.5 * gamma + sq, -0.5 * gamma - sq
-    c1 = (s0 - r2 * a0) / (r1 - r2)
-    c2 = a0 - c1
-    e1, e2 = np.exp(r1 * t), np.exp(r2 * t)
+    # sqrt(gamma^2/4 - 1) without overflow; the slow root r1 from r1 r2 = 1,
+    # as -gamma/2 + sq cancels to 0 at large gamma
+    sq = math.sqrt(0.5 * gamma - 1.0) * math.sqrt(0.5 * gamma + 1.0)
+    r2 = -0.5 * gamma - sq
+    r1 = 1.0 / r2
+    c2 = (r1 * a0 - s0) / (2.0 * sq)
+    c1 = a0 - c2
+    e1 = np.exp(r1 * t)
+    with np.errstate(over="ignore"):  # r2 t -> -inf: the fast mode is gone
+        e2 = np.exp(r2 * t)
     return c1 * e1 + c2 * e2, c1 * r1 * e1 + c2 * r2 * e2
 
 

@@ -192,10 +192,15 @@ def _sample_times(t_max: float, dt_sample: float) -> np.ndarray:
     return times
 
 
+def _json(result: dict) -> str:
+    """The JSON text of a result, as every command prints it."""
+    return json.dumps(result, indent=2, sort_keys=True)
+
+
 def _report(result: dict, args, argv, loaded: LoadedConfig, grid,
             master_seed: int | None = None) -> int:
     """With --out, write the JSON result and its manifest; then print it."""
-    text = json.dumps(result, indent=2, sort_keys=True)
+    text = _json(result)
     if args.out:
         Path(args.out).write_text(text + "\n")
         write_manifest(args.out, _command_line(argv), loaded, grid,
@@ -207,7 +212,7 @@ def _report(result: dict, args, argv, loaded: LoadedConfig, grid,
 def cmd_criteria(args, argv=None) -> int:
     loaded = load_config(args.config)
     report = classicality_report(loaded.apparatus, loaded.measurement)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(_json(report.to_dict()))
     return 0 if report.all_ok else 2
 
 
@@ -286,7 +291,7 @@ def cmd_born_mc(args, argv=None) -> int:
 
 def cmd_two_detector(args, argv=None) -> int:
     table = two_detector_table(args.p)
-    print(json.dumps(vars(table), indent=2, sort_keys=True))
+    print(_json(vars(table)))
     return 0
 
 

@@ -17,7 +17,9 @@ trial i of master seed s gets trial_seed = mix64((s + (i+1) * GOLDEN) mod
 2^64), i.e. output i of the splitmix64 stream seeded with s, addressable in
 O(1) with no sequential dependency. The uniform draw for a trial seed q is
 u = (mix64((q + GOLDEN) mod 2^64) >> 11) * 2^-53 in [0, 1), mapped to
-(2u - 1) * f_meas.
+(2u - 1) * f_meas. _sample_fdiv_block is the one implementation, on uint64
+arrays; tests/oracles.py holds the same spec on Python integers as its
+bit-exact reference.
 """
 
 from __future__ import annotations
@@ -63,19 +65,8 @@ MAX_TRIALS = 10**9
 MAP_RTOL = 1e-12
 
 
-def mix64(z: int) -> int:
-    """splitmix64 finalizer on a 64-bit integer."""
-    z &= _MASK64
-    z ^= z >> 30
-    z = (z * _MIX_A) & _MASK64
-    z ^= z >> 27
-    z = (z * _MIX_B) & _MASK64
-    z ^= z >> 31
-    return z
-
-
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """mix64 over a uint64 array, bit-identical to the scalar version."""
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer over a uint64 array, mod 2^64."""
     z = z.astype(np.uint64, copy=True)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX_A)
@@ -85,25 +76,13 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def trial_seed(master_seed: int, index: int) -> int:
-    """Seed of trial `index`: output `index` of the splitmix64 stream."""
-    if index < 0:
-        raise ValueError(f"trial index must be >= 0, got {index!r}")
-    return mix64((master_seed + (index + 1) * GOLDEN) & _MASK64)
-
-
-def sample_fdiv(seed: int, f_meas: float) -> float:
-    """The frozen diverting force for one trial, uniform on [-f_meas, +f_meas)."""
-    u = (mix64((seed + GOLDEN) & _MASK64) >> 11) * 2.0**-53
-    return (2.0 * u - 1.0) * f_meas
-
-
 def _sample_fdiv_block(master_seed: int, start: int, stop: int,
                        f_meas: float) -> np.ndarray:
-    """Vectorized sample_fdiv(trial_seed(master_seed, i)) for i in [start, stop)."""
+    """The frozen diverting forces of trials [start, stop) of master_seed,
+    uniform on [-f_meas, +f_meas): the seed stream of the module docstring."""
     idx = np.arange(start, stop, dtype=np.uint64)
-    seeds = _mix64_array(np.uint64(master_seed & _MASK64) + (idx + np.uint64(1)) * np.uint64(GOLDEN))
-    bits = _mix64_array(seeds + np.uint64(GOLDEN))
+    seeds = _mix64(np.uint64(master_seed & _MASK64) + (idx + np.uint64(1)) * np.uint64(GOLDEN))
+    bits = _mix64(seeds + np.uint64(GOLDEN))
     u = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return (2.0 * u - 1.0) * f_meas
 
@@ -224,26 +203,28 @@ def _mapped_displacements(p: float, f_meas: float, f_div: np.ndarray,
 def run_trial(cfg: MeasurementConfig, engine: str, seed: int, *,
               grid: GridSpec = MC_GRID,
               f_div: float | None = None, index: int = 0) -> float:
-    """Mean displacement of one measurement trial under a frozen diverting
-    force; _tally turns it into an outcome.
+    """Mean displacement of trial index of master seed seed under its frozen
+    diverting force; _tally turns it into an outcome.
 
     The analytic engine gives the closed form F tau^2 / 2, whose sign is
     that of the total force F for any duration. The grid engine evolves the
     equilibrium state from rest to tau, as a block of one, and gives the
     displacement it actually measures. cfg holds dimensionless values, and
     so does f_div, which can be forced explicitly for boundary tests;
-    otherwise it is sampled from the trial seed, which requires the config's
-    uniform diverting-force kind.
+    otherwise it is drawn as the ensemble draws it, which requires the
+    config's uniform diverting-force kind.
     """
     if engine not in ("analytic", "grid"):
         raise ValueError(f"engine must be 'analytic' or 'grid', got {engine!r}")
+    if index < 0:
+        raise ValueError(f"trial index must be >= 0, got {index!r}")
     f_meas, tau = cfg.f_meas, cfg.tau_meas
     if f_div is None:
         if cfg.f_div.kind != "uniform":
             raise ValueError(
                 "sampled trials need F_div kind 'uniform'; pass f_div explicitly "
                 "to force a value")
-        f_div = sample_fdiv(seed, f_meas)
+        f_div = float(_sample_fdiv_block(seed, index, index + 1, f_meas)[0])
     if engine == "analytic":
         return 0.5 * analytic.total_force(cfg.p, f_meas, f_div) * tau * tau
     return float(_evolve_trials(cfg.p, f_meas, np.array([float(f_div)]), tau,
@@ -255,7 +236,7 @@ def _chunk_counts(args) -> tuple[int, int, int]:
     blocks of BLOCK trials so that memory does not grow with the range.
     p, f_meas and tau are in packet units."""
     p, f_meas, tau, engine, master_seed, start, stop, grid_spec = args
-    f_ref = sample_fdiv(trial_seed(master_seed, 0), f_meas)
+    f_ref = _sample_fdiv_block(master_seed, 0, 1, f_meas)[0]
     tol = 0.0 if engine == "analytic" else MAP_RTOL
     counts = (0, 0, 0)
     for lo in range(start, stop, BLOCK):
@@ -293,12 +274,13 @@ def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
     """Run n_trials independent trials and tally outcomes.
 
     Counts are a pure function of (cfg, engine, n_trials, master_seed):
-    trial i always uses trial_seed(master_seed, i), and its value depends on
-    that force alone (on the grid, through the map from trial 0 of
-    _mapped_displacements), so worker count, chunking and blocking cannot
-    change the result. Undecided trials stay in the tally; the frequency
-    denominator excludes them. workers is a cap: the jobs are planned in
-    whole blocks (_job_bounds), and a single job runs in this process.
+    trial i always draws its force from trial_seed(master_seed, i), and its
+    value depends on that force alone (on the grid, through the map from
+    trial 0 of _mapped_displacements), so worker count, chunking and
+    blocking cannot change the result. Undecided trials stay in the tally;
+    the frequency denominator excludes them. workers is a cap: the jobs are
+    planned in whole blocks (_job_bounds), and a single job runs in this
+    process.
 
     cfg's f_meas and tau_meas are divided by scales here, once: every job
     carries packet units, and the default PACKET_SCALES reads cfg as such.

@@ -13,17 +13,53 @@ The split-step core as a plain step loop: every product, phase and guard
 on whole arrays, nothing carried from one step to the next but the block,
 the phase and the last k-space product. grid.evolve_block must match it bit
 for bit.
+
+The overdamped relaxation of the branch offsets as the textbook sum of two
+exponentials, both roots -gamma/2 +- sqrt(gamma^2/4 - 1) taken as written,
+in decimal arithmetic with digits enough to resolve the slow root.
+
+The seed stream of the montecarlo module docstring on Python integers, one
+trial at a time: mix64, trial_seed and sample_fdiv, the bit-exact reference
+of the block sampler montecarlo._sample_fdiv_block.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 
 from gravimean import grid as gridmod
 from gravimean import montecarlo
 from gravimean.grid import GridTrajectory, NumericalError
+
+GOLDEN = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
+
+
+def mix64(z: int) -> int:
+    """splitmix64 finalizer on a 64-bit integer."""
+    z &= MASK64
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & MASK64
+    z ^= z >> 31
+    return z
+
+
+def trial_seed(master_seed: int, index: int) -> int:
+    """Seed of trial `index`: output `index` of the splitmix64 stream."""
+    if index < 0:
+        raise ValueError(f"trial index must be >= 0, got {index!r}")
+    return mix64((master_seed + (index + 1) * GOLDEN) & MASK64)
+
+
+def sample_fdiv(seed: int, f_meas: float) -> float:
+    """The frozen diverting force for one trial, uniform on [-f_meas, +f_meas)."""
+    u = (mix64((seed + GOLDEN) & MASK64) >> 11) * 2.0**-53
+    return (2.0 * u - 1.0) * f_meas
 
 
 def branch_accel(y: np.ndarray, p: float, f_meas: float, f_div: float,
@@ -65,6 +101,24 @@ def rk4_path(p: float, f_meas: float, f_div: float, y0, times,
         out[i] = y
         t_prev = t
     return out
+
+
+def overdamped_relax(a0: float, s0: float, gamma: float, t: float,
+                     digits: int = 700) -> tuple[float, float]:
+    """(a, a') at time t for a'' = -a - gamma a', a(0) = a0, a'(0) = s0 and
+    gamma > 2. The slow root is about -1/gamma, and gamma^2/4 - 1 needs
+    twice the digits of gamma to hold the 1: 700 digits resolve it to well
+    beyond a double for gamma up to 1e300."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        a0, s0, gamma, t = map(Decimal, (a0, s0, gamma, t))
+        half = gamma / 2
+        sq = (half * half - 1).sqrt()
+        r1, r2 = -half + sq, -half - sq
+        c1 = (s0 - r2 * a0) / (r1 - r2)
+        c2 = a0 - c1
+        e1, e2 = (r1 * t).exp(), (r2 * t).exp()
+        return float(c1 * e1 + c2 * e2), float(c1 * r1 * e1 + c2 * r2 * e2)
 
 
 def grid_displacements(p: float, f_meas: float, f_div: np.ndarray, tau: float,

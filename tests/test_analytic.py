@@ -5,16 +5,19 @@ coupled branch-center equations, dt = 5e-4, self-consistency under halving
 better than 1e-13) and are asserted here at 1e-10.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gravimean import analytic
 from gravimean.analytic import (CoherentBranch, CoherentTwoBranchState,
                                 common_center_initial_condition,
                                 equilibrium_splitting,
                                 smooth_initial_condition, total_force,
                                 trajectory)
-from oracles import rk4_centers
+from oracles import overdamped_relax, rk4_centers
 
 RK4_TOL = 1e-10
 
@@ -26,6 +29,10 @@ GAMMA_REGIMES = {
     "critical": st.just(2.0),
     "near_critical": st.floats(2.0 - 1e-5, 2.0 + 1e-5),
     "overdamped": st.floats(2.0 + 1e-5, 4.0),
+    # log-uniform: the slow root -gamma/2 + sqrt(gamma^2/4 - 1) cancels to
+    # 0 from gamma = 1e9 and gamma^2/4 overflows beyond 2.7e154
+    "strongly_overdamped": st.floats(math.log(4.0), math.log(1e300)).map(
+        math.exp),
 }
 
 
@@ -164,7 +171,10 @@ class TestAgainstRk4Sweep:
             worst = max(worst, float(np.max(np.abs(centers(out) - ref))))
         assert worst < 1e-8
 
-    @pytest.mark.parametrize("regime", GAMMA_REGIMES)
+    # RK4 at dt = 0.002 is unstable under strong damping; TestStrongDamping
+    # checks that regime against decimal arithmetic instead
+    @pytest.mark.parametrize("regime", [regime for regime in GAMMA_REGIMES
+                                        if regime != "strongly_overdamped"])
     @settings(max_examples=5, deadline=None)
     @given(p=st.floats(0.0, 1.0), f=st.floats(0.0, 2.0),
            fd=st.floats(-2.0, 2.0),
@@ -202,6 +212,35 @@ class TestAgainstRk4Sweep:
             out = at(st, 1.1, 0.2, 4.0, gamma=gamma)
             expect = st.com + st.vbar * 4.0 + 0.5 * force * 16.0
             assert out["xbar"] == pytest.approx(expect, abs=1e-12)
+
+
+class TestStrongDamping:
+    """The overdamped offsets against the decimal two-root solution: the
+    fast mode over a few 1/gamma, and the slow one over a few gamma, where
+    it relaxes at the rate 1/(gamma/2 + sqrt(gamma^2/4 - 1))."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=GAMMA_REGIMES["strongly_overdamped"],
+           a0=st.floats(-2.0, 2.0), s0=st.floats(-2.0, 2.0),
+           decays=st.floats(0.0, 20.0),
+           scale=st.sampled_from(["fast", "unit", "slow"]))
+    def test_offsets_against_decimal(self, gamma, a0, s0, decays, scale):
+        t = decays * {"fast": 1.0 / gamma, "unit": 1.0, "slow": gamma}[scale]
+        a, da = analytic._relax(a0, s0, gamma, np.array([t]))
+        want = overdamped_relax(a0, s0, gamma, t)
+        assert (float(a[0]), float(da[0])) == pytest.approx(
+            want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [1e9, 1e200])
+    def test_offsets_relax(self, gamma):
+        # both branches start at the mean, and the splitting d relaxes to
+        # d* = 2 at the slow rate, 1/gamma to 1e-18 here: by t = 1e4 it is
+        # 2e-5 at gamma = 1e9, below the roundoff of x_plus - x_minus at 1e200
+        state = common_center_initial_condition(0.6)
+        out = at(state, 1.0, 0.2, 1e4, gamma=gamma)
+        assert all(math.isfinite(value) for value in out.values())
+        assert out["x_plus"] - out["x_minus"] == pytest.approx(
+            -2.0 * math.expm1(-1e4 / gamma), rel=1e-3, abs=1e-8)
 
 
 class TestSmoothSolution:
@@ -271,7 +310,8 @@ class TestBlocks:
     array's only if every block gives the same doubles."""
 
     @pytest.mark.parametrize("regime", ["undamped", "underdamped",
-                                        "critical", "overdamped"])
+                                        "critical", "overdamped",
+                                        "strongly_overdamped"])
     @settings(max_examples=25, deadline=None)
     @given(p=st.floats(0.0, 1.0), f=st.floats(0.0, 2.0),
            fd=st.floats(-2.0, 2.0),

@@ -717,6 +717,36 @@ def check_no_wrap_between_samples(tmp_path, capsys):
     assert "outer 5% of the domain at step 913," in errors.pop()
 
 
+def check_box_holds_the_vertex(tmp_path, capsys, monkeypatch):
+    """The box pre-flight bounds the mean's parabola at its vertex: p = 0.5,
+    f_meas = 1 and fixed f_div = -1 give F = -1, so the mean launched at
+    vbar0 = 3 turns 4.5 out at t = 3 and is back at 0 by t_max = 6. The
+    ends of the run alone ask for a half-length of 8 + 3 widths = 11, the
+    vertex for 15.5: at 15.4 the run exits 1 before it builds a step, at
+    15.6 it steps and exits 0."""
+    builds = []
+    real = gridmod._advance
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gridmod, "_advance", counting)
+    cfg = write_cfg(tmp_path, F_div={"kind": "fixed", "value_N": -SC.force})
+    runs = []
+    for length in ("15.4", "15.6"):
+        builds.clear()
+        out = tmp_path / f"l{length}.csv"
+        code = main(["evolve", "--config", cfg, "--mode", "grid", "--ic",
+                     "common", "--vbar0", "3", "--t-max", "6", "--grid-n",
+                     "512", "--dt", "2e-3", "--grid-l", length,
+                     "--out", str(out)])
+        runs.append((code, len(builds), out.exists()))
+    assert runs == [(1, 0, False), (0, 1, True)]
+    assert ("half_length 15.4 too small for this run; need at least 15.5"
+            in capsys.readouterr().err)
+
+
 class TestEvolveGrid:
     def test_basic_run(self, tmp_path):
         cfg = write_cfg(tmp_path, p=0.7)
@@ -800,6 +830,9 @@ class TestEvolveGrid:
 
     def test_no_wrap_between_samples(self, tmp_path, capsys):
         check_no_wrap_between_samples(tmp_path, capsys)
+
+    def test_box_holds_the_vertex(self, tmp_path, capsys, monkeypatch):
+        check_box_holds_the_vertex(tmp_path, capsys, monkeypatch)
 
     @pytest.mark.parametrize("n, code", [(32, 3), (64, 3), (128, 0)])
     def test_under_resolved_grid_exits_3(self, tmp_path, capsys, n, code):

@@ -2,9 +2,11 @@
 
 The seed derivation has public reference vectors: feeding 0 to the seeding
 scheme reproduces the first outputs of the well-known splitmix64 stream, so
-those literals pin the implementation bit for bit. The Born check has a
-closed-form oracle: f_total = 2(p-1/2)f + U(-f, f) is positive with
-probability exactly p, verified here independently by quadrature.
+those literals pin the scalar reference of tests/oracles.py bit for bit, and
+the block sampler montecarlo._sample_fdiv_block must match that reference.
+The Born check has a closed-form oracle: f_total = 2(p-1/2)f + U(-f, f) is
+positive with probability exactly p, verified here independently by
+quadrature.
 """
 
 import math
@@ -21,14 +23,13 @@ from gravimean import montecarlo
 from gravimean import grid as gridmod
 from gravimean.analytic import total_force
 from gravimean.montecarlo import (BLOCK, MAP_RTOL, MAX_TRIALS, MC_GRID,
-                                  McSummary, _tally, mix64, run_ensemble,
-                                  run_trial, sample_fdiv, trial_seed,
+                                  McSummary, _tally, run_ensemble, run_trial,
                                   two_detector_table, wilson_interval)
 from gravimean.grid import GridSpec, NumericalError
 from gravimean.units import (ApparatusParams, FdivSpec, MeasurementConfig,
                              Scales)
 
-from oracles import grid_displacements
+from oracles import grid_displacements, mix64, sample_fdiv, trial_seed
 
 
 def dimensionless_cfg(p, f_meas=1.0, tau=1.0, kind="uniform", value=0.0):
@@ -90,6 +91,21 @@ class TestSampler:
         assert sample_fdiv(s, 2.0) == pytest.approx(2.0 * sample_fdiv(s, 1.0),
                                                     rel=1e-15)
 
+    @settings(max_examples=200, deadline=None)
+    @given(master=st.one_of(st.integers(-2**70, 2**70),
+                            st.integers(-5, 5)),
+           start=st.integers(0, 10**9), size=st.integers(1, 40),
+           f_meas=st.floats(0.0, 1e6))
+    def test_block_sampler_matches_reference(self, master, start, size,
+                                             f_meas):
+        # masters negative, beyond 2^64 and small: the block draws what the
+        # scalar reference draws, trial for trial and bit for bit
+        got = montecarlo._sample_fdiv_block(master, start, start + size,
+                                            f_meas)
+        want = [sample_fdiv(trial_seed(master, i), f_meas)
+                for i in range(start, start + size)]
+        assert got.tolist() == want
+
 
 class TestBornMechanism:
     def test_positive_force_probability_is_p(self):
@@ -115,8 +131,18 @@ class TestBornMechanism:
 class TestRunTrial:
     def test_certain_outcome(self):
         cfg = dimensionless_cfg(1.0)
-        for seed in (trial_seed(1, i) for i in range(20)):
-            assert run_trial(cfg, "analytic", seed) > 0.0  # f + u > 0 always
+        for i in range(20):
+            assert run_trial(cfg, "analytic", 1, index=i) > 0.0  # f + u > 0
+
+    def test_draws_trial_index_of_master_seed(self):
+        cfg = dimensionless_cfg(0.6, tau=2.0)
+        force = sample_fdiv(trial_seed(42, 1), 1.0)
+        assert run_trial(cfg, "analytic", 42, index=1) == (
+            0.5 * total_force(0.6, 1.0, force) * 4.0)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="trial index must be >= 0"):
+            run_trial(dimensionless_cfg(0.5), "analytic", 0, index=-1)
 
     def test_forced_tie_is_undecided(self):
         # p = 0.75 makes the measurement part exactly 0.5 in binary, so the
@@ -156,11 +182,10 @@ class TestRunTrial:
         spec = GridSpec(half_length=12.0, n=256, dt=4e-3)
         checked = 0
         for i in range(12):
-            seed = trial_seed(77, i)
-            ana = run_trial(cfg, "analytic", seed)
+            ana = run_trial(cfg, "analytic", 77, index=i)
             if abs(ana) < 0.5 * 1e-3 * 0.5**2:  # |F| < 1e-3
                 continue
-            gr = run_trial(cfg, "grid", seed, grid=spec)
+            gr = run_trial(cfg, "grid", 77, grid=spec, index=i)
             assert np.sign(gr) == np.sign(ana)
             assert gr == pytest.approx(ana, abs=1e-6)
             checked += 1
@@ -197,12 +222,12 @@ class TestEnsembles:
                 ref.n_right, ref.n_left, ref.n_undecided)
 
     def test_vectorized_matches_scalar_trials(self):
-        # the ensemble's block sampler and run_trial's scalar path must pick
-        # identical forces seed for seed
+        # the ensemble's blocks and run_trial, one trial at a time, must
+        # pick identical forces trial for trial
         cfg = dimensionless_cfg(0.55)
         n = 500
         summary = run_ensemble(cfg, "analytic", n, master_seed=321)
-        values = np.array([run_trial(cfg, "analytic", trial_seed(321, i))
+        values = np.array([run_trial(cfg, "analytic", 321, index=i)
                            for i in range(n)])
         assert (summary.n_right, summary.n_left, summary.n_undecided) == (
             _tally(values))
@@ -446,7 +471,8 @@ class TestBlocks:
         n = 3 * BLOCK + 5
         summary = run_ensemble(dimensionless_cfg(0.4), "analytic", n,
                                master_seed=8)
-        assert sizes == [BLOCK] * 3 + [5]
+        # trial 0's reference force first, then the blocks
+        assert sizes == [1] + [BLOCK] * 3 + [5]
         assert summary.n_right + summary.n_left + summary.n_undecided == n
 
     @pytest.mark.parametrize("block, sizes", [(None, [200]),
@@ -471,7 +497,7 @@ class TestBlocks:
         grid = GridSpec(half_length=20.0, n=n_points, dt=4e-3)
         summary = run_ensemble(dimensionless_cfg(0.5), "grid", 200,
                                master_seed=1, grid=grid)
-        assert recorded == sizes
+        assert recorded == [1] + sizes
         assert rows == [3] * len(sizes)
         assert summary.n_right + summary.n_left + summary.n_undecided == 200
 
@@ -505,8 +531,7 @@ class TestBlocks:
     def test_block_displacements_match_run_trial(self):
         cfg = dimensionless_cfg(0.6, tau=0.5)
         n = 16
-        ref = np.array([run_trial(cfg, "grid", trial_seed(77, i),
-                                  grid=SMALL_GRID, index=i)
+        ref = np.array([run_trial(cfg, "grid", 77, grid=SMALL_GRID, index=i)
                         for i in range(n)])
         f_div = montecarlo._sample_fdiv_block(77, 0, n, 1.0)
         for block in (1, 3, 16):
@@ -625,9 +650,9 @@ class TestBlocks:
         # rows, and the edge guard on that row names it
         forces = np.zeros(13)
         forces[11:] = (4.4, -1.0)
+        # the one sampler also draws the reference force, trial 0's
         monkeypatch.setattr(montecarlo, "_sample_fdiv_block",
                             lambda seed, start, stop, f_meas: forces[start:stop])
-        monkeypatch.setattr(montecarlo, "sample_fdiv", lambda seed, f_meas: 0.0)
         grid = GridSpec(half_length=20.0, n=256, dt=4e-3)
         with pytest.raises(NumericalError,
                            match=r"^trial 11: plus branch density .* outer 5%"

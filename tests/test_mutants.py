@@ -6,7 +6,9 @@ law test calls, with the same tolerance; the check must fail. A mutant that
 survives means the law test cannot see that mistake.
 """
 
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from gravimean import grid as gridmod
 from gravimean import io as iomod
 from gravimean import montecarlo
 
-from test_cli import (check_no_wrap_between_samples,
+from test_cli import (check_box_holds_the_vertex,
+                      check_no_wrap_between_samples,
                       check_non_finite_row_refused, check_run_steps,
                       check_under_resolved)
 from test_grid import (check_aliasing_mid_run, check_boosted_packet_energy,
@@ -39,6 +42,16 @@ def scale_column(monkeypatch, table, column, factor):
         return weights
 
     monkeypatch.setattr(gridmod, table, mutant)
+
+
+def edit_source(monkeypatch, module, name, old, new):
+    """Make module.<name> the function its source defines with old, which
+    must occur once, replaced by new; it reads the module's globals."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, f"{old!r} not once in {name}"
+    scope = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), scope)
+    monkeypatch.setattr(module, name, scope[name])
 
 
 def test_kinetic_column_off(monkeypatch):
@@ -189,6 +202,14 @@ def test_force_sign_flipped(monkeypatch):
     monkeypatch.setattr(gridmod, "_SIGN", -gridmod._SIGN)
     with pytest.raises(CHECK_FAILED):
         check_smooth_closed_form()
+
+
+def test_preflight_vertex_dropped(monkeypatch, tmp_path, capsys):
+    # the box bound reads the mean's parabola at t = 0 and t_max only
+    edit_source(monkeypatch, gridmod, "_preflight",
+                "for t in (0.0, t_max, vertex)]", "for t in (0.0, t_max)]")
+    with pytest.raises(CHECK_FAILED):
+        check_box_holds_the_vertex(tmp_path, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("command", ["evolve", "compare"])

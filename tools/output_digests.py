@@ -69,6 +69,16 @@ def matrix() -> list:
         runs.append((f"evolve-analytic-gamma{gamma}", f"gamma{gamma}",
                      ["evolve", "--mode", "analytic", "--t-max", "20",
                       "--dt-sample", "0.01"], f"analytic-{gamma}.csv"))
+    # the damped closed form at the critical point and overdamped, where
+    # -gamma/2 + sqrt(gamma^2/4 - 1) cancels to 0 from gamma = 1e9 and
+    # gamma^2/4 overflows at 1e200
+    for gamma, t_max, dt_sample in (("2", "20", "0.01"), ("3", "20", "0.01"),
+                                    ("1e9", "1e4", "1e4"),
+                                    ("1e200", "1e4", "1e4")):
+        runs.append((f"evolve-analytic-common-gamma{gamma}", f"gamma{gamma}",
+                     ["evolve", "--mode", "analytic", "--ic", "common",
+                      "--t-max", t_max, "--dt-sample", dt_sample],
+                     f"analytic-common-{gamma}.csv"))
     runs.append(("compare", "evolve",
                  ["compare", "--t-max", "1.0", "--grid-l", "14",
                   "--dt", "2e-3"], "compare.json"))
@@ -87,6 +97,7 @@ def matrix() -> list:
     runs.append(("born-mc-fixed-force", "evolve",
                  ["born-mc", "--trials", "4"], "born-fixed.json"))
     runs.append(("criteria", "evolve", ["criteria"], None))
+    runs.append(("criteria-passing", "criteria-pass", ["criteria"], None))
     # tau_meas_s 5e-324 s is 0.0 in units of 1/omega
     runs.append(("born-mc-analytic-tau-underflow", "tiny-tau",
                  ["born-mc", "--engine", "analytic", "--trials", "4"],
@@ -152,6 +163,12 @@ def main(argv: list) -> int:
             "gamma0": si_config(scales, 0.6, 1.0, 1.0, f_div=0.2),
             "gamma0.5": si_config(scales, 0.6, 1.0, 1.0, f_div=0.2,
                                   gamma=0.5),
+            **{f"gamma{gamma}": si_config(scales, 0.6, 1.0, 1.0, f_div=0.2,
+                                          gamma=float(gamma))
+               for gamma in ("2", "3", "1e9", "1e200")},
+            # "evolve" fails the criteria (exit 2); this one meets them
+            "criteria-pass": si_config(scales, 0.6, 1.0, 1.0, f_div=0.2,
+                                       F_meas_N=1e-13, tau_meas_s=1.0),
             "born": si_config(scales, 0.6, 1.0, 1.0),
             "born-block": si_config(scales, 0.6, 1.0, 1.0,
                                     grid={"n": 256, "sample_every": 7}),
