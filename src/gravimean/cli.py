@@ -17,10 +17,8 @@ A run that exits 1 or 3 leaves no output file, manifest or stdout result.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,10 +26,10 @@ import numpy as np
 from . import __version__
 from .analytic import (common_center_initial_condition,
                        smooth_initial_condition, trajectory)
-from .grid import GridSpec, GridState, NumericalError, init_gaussian
+from .grid import GridSpec, NumericalError, init_state
 from .grid import evolve as evolve_grid
 from .io import (ConfigError, LoadedConfig, emit_trajectory, load_config,
-                 write_manifest)
+                 to_json, write_manifest, write_text)
 from .montecarlo import MC_GRID, run_ensemble, two_detector_table
 from .units import classicality_report
 
@@ -145,24 +143,22 @@ def _command_line(argv) -> list:
     return ["gravimean"] + list(argv if argv is not None else sys.argv[1:])
 
 
-def _grid(loaded: LoadedConfig, args, defaults: dict) -> dict:
-    """The grid block a run uses: the defaults, then the config's grid block,
-    then the flags given, for the keys of defaults (sample_every is None
-    without one). Raises ValueError if n, l, dt or sample_every is invalid."""
+def _grid(loaded: LoadedConfig, args,
+          defaults: dict) -> tuple[dict, GridSpec]:
+    """The grid block a run uses, as the manifest records it, and its
+    GridSpec: the defaults, then the config's grid block, then the flags
+    given, for the keys of defaults (sample_every is None without one).
+    Raises ValueError if n, l, dt (GridSpec checks them) or sample_every is
+    invalid."""
     block = {"sample_every": None, **defaults}
     for given in (loaded.grid, vars(args)):
         block.update((key, given[key]) for key in defaults
                      if given.get(key) is not None)
-    _spec(block)
+    spec = GridSpec(half_length=block["l"], n=block["n"], dt=block["dt"])
     if block["sample_every"] is not None and block["sample_every"] < 1:
         raise ValueError(
             f"sample_every must be >= 1, got {block['sample_every']!r}")
-    return block
-
-
-def _spec(block: dict) -> GridSpec:
-    """The GridSpec of a grid block; GridSpec checks n, l and dt."""
-    return GridSpec(half_length=block["l"], n=block["n"], dt=block["dt"])
+    return block, spec
 
 
 def _initial_state(loaded: LoadedConfig, args):
@@ -192,17 +188,12 @@ def _sample_times(t_max: float, dt_sample: float) -> np.ndarray:
     return times
 
 
-def _json(result: dict) -> str:
-    """The JSON text of a result, as every command prints it."""
-    return json.dumps(result, indent=2, sort_keys=True)
-
-
 def _report(result: dict, args, argv, loaded: LoadedConfig, grid,
             master_seed: int | None = None) -> int:
     """With --out, write the JSON result and its manifest; then print it."""
-    text = _json(result)
+    text = to_json(result)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        write_text(args.out, [text + "\n"])
         write_manifest(args.out, _command_line(argv), loaded, grid,
                        master_seed=master_seed)
     print(text)
@@ -212,23 +203,20 @@ def _report(result: dict, args, argv, loaded: LoadedConfig, grid,
 def cmd_criteria(args, argv=None) -> int:
     loaded = load_config(args.config)
     report = classicality_report(loaded.apparatus, loaded.measurement)
-    print(_json(report.to_dict()))
+    print(to_json(report.to_dict()))
     return 0 if report.all_ok else 2
 
 
-def _run_grid(loaded: LoadedConfig, state, grid, t_max: float):
-    """Evolve the closed form's initial state on the grid."""
+def _run_grid(loaded: LoadedConfig, state, grid: dict, spec: GridSpec,
+              t_max: float):
+    """Evolve the closed form's initial state on the grid block and spec of
+    _grid."""
     if loaded.gamma != 0.0:
         raise ConfigError("gamma: the grid engine has no damping; "
                           "use the analytic engine for gamma > 0")
-    spec = _spec(grid)
-    psi_plus, psi_minus = (init_gaussian(spec, b.center, velocity=b.velocity)
-                           for b in (state.plus, state.minus))
-    traj, _final = evolve_grid(GridState(psi_plus, psi_minus, state.p),
-                               loaded.f_meas_dimensionless,
-                               loaded.f_div_dimensionless(), t_max, spec,
-                               sample_every=grid["sample_every"])
-    return traj
+    return evolve_grid(init_state(spec, state), loaded.f_meas_dimensionless,
+                       loaded.f_div_dimensionless(), t_max, spec,
+                       sample_every=grid["sample_every"])[0]
 
 
 def _emit_evolve(loaded: LoadedConfig, args) -> dict | None:
@@ -237,7 +225,7 @@ def _emit_evolve(loaded: LoadedConfig, args) -> dict | None:
     The trajectory table, and with it the analytic time column, is freed on
     return, before the manifest's digest loads OpenSSL."""
     state = _initial_state(loaded, args)
-    grid = _grid(loaded, args, EVOLVE_GRID)
+    grid, spec = _grid(loaded, args, EVOLVE_GRID)
     if args.engine == "analytic":
         grid = None
         f_meas, f_div = loaded.f_meas_dimensionless, loaded.f_div_dimensionless()
@@ -246,7 +234,7 @@ def _emit_evolve(loaded: LoadedConfig, args) -> dict | None:
         table = SimpleNamespace(t=times, columns=lambda start, stop: trajectory(
             state, f_meas, f_div, times[start:stop], gamma=loaded.gamma))
     else:
-        table = _run_grid(loaded, state, grid, args.t_max)
+        table = _run_grid(loaded, state, grid, spec, args.t_max)
     emit_trajectory(table, args.out)
     return grid
 
@@ -261,8 +249,8 @@ def cmd_evolve(args, argv=None) -> int:
 def cmd_compare(args, argv=None) -> int:
     loaded = load_config(args.config)
     state = _initial_state(loaded, args)
-    grid = _grid(loaded, args, EVOLVE_GRID)
-    grid_traj = _run_grid(loaded, state, grid, args.t_max)
+    grid, spec = _grid(loaded, args, EVOLVE_GRID)
+    grid_traj = _run_grid(loaded, state, grid, spec, args.t_max)
     exact = trajectory(state, loaded.f_meas_dimensionless,
                        loaded.f_div_dimensionless(), grid_traj.t)
     report = {
@@ -280,10 +268,10 @@ def cmd_compare(args, argv=None) -> int:
 
 def cmd_born_mc(args, argv=None) -> int:
     loaded = load_config(args.config)
-    grid = _grid(loaded, args, BORN_MC_GRID)
+    grid, spec = _grid(loaded, args, BORN_MC_GRID)
     summary = run_ensemble(loaded.measurement, args.engine, args.trials,
                            args.seed, workers=args.workers,
-                           scales=loaded.scales, grid=_spec(grid))
+                           scales=loaded.scales, grid=spec)
     return _report(summary.to_dict(), args, argv, loaded,
                    grid if args.engine == "grid" else None,
                    master_seed=args.seed)
@@ -291,7 +279,7 @@ def cmd_born_mc(args, argv=None) -> int:
 
 def cmd_two_detector(args, argv=None) -> int:
     table = two_detector_table(args.p)
-    print(_json(vars(table)))
+    print(to_json(vars(table)))
     return 0
 
 

@@ -213,6 +213,14 @@ def init_gaussian(grid: GridSpec, center: float,
     return psi
 
 
+def init_state(grid: GridSpec,
+               state: analytic.CoherentTwoBranchState) -> GridState:
+    """The grid state of a closed-form state at t = 0: each branch a width-1
+    packet at its center with its velocity (init_gaussian)."""
+    return GridState(*(init_gaussian(grid, b.center, velocity=b.velocity)
+                       for b in (state.plus, state.minus)), state.p)
+
+
 def _rows(state: GridState) -> np.ndarray:
     """The state as a block of one, shape (1, 2, n)."""
     return np.stack([state.psi_plus, state.psi_minus], dtype=complex)[None]
@@ -561,12 +569,10 @@ def evolve(state0: GridState, f_meas: float, f_div: float, t_max: float,
     return traj, final
 
 
-def step(state: GridState, f_meas: float, f_div: float, grid: GridSpec,
-         include_x2_phase: bool = True) -> GridState:
-    """One Strang step of length dt: evolve over dt. include_x2_phase=False
-    drops the constant x2bar/2 term from global_phase, which can change
-    nothing observable (see module docstring)."""
-    return evolve(state, f_meas, f_div, grid.dt, grid, 1, include_x2_phase)[1]
+def step(state: GridState, f_meas: float, f_div: float,
+         grid: GridSpec) -> GridState:
+    """One Strang step of length dt: evolve over dt."""
+    return evolve(state, f_meas, f_div, grid.dt, grid, 1)[1]
 
 
 def moments(state: GridState, grid: GridSpec) -> tuple[float, float]:

@@ -233,6 +233,27 @@ def _packet_units(apparatus: ApparatusParams,
     return scales, packet
 
 
+def to_json(obj) -> str:
+    """The JSON text of a result or manifest, as the CLI prints and writes
+    it."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def write_text(path, chunks) -> None:
+    """Write the strings of chunks to path, in order, with '\\n' line
+    endings. A failure once the file is open, in a write or in chunks,
+    removes it before the error propagates; a path that cannot be opened is
+    left as it was."""
+    out = open(path, "w", newline="\n")
+    try:
+        with out:
+            for chunk in chunks:
+                out.write(chunk)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
 def emit_trajectory(table, path) -> None:
     """Write the trajectory CSV: fixed header and column order, 17 significant
     digits, '\\n' line endings, one trailing newline.
@@ -245,29 +266,28 @@ def emit_trajectory(table, path) -> None:
     x_plus - x_minus, and a column the table lacks (the grid-only ones, for
     the closed form) is written as empty cells. A cell that is not finite
     raises NumericalError (_finite_cells). A run that fails once the file
-    is open removes it before the error propagates.
+    is open removes it before the error propagates (write_text).
     """
     rows = len(table.t)
     if rows == 0:
         raise ValueError("trajectory is empty")
-    out = open(path, "w", newline="\n")
-    try:
-        # a cell that overflows is left to _finite_cells, not warned about
-        with out, np.errstate(all="ignore"):
-            out.write(TRAJECTORY_HEADER + "\n")
-            for start in range(0, rows, EMIT_ROWS):
-                block = table.columns(start, min(start + EMIT_ROWS, rows))
-                columns = [block["x_plus"] - block["x_minus"] if name == "d"
-                           else block.get(name) for name in _COLUMNS]
-                row = ",".join("" if col is None else "%.17g"
-                               for col in columns) + "\n"
-                cells = np.stack([col for col in columns if col is not None],
-                                 axis=1)
-                _finite_cells(cells, columns, start)
-                out.write((row * len(cells)) % tuple(cells.ravel().tolist()))
-    except BaseException:
-        Path(path).unlink(missing_ok=True)
-        raise
+
+    def blocks():
+        yield TRAJECTORY_HEADER + "\n"
+        for start in range(0, rows, EMIT_ROWS):
+            block = table.columns(start, min(start + EMIT_ROWS, rows))
+            columns = [block["x_plus"] - block["x_minus"] if name == "d"
+                       else block.get(name) for name in _COLUMNS]
+            row = ",".join("" if col is None else "%.17g"
+                           for col in columns) + "\n"
+            cells = np.stack([col for col in columns if col is not None],
+                             axis=1)
+            _finite_cells(cells, columns, start)
+            yield (row * len(cells)) % tuple(cells.ravel().tolist())
+
+    # a cell that overflows is left to _finite_cells, not warned about
+    with np.errstate(all="ignore"):
+        write_text(path, blocks())
 
 
 def _finite_cells(cells: np.ndarray, columns: list, start: int) -> None:
@@ -303,7 +323,8 @@ def write_manifest(output_path, command, loaded: LoadedConfig,
                    grid: dict | None = None,
                    master_seed: int | None = None) -> Path:
     """Write the manifest of one output next to it; a run whose manifest
-    cannot be written removes the output before the error propagates.
+    cannot be written removes the output, and the manifest if it was
+    opened (write_text), before the error propagates.
 
     grid is the grid block the run used (cli._grid), None if it used none.
     """
@@ -322,7 +343,7 @@ def write_manifest(output_path, command, loaded: LoadedConfig,
     }
     path = Path(str(output_path) + ".manifest.json")
     try:
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        write_text(path, [to_json(manifest) + "\n"])
     except BaseException:
         Path(output_path).unlink(missing_ok=True)
         raise

@@ -148,16 +148,16 @@ def _tally(values: np.ndarray, tol: float = 0.0) -> tuple[int, int, int]:
 def _evolve_trials(p: float, f_meas: float, f_div: np.ndarray, tau: float,
                    grid_spec: GridSpec, trials: Sequence[int]) -> np.ndarray:
     """Mean displacement of trials[b] under f_div[b], every row evolved in
-    one block, started from rest at the equilibrium splitting so the motion
-    reflects the total force alone. A numerical failure names its trial."""
-    d_plus, d_minus, _ = analytic.equilibrium_splitting(p, f_meas)
-    psi = np.stack([gridmod.init_gaussian(grid_spec, d_plus),
-                    gridmod.init_gaussian(grid_spec, d_minus)])
+    one block from the closed form's smooth state, at rest at the
+    equilibrium splitting, so the motion reflects the total force alone. A
+    numerical failure names its trial."""
+    start = gridmod.init_state(grid_spec,
+                               analytic.smooth_initial_condition(p, f_meas))
     try:
         # sampled every MAX_STEPS steps, more than any run takes: only its ends
         traj, _, _ = gridmod.evolve_block(
-            np.repeat(psi[None], len(f_div), axis=0), p, f_meas, f_div, tau,
-            grid_spec, gridmod.MAX_STEPS)
+            np.repeat([[start.psi_plus, start.psi_minus]], len(f_div), axis=0),
+            p, f_meas, f_div, tau, grid_spec, gridmod.MAX_STEPS)
     except NumericalError as exc:
         # the core's own error, every field kept, its message led by the trial
         exc.args = (f"trial {trials[exc.row]}: {exc}",)
@@ -201,34 +201,30 @@ def _mapped_displacements(p: float, f_meas: float, f_div: np.ndarray,
 
 
 def run_trial(cfg: MeasurementConfig, engine: str, seed: int, *,
-              grid: GridSpec = MC_GRID,
-              f_div: float | None = None, index: int = 0) -> float:
+              index: int = 0) -> float:
     """Mean displacement of trial index of master seed seed under its frozen
-    diverting force; _tally turns it into an outcome.
+    diverting force, drawn as the ensemble draws it; _tally turns it into an
+    outcome. cfg holds dimensionless values, with the uniform diverting-force
+    kind.
 
     The analytic engine gives the closed form F tau^2 / 2, whose sign is
     that of the total force F for any duration. The grid engine evolves the
-    equilibrium state from rest to tau, as a block of one, and gives the
-    displacement it actually measures. cfg holds dimensionless values, and
-    so does f_div, which can be forced explicitly for boundary tests;
-    otherwise it is drawn as the ensemble draws it, which requires the
-    config's uniform diverting-force kind.
+    equilibrium state from rest to tau on MC_GRID, as a block of one, and
+    gives the displacement it actually measures.
     """
     if engine not in ("analytic", "grid"):
         raise ValueError(f"engine must be 'analytic' or 'grid', got {engine!r}")
     if index < 0:
         raise ValueError(f"trial index must be >= 0, got {index!r}")
+    if cfg.f_div.kind != "uniform":
+        raise ValueError("sampled trials need F_div kind 'uniform'")
     f_meas, tau = cfg.f_meas, cfg.tau_meas
-    if f_div is None:
-        if cfg.f_div.kind != "uniform":
-            raise ValueError(
-                "sampled trials need F_div kind 'uniform'; pass f_div explicitly "
-                "to force a value")
-        f_div = float(_sample_fdiv_block(seed, index, index + 1, f_meas)[0])
-    if engine == "analytic":
-        return 0.5 * analytic.total_force(cfg.p, f_meas, f_div) * tau * tau
-    return float(_evolve_trials(cfg.p, f_meas, np.array([float(f_div)]), tau,
-                                grid, (index,))[0])
+    f_div = _sample_fdiv_block(seed, index, index + 1, f_meas)
+    if engine == "grid":
+        return float(_evolve_trials(cfg.p, f_meas, f_div, tau, MC_GRID,
+                                    (index,))[0])
+    force = analytic.total_force(cfg.p, f_meas, float(f_div[0]))
+    return 0.5 * force * tau * tau
 
 
 def _chunk_counts(args) -> tuple[int, int, int]:

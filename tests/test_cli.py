@@ -1289,6 +1289,51 @@ class TestFailedRunWritesNothing:
                             "--t-max", "1"], out)
 
 
+# Runs the CLI on argv[2:] with files capped at argv[1] bytes and SIGXFSZ
+# ignored, so that a write past the cap fails with EFBIG, as on a full disk
+FILE_SIZE_LIMITED = """
+import resource, signal, sys
+from gravimean.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestFailedWriteLeavesNothing:
+    """A write that fails once its file is open, here at a file-size limit,
+    removes that file: a run that exits 1 leaves neither a partial output
+    nor a partial manifest, and prints no result."""
+
+    def check(self, tmp_path, argv, limit):
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c", FILE_SIZE_LIMITED, str(limit), *argv,
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == "error: [Errno 27] File too large\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_born_mc_out(self, tmp_path):
+        cfg = write_cfg(tmp_path, F_div={"kind": "uniform"})
+        self.check(tmp_path, ["born-mc", "--config", cfg, "--trials", "10"],
+                   100)
+
+    def test_born_mc_manifest(self, tmp_path):
+        cfg = write_cfg(tmp_path, F_div={"kind": "uniform"})
+        self.check(tmp_path, ["born-mc", "--config", cfg, "--trials", "10"],
+                   1000)
+
+    def test_evolve_manifest(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        self.check(tmp_path, ["evolve", "--config", cfg, "--t-max", "0.2",
+                              "--dt-sample", "0.1"], 1000)
+
+
 class TestHugeBox:
     """A half-length whose x^2 dx moment weight overflows is refused by
     GridSpec, from the flag or the config, before any NaN arises."""

@@ -235,9 +235,9 @@ class TestGlobalPhaseTerm:
         a = two_branch(spec, 0.0, 0.0, 0.5)
         b = GridState(psi_plus=a.psi_plus.copy(),
                       psi_minus=a.psi_minus.copy(), p=0.5)
-        for _ in range(200):
-            a = step(a, 1.0, 0.3, spec, include_x2_phase=True)
-            b = step(b, 1.0, 0.3, spec, include_x2_phase=False)
+        # 200 steps
+        _, a = evolve(a, 1.0, 0.3, 0.2, spec, 200, include_x2_phase=True)
+        _, b = evolve(b, 1.0, 0.3, 0.2, spec, 200, include_x2_phase=False)
         assert np.array_equal(np.abs(a.psi_plus) ** 2, np.abs(b.psi_plus) ** 2)
         assert np.array_equal(np.abs(a.psi_minus) ** 2,
                               np.abs(b.psi_minus) ** 2)
@@ -251,8 +251,8 @@ class TestGlobalPhaseTerm:
         a = two_branch(spec, 0.0, 0.0, 0.5)
         b = GridState(psi_plus=a.psi_plus.copy(),
                       psi_minus=a.psi_minus.copy(), p=0.5)
-        a = step(a, 1.0, 0.3, spec, include_x2_phase=True)
-        b = step(b, 1.0, 0.3, spec, include_x2_phase=False)
+        _, a = evolve(a, 1.0, 0.3, spec.dt, spec, 1, include_x2_phase=True)
+        _, b = evolve(b, 1.0, 0.3, spec.dt, spec, 1, include_x2_phase=False)
         assert np.array_equal(a.psi_plus, b.psi_plus)
 
 
@@ -289,7 +289,35 @@ def check_aliasing_mid_run():
     assert steps.pop() % 100 != 0
 
 
+def wide_packet(spec, width):
+    """Normalized real Gaussian at the origin whose density has variance
+    width^2 / 2, as init_gaussian's width-1 packet scaled by width."""
+    psi = np.exp(-spec.x() ** 2 / (2.0 * width ** 2)).astype(complex)
+    return psi / np.sqrt(np.sum(np.abs(psi) ** 2) * spec.dx)
+
+
+def check_box_holds_the_widths():
+    """The box pre-flight counts the packets' widths: both branches are
+    width-4 Gaussians at the origin (density variance 8) under no force, so
+    the mean stays at 0 and the box needs the margin 8 + 3 widths = 20. At
+    half_length 19.9 the run is refused with ValueError before any step; at
+    20.1 it runs. Without the width term 19.9 runs too, and half_length 12
+    fails only at the edge guard of step 0."""
+    def run(length):
+        spec = GridSpec(half_length=length, n=1024, dt=2e-3)
+        psi = wide_packet(spec, 4.0)
+        state = GridState(psi_plus=psi, psi_minus=psi.copy(), p=0.6)
+        evolve(state, 0.0, 0.0, 0.1, spec, sample_every=10)
+
+    with pytest.raises(ValueError, match="need at least 20.0"):
+        run(19.9)
+    run(20.1)
+
+
 class TestFailureModes:
+    def test_box_holds_the_widths(self):
+        check_box_holds_the_widths()
+
     def test_preflight_box_too_small(self):
         state = two_branch(SPEC, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="half_length"):

@@ -21,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from gravimean import montecarlo
 from gravimean import grid as gridmod
-from gravimean.analytic import total_force
+from gravimean.analytic import (smooth_initial_condition, total_force,
+                                trajectory)
 from gravimean.montecarlo import (BLOCK, MAP_RTOL, MAX_TRIALS, MC_GRID,
                                   McSummary, _tally, run_ensemble, run_trial,
                                   two_detector_table, wilson_interval)
@@ -144,48 +145,54 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="trial index must be >= 0"):
             run_trial(dimensionless_cfg(0.5), "analytic", 0, index=-1)
 
+    # The analytic ensemble tallies the total force F of each trial, whose
+    # sign is that of its displacement F tau^2 / 2: the boundary tests force
+    # f_div into analytic.total_force, as _chunk_counts calls it.
     def test_forced_tie_is_undecided(self):
         # p = 0.75 makes the measurement part exactly 0.5 in binary, so the
         # forced diverting force -0.5 yields a representable exact tie
-        cfg = dimensionless_cfg(0.75)
-        displacement = run_trial(cfg, "analytic", 0, f_div=-0.5)
-        assert displacement == 0.0
-        assert _tally(np.array([displacement])) == (0, 0, 1)
+        force = total_force(0.75, 1.0, np.array([-0.5]))
+        assert 0.5 * force[0] == 0.0
+        assert _tally(force) == (0, 0, 1)
 
     def test_forced_near_tie(self):
-        cfg = dimensionless_cfg(0.75)
-        near = np.array([run_trial(cfg, "analytic", 0, f_div=f_div)
-                         for f_div in (-0.49, -0.51)])
-        assert near == pytest.approx([0.005, -0.005], abs=1e-15)
+        near = total_force(0.75, 1.0, np.array([-0.49, -0.51]))
+        # the displacement F tau^2 / 2 at tau = 1
+        assert 0.5 * near == pytest.approx([0.005, -0.005], abs=1e-15)
         assert _tally(near) == (1, 1, 0)
 
     def test_displacement_closed_form(self):
         cfg = dimensionless_cfg(0.6, tau=2.0)
-        f_total = 2.0 * 0.1 * 1.0 + 0.15
-        assert run_trial(cfg, "analytic", 0, f_div=0.15) == pytest.approx(
-            0.5 * f_total * 4.0)
+        forces = montecarlo._sample_fdiv_block(0, 0, 5, 1.0)
+        for i, f_div in enumerate(forces):
+            f_total = 2.0 * 0.1 * 1.0 + f_div
+            assert run_trial(cfg, "analytic", 0, index=i) == pytest.approx(
+                0.5 * f_total * 4.0)
 
-    def test_fixed_kind_needs_explicit_force(self):
+    def test_fixed_kind_refused(self):
         cfg = dimensionless_cfg(0.5, kind="fixed", value=0.2)
-        with pytest.raises(ValueError):
-            run_trial(cfg, "analytic", 0)
-        assert run_trial(cfg, "analytic", 0, f_div=0.2) > 0.0
+        for engine in ("analytic", "grid"):
+            with pytest.raises(ValueError, match="F_div kind 'uniform'"):
+                run_trial(cfg, engine, 0)
+        # deterministic evolution takes the fixed kind, and its force 0.2
+        # moves the mean right
+        state = smooth_initial_condition(0.5, 1.0)
+        assert trajectory(state, 1.0, cfg.f_div.value, [1.0])["xbar"][0] > 0.0
 
     def test_bad_engine(self):
         with pytest.raises(ValueError):
             run_trial(dimensionless_cfg(0.5), "exact", 0)
 
     def test_engines_agree_on_outcomes(self):
-        # same seeds, sign of the measured grid displacement must match the
-        # analytic one whenever the force is not razor thin
+        # same seeds, sign of the measured grid displacement, on MC_GRID,
+        # must match the analytic one whenever the force is not razor thin
         cfg = dimensionless_cfg(0.6, tau=0.5)
-        spec = GridSpec(half_length=12.0, n=256, dt=4e-3)
         checked = 0
         for i in range(12):
             ana = run_trial(cfg, "analytic", 77, index=i)
             if abs(ana) < 0.5 * 1e-3 * 0.5**2:  # |F| < 1e-3
                 continue
-            gr = run_trial(cfg, "grid", 77, grid=spec, index=i)
+            gr = run_trial(cfg, "grid", 77, index=i)
             assert np.sign(gr) == np.sign(ana)
             assert gr == pytest.approx(ana, abs=1e-6)
             checked += 1
@@ -528,12 +535,13 @@ class TestBlocks:
         assert np.array_equal(np.concatenate(values), whole_values)
         assert tuple(map(sum, zip(*counts))) == whole_counts
 
-    def test_block_displacements_match_run_trial(self):
-        cfg = dimensionless_cfg(0.6, tau=0.5)
+    def test_block_displacements_match_single_rows(self):
+        # each trial evolved alone, as a block of one, as run_trial does
         n = 16
-        ref = np.array([run_trial(cfg, "grid", 77, grid=SMALL_GRID, index=i)
-                        for i in range(n)])
         f_div = montecarlo._sample_fdiv_block(77, 0, n, 1.0)
+        ref = np.concatenate([
+            grid_displacements(0.6, 1.0, f_div[i:i + 1], 0.5, SMALL_GRID, i)
+            for i in range(n)])
         for block in (1, 3, 16):
             got = np.concatenate([
                 grid_displacements(0.6, 1.0, f_div[lo:lo + block], 0.5,

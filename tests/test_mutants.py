@@ -22,6 +22,7 @@ from test_cli import (check_box_holds_the_vertex,
                       check_non_finite_row_refused, check_run_steps,
                       check_under_resolved)
 from test_grid import (check_aliasing_mid_run, check_boosted_packet_energy,
+                       check_box_holds_the_widths,
                        check_drift_checked_between_samples, check_edge_hit,
                        check_ehrenfest, check_second_order_in_dt,
                        check_smooth_closed_form)
@@ -210,6 +211,14 @@ def test_preflight_vertex_dropped(monkeypatch, tmp_path, capsys):
                 "for t in (0.0, t_max, vertex)]", "for t in (0.0, t_max)]")
     with pytest.raises(CHECK_FAILED):
         check_box_holds_the_vertex(tmp_path, capsys, monkeypatch)
+
+
+def test_preflight_widths_dropped(monkeypatch):
+    # the box bound counts the mean and the margin, not the packet widths
+    edit_source(monkeypatch, gridmod, "_preflight",
+                "8.0 + max_mean + 3.0 * width", "8.0 + max_mean")
+    with pytest.raises(CHECK_FAILED):
+        check_box_holds_the_widths()
 
 
 @pytest.mark.parametrize("command", ["evolve", "compare"])

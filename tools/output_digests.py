@@ -7,9 +7,14 @@ runs the matrix on the gravimean package under SRC (the directory that
 holds `gravimean/`), in a fresh temporary directory, with PYTHONPATH=SRC.
 Each run prints one line: its name, its exit code, and the sha256 of its
 stdout, its stderr, its output file and its manifest without `timestamp`
-("-" where a run has none). Every manifest written is then checked by
-`io.verify_manifest` in a run of its own, and so are a missing path and a
-directory. Run it on two trees and diff the two listings.
+("-" where a run has none; a manifest that is not JSON is digested as it
+is). Every manifest written is then checked by `io.verify_manifest` in a
+run of its own, and so are a missing path and a directory. Run it on two
+trees and diff the two listings.
+
+The last runs of the matrix write under a file-size limit, with SIGXFSZ
+ignored, so that their --out or manifest write fails with EFBIG, as on a
+full disk.
 
 The configs are SI configs whose packet-unit f_meas and tau are as given,
 on a sphere of radius 1 mm and density 1e4 kg/m^3; SRC's own
@@ -36,6 +41,16 @@ s = Scales.from_apparatus(ApparatusParams.derive(radius=1e-3, density=1e4))
 print(json.dumps([s.force, s.time]))
 """
 
+# the CLI on argv[2:] with files capped at argv[1] bytes
+FILE_SIZE_LIMITED = """\
+import resource, signal, sys
+from gravimean.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+sys.exit(main(sys.argv[2:]))
+"""
+
 VERIFY = """\
 import sys
 from gravimean.io import verify_manifest
@@ -55,7 +70,8 @@ def si_config(scales, p, f_meas, tau, f_div=None, **extra) -> dict:
 
 
 def matrix() -> list:
-    """(name, config name or None, CLI arguments, output file or None)."""
+    """(name, config name or None, CLI arguments, output file or None,
+    file-size limit in bytes or None)."""
     runs = []
     for ic in ("smooth", "common"):
         for label, t_max, dt, every in (("divides", "1.0", "2e-3", "25"),
@@ -124,6 +140,13 @@ def matrix() -> list:
                      ["evolve", "--mode", "grid", "--t-max", "0.01",
                       "--grid-n", "64", "--grid-l", length],
                      f"grid-l-{length}.csv"))
+    runs = [(*run, None) for run in runs]
+    # a failed write of the --out JSON, then of an evolve manifest
+    runs.append(("born-mc-out-file-too-large", "born",
+                 ["born-mc", "--trials", "10"], "born-fsize.json", 100))
+    runs.append(("evolve-manifest-file-too-large", "gamma0",
+                 ["evolve", "--mode", "analytic", "--t-max", "0.2",
+                  "--dt-sample", "0.1"], "evolve-fsize.csv", 1000))
     return runs
 
 
@@ -134,7 +157,10 @@ def digest(data: bytes | None) -> str:
 def manifest_digest(path: Path) -> str:
     if not path.exists():
         return "-"
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError:  # a partial manifest left by a failed write
+        return digest(path.read_bytes())
     manifest.pop("timestamp", None)
     return digest(json.dumps(manifest, sort_keys=True).encode())
 
@@ -178,13 +204,15 @@ def main(argv: list) -> int:
         for name, cfg in configs.items():
             (work / f"{name}.json").write_text(json.dumps(cfg))
         manifests = []
-        for name, config, args, output in matrix():
+        for name, config, args, output, limit in matrix():
             args = list(args)
             if config is not None:
                 args[1:1] = ["--config", f"{config}.json"]
             if output is not None:
                 args += ["--out", output]
-            proc = python(["-m", "gravimean.cli", *args], work)
+            cli = (["-m", "gravimean.cli"] if limit is None
+                   else ["-c", FILE_SIZE_LIMITED, str(limit)])
+            proc = python([*cli, *args], work)
             out = manifest = "-"
             if output is not None:
                 path = work / output
