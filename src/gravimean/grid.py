@@ -24,28 +24,32 @@ a run evolves the same in a block of any size. The block stays in k-space
 between steps, where the second half kinetic step of one step and the first
 of the next are one factor, so a step costs one batched FFT pair, an ifft to
 the midpoint and an fft back; it returns to x-space only at samples. Each
-space has one weight table and one density product. |psi|^2 @ [1, x, x^2,
-edge] dx, at every midpoint and sample, gives the norms, means and second
-moments and the edge guard. |phi|^2 @ [1, k, k^2/2, alias] dx/n, at every
-step end, gives the norm of the drift check (Parseval), the aliasing guard,
-at a sample the kinetic energy (the kinetic factor has unit modulus), and at
-t = 0 the pre-flight's mean momentum. The linear phase exp(i dt (xbar +
-f_div) x) of each row is the outer product of two tables of about sqrt(n)
-exponentials each.
+space has one weight table, and both share one density product, _stats.
+|psi|^2 @ [1, x, x^2, edge] dx, at every midpoint and sample, gives the
+norms, means and second moments and the edge guard. |phi|^2 @ [1, k, k^2/2,
+alias] dx/n, at every step end, gives the norm of the drift check
+(Parseval), the aliasing guard, at a sample the kinetic energy (the kinetic
+factor has unit modulus), and at t = 0 the pre-flight's mean momentum. The
+linear phase exp(i dt (xbar + f_div) x) of each row is the outer product of
+two tables of about sqrt(n) exponentials each.
 
-evolve_block allocates its buffers and builds every table once per call, and
-after the pre-flight _advance builds the step once, binding the potential,
-the linear phase, f_div, dt and both transforms: no step builds or looks up a
-table or allocates an array the size of the block, and nothing outlives the
-call; _stats, _kstats and _density are still called by name at every step. A
-step reads each product once as Python floats; its guards, angles
-dt (xbar + f_div) and x2bar phase are float arithmetic on them, which rounds
-as the same numpy arithmetic on (B, 2) arrays would, and the weighted moments
-stay one numpy product. A run takes equal steps of at most dt that end at
-exactly t_max (step_plan). The core starts at t = 0 with no phase; evolve,
-the block of one, carries a state's time and global phase. step is evolve
-over one dt, energy the energy evolve records at its start, and moments
-reads the same weighted moments.
+evolve_block builds every table once per call, and after the pre-flight
+_advance builds the step once, binding the potential, the linear phase,
+f_div, dt and both transforms: no step builds or looks up a table, and
+nothing outlives the call. A call keeps only the buffers that pay for
+themselves: the x-space block that the FFT pair writes into (out= saves
+about 1-2 us per transform) and those of the linear phase (an allocating
+phase costs about 1 us more per step). _stats squares each block into a
+plane of its own, which at B = 1 to 3 and n = 512 to 1024 costs about 1 us
+less than a kept pair of planes; it is still looked up by name each time
+it is called. A step reads each product once as Python floats; its guards,
+angles dt (xbar + f_div) and x2bar phase are float arithmetic on them, which
+rounds as the same numpy arithmetic on (B, 2) arrays would, and the weighted
+moments stay one numpy product. A run takes equal steps of at most dt that
+end at exactly t_max (step_plan). The core starts at t = 0 with no phase;
+evolve, the block of one, carries a state's time and global phase. step is
+evolve over one dt, energy the energy evolve records at its start, and
+moments reads the same weighted moments.
 
 The domain is periodic, which the physics never probes while the packets
 stay off the edges and the spectrum off the largest |k|: an edge guard in x
@@ -226,37 +230,22 @@ def _rows(state: GridState) -> np.ndarray:
     return np.stack([state.psi_plus, state.psi_minus], dtype=complex)[None]
 
 
-def _density(psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """re^2 + im^2 of every point of psi, computed in the planes of out,
-    shape (2,) + psi.shape, which are allocated when not given."""
-    if out is None:
-        out = np.empty((2,) + psi.shape)
-    np.square(psi.real, out=out[0])
-    np.square(psi.imag, out=out[1])
-    return np.add(out[0], out[1], out=out[0])
-
-
-def _stats(psi: np.ndarray, weights: np.ndarray,
-           scratch: np.ndarray | None = None) -> np.ndarray:
-    """Norm, first and second moment (not divided by the norm) and edge
-    weight of every row and branch of psi (B, 2, n): |psi|^2 @ weights, the
-    _moment_weights of psi's grid, shape (B, 2, 4). scratch is the density
-    buffer of _density.
+def _stats(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """|block|^2 @ weights for every row and branch of a block (B, 2, n),
+    shape (B, 2, 4), in a density plane of its own: the core's one density
+    product. With the _moment_weights of an x-space block it gives the norm,
+    the first and second moment (not divided by the norm) and the edge
+    weight; with the _k_weights of a k-space block the norm (Parseval), the
+    mean momentum, the kinetic energy and the aliasing weight.
 
     The product stays stacked, one (2, n) @ (n, 4) per row: a single
     (2B, n) product rounds a row differently depending on where it sits in
     the block, and then a run would not evolve bit for bit the same in
     blocks of different sizes.
     """
-    return _density(psi, scratch) @ weights
-
-
-def _kstats(phi: np.ndarray, weights: np.ndarray,
-            scratch: np.ndarray | None = None) -> np.ndarray:
-    """The k-space counterpart of _stats: |phi|^2 @ weights, the _k_weights
-    of phi's grid, for every row and branch of a k-space block phi
-    (B, 2, n), shape (B, 2, 4)."""
-    return _density(phi, scratch) @ weights
+    density = block.real ** 2
+    density += block.imag ** 2
+    return density @ weights
 
 
 def _when(step_no: int | None, t: float) -> str:
@@ -365,24 +354,23 @@ def _linear_phase(grid: GridSpec, rows: int) -> Callable:
     return phase
 
 
-def _advance(grid: GridSpec, f_meas: float, f_div: list,
-             weights: np.ndarray, psi: np.ndarray, density: np.ndarray,
-             x_weights: np.ndarray) -> Callable:
+def _advance(grid: GridSpec, f_meas: float, f_div: list, weights: np.ndarray,
+             psi: np.ndarray, x_weights: np.ndarray) -> Callable:
     """The middle of one Strang step of every row, built once per
     evolve_block call. Binds the potential and the linear phase, each row's
     f_div, dt and the two transforms, and returns advance(phi, step_no, t):
     in place, phi, the k-space block after the first half kinetic step,
     becomes the block before the second one, through the x-space buffer psi
-    and the density planes. advance returns the midpoint [xbar, x2bar] of
-    each row."""
+    that the transform pair writes into. The midpoint product (_stats)
+    squares into a plane of its own at every call, which costs less than
+    keeping one. advance returns the midpoint [xbar, x2bar] of each row."""
     potential = _potential(f_meas, grid)
     linear_phase = _linear_phase(grid, len(psi))
     dt, fft, ifft = grid.dt, np.fft.fft, np.fft.ifft
 
     def advance(phi: np.ndarray, step_no: int, t: float) -> list:
         block = ifft(phi, out=psi)
-        _, moments = _weighted(_stats(block, x_weights, density), weights,
-                               step_no, t)
+        _, moments = _weighted(_stats(block, x_weights), weights, step_no, t)
         block *= potential
         block *= linear_phase([dt * (xbar + f) for (xbar, _), f
                                in zip(moments, f_div)])
@@ -488,21 +476,18 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
     grid = replace(grid, dt=dt)
     weights = np.array([p, 1.0 - p])
     x_weights, k_weights = _moment_weights(grid), _k_weights(grid)
-    # the x-space block and its density planes, allocated once so that no
-    # step allocates an array the size of the block
+    # the x-space block, allocated once: the transforms write into it
     block = np.empty(psi.shape, dtype=complex)
-    density = np.empty((2,) + psi.shape)
-    stats = _stats(psi, x_weights, density)
+    stats = _stats(psi, x_weights)
     # an unnormalised block fails here, before _preflight divides by its norms
     _check([abs(norm - 1.0) for norm in stats[..., 0].ravel().tolist()],
            _NORM, 0, 0.0)
     # the one transform to k-space: the pre-flights, sample 0 and the first
     # step all read it
     phi = np.fft.fft(psi)
-    kstats = _kstats(phi, k_weights, density)
+    kstats = _stats(phi, k_weights)
     _preflight(stats, kstats, weights, f_meas, f_div, t_max, grid)
-    advance = _advance(grid, f_meas, f_div.tolist(), weights, block, density,
-                       x_weights)
+    advance = _advance(grid, f_meas, f_div.tolist(), weights, block, x_weights)
 
     phase = [0.0] * len(psi)
     # the sample table: row r holds step r * sample_every, the last row the
@@ -537,14 +522,14 @@ def evolve_block(psi: np.ndarray, p: float, f_meas: float, f_div: np.ndarray,
         t = t_max if final else i * dt
         for row, (_, x2bar) in enumerate(advance(phi, i, t)):
             phase[row] -= 0.5 * x2bar * dt
-        kstats = _kstats(phi, k_weights, density)
+        kstats = _stats(phi, k_weights)
         before, k = k, kstats.reshape(-1, 4).tolist()
         _check([abs(now[0] - then[0]) for now, then in zip(k, before)],
                _DRIFT, i, t)
         _aliasing(k, i, t)
         if final or i % sample_every == 0:
             psi = np.fft.ifft(np.multiply(phi, kin, out=block), out=block)
-            sample(_stats(psi, x_weights, density), kstats, i, t)
+            sample(_stats(psi, x_weights), kstats, i, t)
         if not final:
             phi *= kin2
     return GridTrajectory(times, *table), psi, np.array(phase)

@@ -156,7 +156,7 @@ def _evolve_trials(p: float, f_meas: float, f_div: np.ndarray, tau: float,
     try:
         # sampled every MAX_STEPS steps, more than any run takes: only its ends
         traj, _, _ = gridmod.evolve_block(
-            np.repeat([[start.psi_plus, start.psi_minus]], len(f_div), axis=0),
+            np.repeat(gridmod._rows(start), len(f_div), axis=0),
             p, f_meas, f_div, tau, grid_spec, gridmod.MAX_STEPS)
     except NumericalError as exc:
         # the core's own error, every field kept, its message led by the trial

@@ -867,8 +867,8 @@ class TestEvolveGrid:
     def test_negative_variance_exits_3(self, tmp_path, capsys, monkeypatch):
         real = gridmod._stats
 
-        def negative_second_moment(psi, grid, *rest):
-            stats = real(psi, grid, *rest)
+        def negative_second_moment(block, weights):
+            stats = real(block, weights)
             stats[..., 2] = -stats[..., 0]
             return stats
 

@@ -10,7 +10,6 @@ against deliberately broken solvers, so each law has one copy.
 
 import math
 import re
-import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -435,8 +434,8 @@ def corrupt_stats(monkeypatch, after_calls, row=None):
     real = gridmod._stats
     calls = []
 
-    def fake(psi, grid, *rest):
-        stats = real(psi, grid, *rest)
+    def fake(block, weights):
+        stats = real(block, weights)
         calls.append(None)
         if len(calls) > after_calls:
             target = stats if row is None else stats[row]
@@ -456,10 +455,10 @@ class TestNegativeVariance:
             moments(state, SPEC)
 
     def test_while_stepping_names_step_and_t(self, monkeypatch):
-        # call 1 is the initial state, calls 2 and 3 the midpoints of steps
-        # 1 and 2
+        # calls 1 and 2 are the initial x and k products, calls 3 and 5 the
+        # midpoints of steps 1 and 2, call 4 the end of step 1
         state = smooth_grid_state(SPEC, 0.3, 1.0)
-        corrupt_stats(monkeypatch, 2)
+        corrupt_stats(monkeypatch, 4)
         with pytest.raises(NumericalError,
                            match=r"negative variance at step 2, t=0\.002: "
                                  r"x2bar -1\.0 < xbar\^2"):
@@ -479,25 +478,25 @@ def check_drift_checked_between_samples(monkeypatch, factor):
                              0.1, SPEC, sample_every=10)
 
 
-def failure_of_block(monkeypatch, name, call, block=None, product=None):
+def failure_of_block(monkeypatch, call, block=None, product=None):
     """The NumericalError of a three-row smooth block whose call number
-    call of grid.<name> (_stats or _kstats; call 1 takes the product of
-    the initial block) is corrupted: block changes the array before the
+    call of grid._stats (call 1 takes the x product of the initial block,
+    call 2 its k product) is corrupted: block changes the array before the
     product is taken, product changes the product."""
-    real = getattr(gridmod, name)
+    real = gridmod._stats
     calls = []
 
-    def fake(array, *rest):
+    def fake(array, weights):
         calls.append(None)
         hit = len(calls) == call
         if hit and block is not None:
             block(array)
-        result = real(array, *rest)
+        result = real(array, weights)
         if hit and product is not None:
             product(result)
         return result
 
-    monkeypatch.setattr(gridmod, name, fake)
+    monkeypatch.setattr(gridmod, "_stats", fake)
     state = smooth_grid_state(SPEC, 0.3, 1.0)
     with pytest.raises(NumericalError) as failure:
         gridmod.evolve_block(np.repeat(gridmod._rows(state), 3, axis=0), 0.3,
@@ -516,16 +515,17 @@ class TestGuardOrder:
     branch by branch: at the midpoint the norm, the weighted variance and
     the edge, at the step end the drift and the aliasing. Each failure
     names its row, branch, step, t, quantity, value and limit. At t = 0
-    the norm guard runs first, before the pre-flight. Call 2 of
-    _stats is the midpoint of step 1 and call 3 that of step 2; call 2 of
-    _kstats ends step 1 and call 3 step 2."""
+    the norm guard runs first, before the pre-flight. Calls 1 and 2 of
+    _stats are the x and k products at t = 0; while no sample falls
+    between, call 2s + 1 is the midpoint of step s and call 2s + 2 its
+    end."""
 
     def test_norm_of_a_later_row_before_edge(self, monkeypatch):
         def product(stats):
             stats[1, 0, 0] = 1.1
             stats[0, :, 3] = 1.0
 
-        error = failure_of_block(monkeypatch, "_stats", 2, product=product)
+        error = failure_of_block(monkeypatch, 3, product=product)
         assert str(error).startswith("plus branch norm deviates from 1 by "
                                      "0.10000000000000009, more than 1e-6, "
                                      "at step 1, t=0.001")
@@ -538,7 +538,7 @@ class TestGuardOrder:
             kstats[0, 0, 0] += 1e-6
             kstats[1, 0, 3] = 0.5 * kstats[1, 0, 0]
 
-        error = failure_of_block(monkeypatch, "_kstats", 2, product=product)
+        error = failure_of_block(monkeypatch, 4, product=product)
         assert re.fullmatch(r"plus branch norm drifted by 1\.0000\d+e-06 in "
                             r"one step at step 1, t=0\.001", str(error))
         assert fields(error) == (0, "plus", 1, 0.001, "drift", 1e-8)
@@ -548,7 +548,7 @@ class TestGuardOrder:
         def block(psi):
             psi[1] = np.nan
 
-        error = failure_of_block(monkeypatch, "_stats", 2, block=block)
+        error = failure_of_block(monkeypatch, 3, block=block)
         assert str(error) == ("plus branch norm deviates from 1 by nan, more "
                               "than 1e-6, at step 1, t=0.001")
         assert fields(error) == (1, "plus", 1, 0.001, "norm", 1e-6)
@@ -558,7 +558,7 @@ class TestGuardOrder:
         def block(psi):
             psi[2] = 0.0
 
-        error = failure_of_block(monkeypatch, "_stats", 3, block=block)
+        error = failure_of_block(monkeypatch, 5, block=block)
         assert fields(error) == (2, "plus", 2, 0.002, "norm", 1e-6)
         assert error.value == 1.0
 
@@ -569,7 +569,7 @@ class TestGuardOrder:
         def block(psi):
             psi[1] = fill
 
-        error = failure_of_block(monkeypatch, "_stats", 1, block=block)
+        error = failure_of_block(monkeypatch, 1, block=block)
         assert str(error).startswith("plus branch norm deviates from 1 by ")
         assert str(error).endswith(", more than 1e-6, at step 0, t=0.0")
         assert fields(error) == (1, "plus", 0, 0.0, "norm", 1e-6)
@@ -579,7 +579,7 @@ class TestGuardOrder:
         def product(stats):
             stats[1, :, 2] = -stats[1, :, 0]
 
-        error = failure_of_block(monkeypatch, "_stats", 3, product=product)
+        error = failure_of_block(monkeypatch, 5, product=product)
         assert str(error).startswith("negative variance at step 2, t=0.002: "
                                      "x2bar -1.0 < xbar^2 ")
         assert fields(error) == (1, None, 2, 0.002, "variance", -1e-12)
@@ -589,7 +589,7 @@ class TestGuardOrder:
         def product(stats):
             stats[2, 1, 3] = 2e-8
 
-        error = failure_of_block(monkeypatch, "_stats", 3, product=product)
+        error = failure_of_block(monkeypatch, 5, product=product)
         assert str(error).startswith("minus branch density 2e-08 in the outer "
                                      "5% of the domain at step 2, t=0.002")
         assert fields(error) == (2, "minus", 2, 0.002, "edge", 1e-8)
@@ -599,7 +599,7 @@ class TestGuardOrder:
         def product(kstats):
             kstats[1, 1, 3] = 0.25 * kstats[1, 1, 0]
 
-        error = failure_of_block(monkeypatch, "_kstats", 3, product=product)
+        error = failure_of_block(monkeypatch, 6, product=product)
         assert str(error).startswith("minus branch has a share 0.25 of its "
                                      "weight in the outer 5% of |k| at step "
                                      "2, t=0.002")
@@ -685,14 +685,17 @@ class TestKSpaceStepping:
         # x products: the initial state, every midpoint and every sample
         # but the first; k products: the initial block and the end of every
         # step, which also serves that step's sample
-        callers = []
-        real = gridmod._density
+        tables = {"x": gridmod._moment_weights(SPEC),
+                  "k": gridmod._k_weights(SPEC)}
+        spaces = []
+        real = gridmod._stats
 
-        def counted(*args):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return real(*args)
+        def counted(block, weights):
+            spaces.extend(space for space, table in tables.items()
+                          if np.array_equal(weights, table))
+            return real(block, weights)
 
-        monkeypatch.setattr(gridmod, "_density", counted)
+        monkeypatch.setattr(gridmod, "_stats", counted)
         state = smooth_grid_state(SPEC, 0.3, 1.0)
         n_steps = 100
         traj, _, _ = gridmod.evolve_block(
@@ -701,9 +704,9 @@ class TestKSpaceStepping:
             sample_every=10)
         samples = len(traj.t)
         assert samples == 11
-        assert callers.count("_stats") == 1 + n_steps + samples - 1
-        assert callers.count("_kstats") == 1 + n_steps
-        assert len(callers) == 2 + 2 * n_steps + samples - 1
+        assert spaces.count("x") == 1 + n_steps + samples - 1
+        assert spaces.count("k") == 1 + n_steps
+        assert len(spaces) == 2 + 2 * n_steps + samples - 1
 
     @pytest.mark.parametrize("t_max, dt, plan", [
         (1.0, 4e-3, (250, 4e-3)), (np.pi, 1e-3, (3142, np.pi / 3142)),
@@ -773,11 +776,30 @@ class TestKSpaceStepping:
         assert np.max(np.abs(state.psi_plus - final.psi_plus)) <= 1e-12
 
 
+def check_block_product_per_row():
+    """_stats of a block of 256 runs on SPEC (n = 512) equals each row's
+    own product bit for bit, for the x-space block with the moment weights
+    and for its transform with the k weights. One (2B, n) @ (n, 4) product
+    over the whole block rounds some rows differently at this size (with
+    scipy-openblas, by up to 1e-15 of the largest entry) but not at 128
+    rows or fewer of n = 512; the other block tests hold at most 64 rows."""
+    block = np.stack([[init_gaussian(SPEC, c, velocity=0.5),
+                       init_gaussian(SPEC, -c, velocity=-0.3)]
+                      for c in np.linspace(-8.0, 8.0, 256)])
+    for psi, weights in ((block, gridmod._moment_weights(SPEC)),
+                         (np.fft.fft(block), gridmod._k_weights(SPEC))):
+        stats = gridmod._stats(psi, weights)
+        for row in range(len(psi)):
+            assert np.array_equal(
+                stats[row], gridmod._stats(psi[row:row + 1], weights)[0]), row
+
+
 class TestWeightTables:
     """Every guard and sampled observable reads a column of one x-space
-    product (_stats) or one k-space product (_kstats): each column against
+    product or one k-space product (both _stats): each column against
     the quantity it stands for, on boosted Gaussian packets and on the
-    edge-hit run at its last sample before the guard fires."""
+    edge-hit run at its last sample before the guard fires; and a block's
+    product against the product of each of its rows."""
 
     VELOCITIES = np.array([0.7, -0.4])
 
@@ -802,7 +824,7 @@ class TestWeightTables:
     def test_k_columns(self):
         for spec, psi in self.states():
             phi = np.fft.fft(psi)
-            kstats = gridmod._kstats(phi, gridmod._k_weights(spec))
+            kstats = gridmod._stats(phi, gridmod._k_weights(spec))
             density = np.abs(phi) ** 2
             k = spec.k()
             k_mean = (density @ k) / density.sum(axis=-1)
@@ -823,6 +845,9 @@ class TestWeightTables:
                 np.testing.assert_allclose(
                     kstats[0, :, 2], 0.25 + 0.5 * self.VELOCITIES ** 2,
                     rtol=0.0, atol=1e-12)
+
+    def test_block_product_per_row(self):
+        check_block_product_per_row()
 
 
 class TestSampleTable:

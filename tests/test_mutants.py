@@ -21,8 +21,8 @@ from test_cli import (check_box_holds_the_vertex,
                       check_no_wrap_between_samples,
                       check_non_finite_row_refused, check_run_steps,
                       check_under_resolved)
-from test_grid import (check_aliasing_mid_run, check_boosted_packet_energy,
-                       check_box_holds_the_widths,
+from test_grid import (check_aliasing_mid_run, check_block_product_per_row,
+                       check_boosted_packet_energy, check_box_holds_the_widths,
                        check_drift_checked_between_samples, check_edge_hit,
                        check_ehrenfest, check_second_order_in_dt,
                        check_smooth_closed_form)
@@ -169,9 +169,8 @@ def test_moments_before_half_kinetic_step(monkeypatch):
         kin[:] = [real_kinetic(spec)]
         return kin[0]
 
-    def mutant(grid, f_meas, f_div, weights, psi, density, x_weights):
-        advance = real_advance(grid, f_meas, f_div, weights, psi, density,
-                               x_weights)
+    def mutant(grid, f_meas, f_div, weights, psi, x_weights):
+        advance = real_advance(grid, f_meas, f_div, weights, psi, x_weights)
 
         def lagged_advance(phi, step_no, t):
             start = np.fft.ifft(phi * kin[0].conj())
@@ -189,6 +188,27 @@ def test_moments_before_half_kinetic_step(monkeypatch):
     monkeypatch.setattr(gridmod, "_advance", mutant)
     with pytest.raises(CHECK_FAILED):
         check_second_order_in_dt(vbar0=0.5)
+
+
+def test_block_product_flattened(monkeypatch):
+    # one (2B, n) @ (n, 4) product over the whole block instead of one
+    # (2, n) @ (n, 4) per row
+    edit_source(monkeypatch, gridmod, "_stats", "return density @ weights",
+                "return (density.reshape(-1, density.shape[-1]) @ weights"
+                ").reshape(density.shape[:-1] + (4,))")
+    with pytest.raises(CHECK_FAILED):
+        check_block_product_per_row()
+
+
+def test_step_end_product_on_moment_weights(monkeypatch):
+    # the product that ends each step reads the k-space block with the
+    # x-space table: its norm is n times too large, so the drift guard
+    # fires at step 1, before the aliasing the law waits for
+    edit_source(monkeypatch, gridmod, "evolve_block",
+                "kstats = _stats(phi, k_weights)\n        before",
+                "kstats = _stats(phi, x_weights)\n        before")
+    with pytest.raises(CHECK_FAILED):
+        check_aliasing_mid_run()
 
 
 def test_kinetic_step_off(monkeypatch):

@@ -81,6 +81,11 @@ def matrix() -> list:
                           "--t-max", t_max, "--dt", dt,
                           "--sample-every", every],
                          f"grid-{ic}-{label}.csv"))
+    # the grid defaults of evolve (gamma0 sets no grid): n 1024, l 32, dt
+    # 1e-3, sample_every 10, the shape of the benchmark's grid evolve
+    runs.append(("evolve-grid-defaults", "gamma0",
+                 ["evolve", "--mode", "grid", "--t-max", "1"],
+                 "grid-defaults.csv"))
     for gamma in ("0", "0.5"):
         runs.append((f"evolve-analytic-gamma{gamma}", f"gamma{gamma}",
                      ["evolve", "--mode", "analytic", "--t-max", "20",
