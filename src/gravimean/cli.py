@@ -11,7 +11,9 @@ Subcommands:
 Exit codes: 0 success, 1 bad usage or config, 2 criteria not satisfied,
 3 numerical failure (norm drift, a negative variance, probability at the
 grid edge or the largest |k| of the grid, or a non-finite trajectory value).
-A run that exits 1 or 3 leaves no output file, manifest or stdout result.
+A refused input raises ValueError (OSError for a file), a numerical failure
+grid.NumericalError, and main alone maps them to exits 1 and 3. A run that
+exits 1 or 3 leaves no output file, manifest or stdout result.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .analytic import (common_center_initial_condition,
                        smooth_initial_condition, trajectory)
 from .grid import GridSpec, NumericalError, init_state
 from .grid import evolve as evolve_grid
-from .io import (ConfigError, LoadedConfig, emit_trajectory, load_config,
-                 to_json, write_manifest, write_text)
+from .io import (LoadedConfig, emit_trajectory, load_config, to_json,
+                 write_manifest, write_text)
 from .montecarlo import MC_GRID, run_ensemble, two_detector_table
 from .units import classicality_report
 
@@ -70,14 +72,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"gravimean {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the first option of every subcommand that reads a config
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True)
 
-    p_crit = sub.add_parser("criteria",
+    p_crit = sub.add_parser("criteria", parents=[config],
                             help="evaluate the classical-apparatus conditions")
-    p_crit.add_argument("--config", required=True)
     p_crit.set_defaults(func=cmd_criteria)
 
-    p_ev = sub.add_parser("evolve", help="run one deterministic evolution")
-    p_ev.add_argument("--config", required=True)
+    p_ev = sub.add_parser("evolve", parents=[config],
+                          help="run one deterministic evolution")
     p_ev.add_argument("--mode", dest="engine", choices=("analytic", "grid"),
                       default="analytic", help="engine; default analytic")
     p_ev.add_argument("--t-max", type=_positive, required=True,
@@ -89,18 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--out", required=True, help="output CSV path")
     p_ev.set_defaults(func=cmd_evolve)
 
-    p_cmp = sub.add_parser("compare",
+    p_cmp = sub.add_parser("compare", parents=[config],
                            help="grid vs analytic discrepancy report")
-    p_cmp.add_argument("--config", required=True)
     p_cmp.add_argument("--t-max", type=_positive, required=True)
     _add_grid_args(p_cmp)
     _add_ic_args(p_cmp)
     p_cmp.add_argument("--out", default=None, help="also write the JSON here")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_mc = sub.add_parser("born-mc",
+    p_mc = sub.add_parser("born-mc", parents=[config],
                           help="outcome frequencies over the diverting force")
-    p_mc.add_argument("--config", required=True)
     p_mc.add_argument("--engine", choices=("analytic", "grid"),
                       default="analytic")
     p_mc.add_argument("--trials", type=int, required=True)
@@ -139,10 +141,6 @@ def _add_ic_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--vbar0", type=_finite, default=0.0)
 
 
-def _command_line(argv) -> list:
-    return ["gravimean"] + list(argv if argv is not None else sys.argv[1:])
-
-
 def _grid(loaded: LoadedConfig, args,
           defaults: dict) -> tuple[dict, GridSpec]:
     """The grid block a run uses, as the manifest records it, and its
@@ -178,8 +176,8 @@ def _sample_times(t_max: float, dt_sample: float) -> np.ndarray:
     off_grid = n * dt_sample < t_max * (1.0 - 1e-12)
     rows = n + 1 + off_grid
     if not rows <= MAX_ROWS:
-        raise ConfigError(f"--t-max / --dt-sample: the run would write "
-                          f"{rows:.8g} rows, more than {MAX_ROWS}")
+        raise ValueError(f"--t-max / --dt-sample: the run would write "
+                         f"{rows:.8g} rows, more than {MAX_ROWS}")
     # one float64 array of the final length, 8 B per row
     times = np.arange(rows, dtype=np.float64)
     times *= dt_sample
@@ -188,19 +186,18 @@ def _sample_times(t_max: float, dt_sample: float) -> np.ndarray:
     return times
 
 
-def _report(result: dict, args, argv, loaded: LoadedConfig, grid,
+def _report(result: dict, args, command: list, loaded: LoadedConfig, grid,
             master_seed: int | None = None) -> int:
     """With --out, write the JSON result and its manifest; then print it."""
     text = to_json(result)
     if args.out:
         write_text(args.out, [text + "\n"])
-        write_manifest(args.out, _command_line(argv), loaded, grid,
-                       master_seed=master_seed)
+        write_manifest(args.out, command, loaded, grid, master_seed=master_seed)
     print(text)
     return 0
 
 
-def cmd_criteria(args, argv=None) -> int:
+def cmd_criteria(args, command: list) -> int:
     loaded = load_config(args.config)
     report = classicality_report(loaded.apparatus, loaded.measurement)
     print(to_json(report.to_dict()))
@@ -212,8 +209,8 @@ def _run_grid(loaded: LoadedConfig, state, grid: dict, spec: GridSpec,
     """Evolve the closed form's initial state on the grid block and spec of
     _grid."""
     if loaded.gamma != 0.0:
-        raise ConfigError("gamma: the grid engine has no damping; "
-                          "use the analytic engine for gamma > 0")
+        raise ValueError("gamma: the grid engine has no damping; "
+                         "use the analytic engine for gamma > 0")
     return evolve_grid(init_state(spec, state), loaded.f_meas_dimensionless,
                        loaded.f_div_dimensionless(), t_max, spec,
                        sample_every=grid["sample_every"])[0]
@@ -239,14 +236,14 @@ def _emit_evolve(loaded: LoadedConfig, args) -> dict | None:
     return grid
 
 
-def cmd_evolve(args, argv=None) -> int:
+def cmd_evolve(args, command: list) -> int:
     loaded = load_config(args.config)
     grid = _emit_evolve(loaded, args)
-    write_manifest(args.out, _command_line(argv), loaded, grid)
+    write_manifest(args.out, command, loaded, grid)
     return 0
 
 
-def cmd_compare(args, argv=None) -> int:
+def cmd_compare(args, command: list) -> int:
     loaded = load_config(args.config)
     state = _initial_state(loaded, args)
     grid, spec = _grid(loaded, args, EVOLVE_GRID)
@@ -258,39 +255,40 @@ def cmd_compare(args, argv=None) -> int:
         "n_samples": int(len(grid_traj.t)),
         "grid": {key: grid[key] for key in ("n", "l", "dt")},
         "max_abs_diff": {
-            "xbar": float(np.max(np.abs(grid_traj.xbar - exact["xbar"]))),
-            "x_plus": float(np.max(np.abs(grid_traj.x_plus - exact["x_plus"]))),
-            "x_minus": float(np.max(np.abs(grid_traj.x_minus - exact["x_minus"]))),
-        },
+            key: float(np.max(np.abs(getattr(grid_traj, key) - exact[key])))
+            for key in ("xbar", "x_plus", "x_minus")},
     }
-    return _report(report, args, argv, loaded, grid)
+    return _report(report, args, command, loaded, grid)
 
 
-def cmd_born_mc(args, argv=None) -> int:
+def cmd_born_mc(args, command: list) -> int:
     loaded = load_config(args.config)
     grid, spec = _grid(loaded, args, BORN_MC_GRID)
     summary = run_ensemble(loaded.measurement, args.engine, args.trials,
                            args.seed, workers=args.workers,
                            scales=loaded.scales, grid=spec)
-    return _report(summary.to_dict(), args, argv, loaded,
+    return _report(summary.to_dict(), args, command, loaded,
                    grid if args.engine == "grid" else None,
                    master_seed=args.seed)
 
 
-def cmd_two_detector(args, argv=None) -> int:
+def cmd_two_detector(args, command: list) -> int:
     table = two_detector_table(args.p)
     print(to_json(vars(table)))
     return 0
 
 
-def main(argv=None) -> int:
+def main(argv: list | None = None) -> int:
+    """Run the command line argv (sys.argv[1:] if None); a manifest records
+    it as ["gravimean", *argv]."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    command = ["gravimean", *(sys.argv[1:] if argv is None else argv)]
     try:
-        return args.func(args, argv)
+        return args.func(args, command)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

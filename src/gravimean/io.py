@@ -42,10 +42,6 @@ _MEASUREMENT_KEYS = (("p", "p", None), ("f_meas", "F_meas_N", "force"),
                      ("l0", "l0_m", "length"))
 
 
-class ConfigError(ValueError):
-    """Configuration rejected; the message carries the offending key path."""
-
-
 @dataclass(frozen=True)
 class LoadedConfig:
     """A validated config. packet holds the measurement in packet units, as
@@ -67,7 +63,7 @@ class LoadedConfig:
     def f_div_dimensionless(self) -> float:
         """Fixed diverting force in packet units; rejects the uniform kind."""
         if self.measurement.f_div.kind != "fixed":
-            raise ConfigError(
+            raise ValueError(
                 'F_div.kind: deterministic evolution needs {"kind": "fixed", '
                 '"value_N": ...}; the uniform kind is for ensembles')
         return self.packet["f_div"]
@@ -89,16 +85,16 @@ class LoadedConfig:
 def _require_number(obj: dict, key: str, path: str = "") -> float:
     where = f"{path}{key}"
     if key not in obj:
-        raise ConfigError(f"missing required key: {where}")
+        raise ValueError(f"missing required key: {where}")
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
+        raise ValueError(f"{where}: expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer literal too large for a float
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+        raise ValueError(f"{where}: expected a finite number, got {value!r}")
     return number
 
 
@@ -106,60 +102,61 @@ def load_config(path) -> LoadedConfig:
     """Read and fully validate a JSON config file.
 
     Returns the apparatus, measurement settings in SI and packet units, unit
-    scales, the grid block as given and damping.
+    scales, the grid block as given and damping. A refused config raises
+    ValueError, its message led by the offending key path.
     """
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+        raise ValueError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
 
     unknown = sorted(set(raw) - _TOP_KEYS)
     if unknown:
-        raise ConfigError(f"unknown key: {unknown[0]}")
+        raise ValueError(f"unknown key: {unknown[0]}")
     missing = sorted(_REQUIRED_KEYS - set(raw))
     if missing:
-        raise ConfigError(f"missing required key: {missing[0]}")
+        raise ValueError(f"missing required key: {missing[0]}")
 
     body = {}
     for key in ("mass_kg", "radius_m", "density_kgm3"):
         if key in raw:
             body[key] = _require_number(raw, key)
     if len(body) < 2:
-        raise ConfigError(
+        raise ValueError(
             "need at least two of mass_kg, radius_m, density_kgm3")
     big_g = _require_number(raw, "G") if "G" in raw else G_NEWTON
     if not big_g > 0.0:
-        raise ConfigError(f"G: must be > 0, got {big_g!r}")
+        raise ValueError(f"G: must be > 0, got {big_g!r}")
     try:
         apparatus = ApparatusParams.derive(mass=body.get("mass_kg"),
                                            radius=body.get("radius_m"),
                                            density=body.get("density_kgm3"),
                                            big_g=big_g)
     except ValueError as exc:
-        raise ConfigError(f"mass_kg/radius_m/density_kgm3: {exc}")
+        raise ValueError(f"mass_kg/radius_m/density_kgm3: {exc}")
     except ArithmeticError:  # radius**3 can underflow or overflow
-        raise ConfigError("mass_kg/radius_m/density_kgm3: the sphere they "
-                          "give leaves the float range")
+        raise ValueError("mass_kg/radius_m/density_kgm3: the sphere they "
+                         "give leaves the float range")
 
     fdiv_raw = raw["F_div"]
     if not isinstance(fdiv_raw, dict) or "kind" not in fdiv_raw:
-        raise ConfigError('F_div: expected an object with a "kind" key')
+        raise ValueError('F_div: expected an object with a "kind" key')
     kind = fdiv_raw["kind"]
     if kind == "uniform":
         if set(fdiv_raw) != {"kind"}:
             extra = sorted(set(fdiv_raw) - {"kind"})
-            raise ConfigError(f"F_div.{extra[0]}: not allowed for the uniform kind")
+            raise ValueError(f"F_div.{extra[0]}: not allowed for the uniform kind")
         fdiv = FdivSpec("uniform")
     elif kind == "fixed":
         if set(fdiv_raw) != {"kind", "value_N"}:
-            raise ConfigError('F_div: the fixed kind takes exactly "kind" and "value_N"')
+            raise ValueError('F_div: the fixed kind takes exactly "kind" and "value_N"')
         fdiv = FdivSpec("fixed", _require_number(fdiv_raw, "value_N", "F_div."))
     else:
-        raise ConfigError(f"F_div.kind: expected 'uniform' or 'fixed', got {kind!r}")
+        raise ValueError(f"F_div.kind: expected 'uniform' or 'fixed', got {kind!r}")
 
     # read before the try, whose handler re-labels MeasurementConfig's errors
     numbers = {field: _require_number(raw, key)
@@ -170,22 +167,22 @@ def load_config(path) -> LoadedConfig:
         msg = str(exc)
         field = msg.split(" ", 1)[0]
         rename = {field: key for field, key, _ in _MEASUREMENT_KEYS}
-        raise ConfigError(f"{rename.get(field, field)}: {msg}")
+        raise ValueError(f"{rename.get(field, field)}: {msg}")
 
     grid_raw = raw.get("grid", {})
     if not isinstance(grid_raw, dict):
-        raise ConfigError("grid: expected an object")
+        raise ValueError("grid: expected an object")
     unknown = sorted(set(grid_raw) - _GRID_KEYS)
     if unknown:
-        raise ConfigError(f"grid.{unknown[0]}: unknown key")
+        raise ValueError(f"grid.{unknown[0]}: unknown key")
     grid = {key: _require_number(grid_raw, key, "grid.") for key in grid_raw}
     for key in ("n", "sample_every"):
         if key in grid:
             if grid[key] != int(grid[key]):
-                raise ConfigError(f"grid.{key}: expected an integer, got {grid[key]!r}")
+                raise ValueError(f"grid.{key}: expected an integer, got {grid[key]!r}")
             grid[key] = int(grid[key])
     if grid.get("sample_every", 1) < 1:
-        raise ConfigError(
+        raise ValueError(
             f"grid.sample_every: expected a positive integer, got {grid['sample_every']!r}")
     try:
         # GridSpec checks each field on its own, and l against n, so the
@@ -194,11 +191,11 @@ def load_config(path) -> LoadedConfig:
         GridSpec(half_length=grid.get("l", 1.0), n=grid.get("n", MAX_N),
                  dt=grid.get("dt", 1.0))
     except ValueError as exc:
-        raise ConfigError(f"grid: {exc}")
+        raise ValueError(f"grid: {exc}")
 
     gamma = _require_number(raw, "gamma") if "gamma" in raw else 0.0
     if gamma < 0.0:
-        raise ConfigError(f"gamma: must be >= 0, got {gamma!r}")
+        raise ValueError(f"gamma: must be >= 0, got {gamma!r}")
 
     scales, packet = _packet_units(apparatus, measurement)
     return LoadedConfig(apparatus=apparatus, measurement=measurement,
@@ -214,7 +211,7 @@ def _packet_units(apparatus: ApparatusParams,
     scales = Scales.from_apparatus(apparatus)
     for name, value in vars(scales).items():
         if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(
+            raise ValueError(
                 f"mass_kg/radius_m/density_kgm3/G: the {name} scale is "
                 f"{value!r}, not a finite positive number")
     packet = {"p": measurement.p, "f_div": "uniform"}
@@ -227,7 +224,7 @@ def _packet_units(apparatus: ApparatusParams,
         packet[field] = quotient = value / scale
         underflow = quotient == 0.0 and value != 0.0
         if underflow or not math.isfinite(quotient):
-            raise ConfigError(
+            raise ValueError(
                 f"{key}: {value!r} is {quotient!r} in packet units; expected "
                 f"a {'nonzero' if underflow else 'finite'} number")
     return scales, packet

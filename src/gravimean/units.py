@@ -55,15 +55,19 @@ class ApparatusParams:
         All three may be supplied only if mutually consistent to a relative
         1e-12. G is overridable because configs may set it.
         """
-        given = [v is not None for v in (mass, radius, density)]
-        if sum(given) < 2:
+        given = [v for v in (mass, radius, density) if v is not None]
+        if len(given) < 2:
             raise ValueError("need at least two of mass, radius, density")
+        # before deriving: a negative density gives a complex radius
+        if not all(v > 0.0 for v in given):
+            raise ValueError("mass, radius, density must all be > 0")
         if mass is None:
             mass = SPHERE_FACTOR * radius**3 * density
         elif radius is None:
             radius = (mass / (SPHERE_FACTOR * density)) ** (1.0 / 3.0)
         elif density is None:
             density = mass / (SPHERE_FACTOR * radius**3)
+        # the derived one is 0 if it underflows
         if mass <= 0.0 or radius <= 0.0 or density <= 0.0:
             raise ValueError("mass, radius, density must all be > 0")
         expected = SPHERE_FACTOR * radius**3 * density

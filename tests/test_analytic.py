@@ -352,3 +352,10 @@ class TestValidation:
     def test_weight_validated(self):
         with pytest.raises(ValueError):
             make_state(0.0, 0.0, 0.0, 0.0, 1.5)
+
+    def test_building_blocks_validate_weight(self):
+        says = r"^p must be in \[0, 1\], got 1.5$"
+        with pytest.raises(ValueError, match=says):
+            total_force(1.5, 1.0, 0.0)
+        with pytest.raises(ValueError, match=says):
+            equilibrium_splitting(1.5, 1.0)

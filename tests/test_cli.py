@@ -269,6 +269,46 @@ class TestConfigValidation:
         assert main(["criteria", "--config", str(tmp_path / "nope.json")]) == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_config_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text("[1]")
+        assert main(["criteria", "--config", str(path)]) == 1
+        assert (capsys.readouterr().err
+                == "error: config must be a JSON object\n")
+
+    @pytest.mark.parametrize("overrides, says", [
+        ({"F_div": "uniform"}, 'F_div: expected an object with a "kind" key'),
+        ({"grid": [1]}, "grid: expected an object"),
+        ({"grid": {"n": 1024.5}}, "grid.n: expected an integer, got 1024.5"),
+        ({"grid": {"sample_every": 0}},
+         "grid.sample_every: expected a positive integer, got 0"),
+        # radius**3 underflows to 0, and with it the derived mass
+        ({"radius_m": 1e-120}, "mass_kg/radius_m/density_kgm3: mass, "
+                               "radius, density must all be > 0")],
+        ids=["fdiv-string", "grid-list", "grid-n-fraction",
+             "grid-sample-every-0", "mass-underflow"])
+    def test_refusal_message(self, tmp_path, capsys, overrides, says):
+        assert main(["criteria", "--config",
+                     write_cfg(tmp_path, **overrides)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {says}\n"
+
+    @pytest.mark.parametrize("density", [-1e4, 0.0], ids=["negative", "zero"])
+    @pytest.mark.parametrize("command", ["criteria", "born-mc"])
+    def test_non_positive_given_body_quantity(self, tmp_path, capsys,
+                                              command, density):
+        # a negative density used to derive a complex radius and end in a
+        # TypeError; a zero one was refused as leaving the float range
+        cfg = write_cfg(tmp_path, drop=("radius_m",), mass_kg=0.04,
+                        density_kgm3=density, F_div={"kind": "uniform"})
+        args = [] if command == "criteria" else ["--trials", "4"]
+        assert main([command, "--config", cfg, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: mass_kg/radius_m/density_kgm3: mass, "
+                                "radius, density must all be > 0\n")
+
 
 def check_non_finite_row_refused(tmp_path, capsys):
     """An analytic evolve whose closed form overflows (xbar = vbar0 t is
@@ -470,6 +510,13 @@ class TestStreamedOutput:
         out = tmp_path / "grid.csv"
         iomod.emit_trajectory(table, out)
         assert out.read_text() == whole_column_csv(vars(table))
+
+    def test_empty_table_refused(self, tmp_path):
+        out = tmp_path / "empty.csv"
+        table = GridTrajectory(*(np.empty(0) for _ in range(8)))
+        with pytest.raises(ValueError, match="^trajectory is empty$"):
+            iomod.emit_trajectory(table, out)
+        assert not out.exists()
 
     def test_failure_removes_partial_csv(self, tmp_path, capsys,
                                          monkeypatch):
@@ -1051,6 +1098,42 @@ class TestCompare:
         printed = json.loads(capsys.readouterr().out)["grid"]
         assert printed == {"n": 256, "l": 16.0, "dt": 4e-3}
         assert manifest_grid(out) == dict(printed, sample_every=25)
+
+
+class TestRecordedCommand:
+    """A manifest records the command line main was given, after the
+    program name; main() without an argument takes it from sys.argv."""
+
+    def argv(self, tmp_path, command):
+        fixed = write_cfg(tmp_path)
+        uniform = write_cfg(tmp_path, name="uniform.json",
+                            F_div={"kind": "uniform"})
+        return {
+            "evolve": ["evolve", "--config", fixed, "--mode", "analytic",
+                       "--t-max", "0.5", "--out", str(tmp_path / "e.csv")],
+            "compare": ["compare", "--config", fixed, "--t-max", "0.1",
+                        "--grid-n", "256", "--grid-l", "16", "--dt", "1e-2",
+                        "--out", str(tmp_path / "c.json")],
+            "born-mc": ["born-mc", "--config", uniform, "--trials", "10",
+                        "--seed", "3", "--out", str(tmp_path / "b.json")],
+        }[command]
+
+    @staticmethod
+    def recorded(argv):
+        manifest = Path(argv[-1] + ".manifest.json").read_text()
+        return json.loads(manifest)["command"]
+
+    @pytest.mark.parametrize("command", ["evolve", "compare", "born-mc"])
+    def test_manifest_records_argv(self, tmp_path, capsys, command):
+        argv = self.argv(tmp_path, command)
+        assert main(argv) == 0
+        assert self.recorded(argv) == ["gravimean", *argv]
+
+    def test_main_reads_sys_argv(self, tmp_path, capsys, monkeypatch):
+        argv = self.argv(tmp_path, "evolve")
+        monkeypatch.setattr(sys, "argv", ["python -m gravimean.cli", *argv])
+        assert main() == 0
+        assert self.recorded(argv) == ["gravimean", *argv]
 
 
 class TestBornMc:

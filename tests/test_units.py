@@ -68,6 +68,19 @@ class TestApparatusDerive:
         with pytest.raises(ValueError):
             ApparatusParams.derive(mass=1.0)
 
+    @pytest.mark.parametrize("given", [
+        {"mass": 0.04, "density": -DENSITY}, {"mass": 0.04, "density": 0.0},
+        {"mass": -0.04, "radius": RADIUS}, {"radius": 0.0, "density": DENSITY},
+        {"mass": 0.04, "radius": RADIUS, "density": -DENSITY}],
+        ids=["negative-density", "zero-density", "negative-mass",
+             "zero-radius", "negative-density-of-three"])
+    def test_rejects_non_positive_given_quantity(self, given):
+        # checked before the third is derived: a negative density would
+        # give a complex radius
+        with pytest.raises(ValueError,
+                           match="^mass, radius, density must all be > 0$"):
+            ApparatusParams.derive(**given)
+
     def test_rejects_inconsistent_triple(self):
         with pytest.raises(ValueError):
             ApparatusParams.derive(mass=1.0, radius=RADIUS, density=DENSITY)

@@ -58,7 +58,24 @@ print(verify_manifest(sys.argv[1]))
 """
 
 
+# configs that criteria refuses with exit 1, by the key of si_config that
+# each sets (a config that is a JSON array is not si_config's)
+REFUSED = {"array": None, "fdiv-string": {"F_div": "uniform"},
+           "grid-list": {"grid": [1]},
+           "grid-n-fraction": {"grid": {"n": 1024.5}},
+           "grid-every-0": {"grid": {"sample_every": 0}},
+           # radius**3 underflows to 0, and with it the derived mass
+           "mass-underflow": {"radius_m": 1e-120},
+           # a given density that is not > 0: the negative one used to
+           # derive a complex radius and end in a traceback
+           "density-negative": {"radius_m": None, "mass_kg": 0.04,
+                                "density_kgm3": -1e4},
+           "density-zero": {"radius_m": None, "mass_kg": 0.04,
+                            "density_kgm3": 0.0}}
+
+
 def si_config(scales, p, f_meas, tau, f_div=None, **extra) -> dict:
+    """The config; a key of extra given as None is left out."""
     force, time = scales
     cfg = {"density_kgm3": 1e4, "radius_m": 1e-3, "p": p,
            "F_meas_N": f_meas * force, "tau_meas_s": tau * time,
@@ -66,7 +83,7 @@ def si_config(scales, p, f_meas, tau, f_div=None, **extra) -> dict:
            "F_div": ({"kind": "uniform"} if f_div is None
                      else {"kind": "fixed", "value_N": f_div * force})}
     cfg.update(extra)
-    return cfg
+    return {key: value for key, value in cfg.items() if value is not None}
 
 
 def matrix() -> list:
@@ -124,6 +141,10 @@ def matrix() -> list:
                  ["born-mc", "--engine", "analytic", "--trials", "4"],
                  "born-tiny-tau.json"))
     runs.append(("criteria-tau-underflow", "tiny-tau", ["criteria"], None))
+    # refused configs, each with the one message that names its key
+    for config in REFUSED:
+        runs.append((f"criteria-refused-{config}", config, ["criteria"],
+                     None))
     runs.append(("two-detector", None, ["two-detector", "--p", "0.6"], None))
     for flag, value in (("--grid-n", "3"), ("--dt", "-5"),
                         ("--sample-every", "0")):
@@ -205,6 +226,9 @@ def main(argv: list) -> int:
                                     grid={"n": 256, "sample_every": 7}),
             "tiny-tau": si_config(scales, 0.6, 1.0, 1.0, tau_meas_s=5e-324),
             "born-engine": si_config(scales, 0.6, 1.0, 1.0, engine="grid"),
+            **{name: [1] if extra is None else
+               si_config(scales, 0.6, 1.0, 1.0, **extra)
+               for name, extra in REFUSED.items()},
         }
         for name, cfg in configs.items():
             (work / f"{name}.json").write_text(json.dumps(cfg))
