@@ -45,9 +45,17 @@ _MASK64 = (1 << 64) - 1
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 # Default grid of grid-engine trials: lighter than the solver default
-# because each trial only needs the sign of a mean displacement, which the
-# stepping reproduces exactly at any stable dt.
-MC_GRID = GridSpec(half_length=20.0, n=512, dt=4e-3)
+# because each trial reads only its weighted mean displacement. Under the
+# Strang split the midpoint kick on the weighted mean is exactly F dt
+# whatever xbar is, so the mean follows xbar0 + vbar0 t + F t^2/2 step by
+# step at any stable dt (Strang 1968; the rigid translation of
+# _mapped_displacements). Hence dt 0.1, 10 steps at tau = 1: every guard
+# still reads every midpoint and step end. Against dt 4e-3 the ensemble
+# counts are the same, and the largest |evolved - mapped| / max(1,
+# |F tau^2/2|) over 64 directly evolved trials falls about tenfold, as
+# fewer steps round less: 7.8e-15 -> 8.9e-16 at tau = 1, 3.2e-14 -> 2.0e-15
+# at tau = 2, 1.5e-13 -> 1.0e-14 at tau = 4 (n 2048, half_length 40).
+MC_GRID = GridSpec(half_length=20.0, n=512, dt=0.1)
 
 # Trials per block, for both engines: it bounds the sampler's arrays
 # whatever the trial count. A grid block evolves three rows whatever its

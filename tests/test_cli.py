@@ -1267,8 +1267,8 @@ class TestBornMc:
         out = str(tmp_path / "mc.json")
         assert main(["born-mc", "--config", cfg, "--engine", "grid",
                      "--trials", "2", "--seed", "3", "--out", out]) == 0
-        assert manifest_grid(out) == {"n": 256, "l": 20.0, "dt": 0.004,
-                                      "sample_every": None}
+        assert manifest_grid(out) == {"n": 256, "l": MC_GRID.half_length,
+                                      "dt": MC_GRID.dt, "sample_every": None}
 
     def test_analytic_manifest_has_no_grid(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, F_div={"kind": "uniform"},

@@ -338,6 +338,19 @@ class TestEnsembles:
         # p = 0.8 leans right; with 40 trials expect a clear majority
         assert summary.n_right > summary.n_left
 
+    @pytest.mark.parametrize("p, f_meas, tau", [
+        (0.1, 1.0, 1.0), (0.3, 0.5, 1.0), (0.5, 1.0, 4.0), (0.7, 1.5, 1.0),
+        (0.9, 1.0, 2.0), (0.7, 1.0, 0.3)])
+    def test_grid_counts_independent_of_step(self, p, f_meas, tau):
+        # the Strang step moves the weighted mean exactly at any stable dt,
+        # so MC_GRID's coarse step counts as a fine one does
+        summaries = [
+            run_ensemble(dimensionless_cfg(p, f_meas, tau), "grid", 2000,
+                         master_seed=77, grid=GridSpec(20.0, 512, dt))
+            for dt in (4e-3, MC_GRID.dt, 0.5)]
+        assert len({(s.n_right, s.n_left, s.n_undecided)
+                    for s in summaries}) == 1
+
 
 # Small grid for block tests: 125 steps of 128 points per trial.
 SMALL_GRID = GridSpec(half_length=12.0, n=128, dt=4e-3)
