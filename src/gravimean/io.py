@@ -1,7 +1,8 @@
 """Configuration ingestion, trajectory emission, and run manifests.
 
-Configs are strict JSON: unknown keys are rejected with their path so typos
-surface instead of silently falling back to defaults. Simulation output is
+Configs are strict JSON: unknown keys are rejected with their path, and a
+key given twice is refused, so typos surface instead of silently falling
+back to defaults or to the last value. Simulation output is
 dimensionless; every emitted file gets a sibling manifest recording the fully
 resolved config, the unit scales for SI reconstruction, the command line, the
 seed, and a digest of each output file. Only file_digest imports hashlib,
@@ -82,10 +83,21 @@ class LoadedConfig:
         return {"si": si, "dimensionless": {"gamma": self.gamma, **self.packet}}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice raises ValueError, where
+    json keeps the last value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key: {key}")
+        obj[key] = value
+    return obj
+
+
 def _require_number(obj: dict, key: str, path: str = "") -> float:
+    """obj[key] as a finite float; every caller has checked that the key is
+    there."""
     where = f"{path}{key}"
-    if key not in obj:
-        raise ValueError(f"missing required key: {where}")
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where}: expected a number, got {value!r}")
@@ -106,10 +118,10 @@ def load_config(path) -> LoadedConfig:
     ValueError, its message led by the offending key path.
     """
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ValueError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
@@ -361,7 +373,7 @@ def verify_manifest(manifest_path) -> list[str]:
         manifest = json.loads(manifest_path.read_text())
     except OSError as exc:
         return [f"cannot read manifest: {exc}"]
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         return [f"manifest is not JSON: {exc}"]
     outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
     if not outputs or not isinstance(outputs, list):

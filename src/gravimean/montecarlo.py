@@ -49,7 +49,7 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # Strang split the midpoint kick on the weighted mean is exactly F dt
 # whatever xbar is, so the mean follows xbar0 + vbar0 t + F t^2/2 step by
 # step at any stable dt (Strang 1968; the rigid translation of
-# _mapped_displacements). Hence dt 0.1, 10 steps at tau = 1: every guard
+# _grid_reference). Hence dt 0.1, 10 steps at tau = 1: every guard
 # still reads every midpoint and step end. Against dt 4e-3 the ensemble
 # counts are the same, and the largest |evolved - mapped| / max(1,
 # |F tau^2/2|) over 64 directly evolved trials falls about tenfold, as
@@ -58,8 +58,8 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 MC_GRID = GridSpec(half_length=20.0, n=512, dt=0.1)
 
 # Trials per block, for both engines: it bounds the sampler's arrays
-# whatever the trial count. A grid block evolves three rows whatever its
-# size (_mapped_displacements).
+# whatever the trial count. No block runs the grid core: a grid ensemble
+# evolves its three rows once, before any job (_grid_reference).
 BLOCK = 2**16
 
 # Most trials an ensemble may hold, 1000 times the 10^6-trial analytic
@@ -154,11 +154,11 @@ def _tally(values: np.ndarray, tol: float = 0.0) -> tuple[int, int, int]:
 
 
 def _evolve_trials(p: float, f_meas: float, f_div: np.ndarray, tau: float,
-                   grid_spec: GridSpec, trials: Sequence[int]) -> np.ndarray:
-    """Mean displacement of trials[b] under f_div[b], every row evolved in
-    one block from the closed form's smooth state, at rest at the
+                   grid_spec: GridSpec, labels: Sequence[str]) -> np.ndarray:
+    """Mean displacement of the run under each f_div[b], every row evolved
+    in one block from the closed form's smooth state, at rest at the
     equilibrium splitting, so the motion reflects the total force alone. A
-    numerical failure names its trial."""
+    numerical failure names its row by labels[row]."""
     start = gridmod.init_state(grid_spec,
                                analytic.smooth_initial_condition(p, f_meas))
     try:
@@ -167,45 +167,45 @@ def _evolve_trials(p: float, f_meas: float, f_div: np.ndarray, tau: float,
             np.repeat(gridmod._rows(start), len(f_div), axis=0),
             p, f_meas, f_div, tau, grid_spec, gridmod.MAX_STEPS)
     except NumericalError as exc:
-        # the core's own error, every field kept, its message led by the trial
-        exc.args = (f"trial {trials[exc.row]}: {exc}",)
+        # the core's own error, every field kept, its message led by the row
+        exc.args = (f"{labels[exc.row]}: {exc}",)
         raise
     return traj.xbar[-1] - traj.xbar[0]
 
 
-def _mapped_displacements(p: float, f_meas: float, f_div: np.ndarray,
-                          tau: float, grid_spec: GridSpec, first: int,
-                          f_ref: float) -> np.ndarray:
-    """Mean displacement of each trial of one block, trial first + b under
-    f_div[b], from three evolved rows and the Avron-Herbst map.
+def _grid_reference(p: float, f_meas: float, tau: float, grid_spec: GridSpec,
+                    master_seed: int) -> tuple[float, float]:
+    """(f_ref, d_ref): trial 0's force and its evolved mean displacement,
+    the reference from which every grid trial of master_seed is mapped.
 
     The self-gravity potential depends on x - xbar only, so a uniform force
-    moves the two-branch state rigidly: trial b's value is the reference
-    trial 0's d_ref, under f_ref, plus (f_div[b] - f_ref) tau^2 / 2,
-    elementwise. d_ref comes from row 0 of a three-row block in every block,
-    and no operation mixes rows, so the value does not depend on the block
-    or chunk. The block's trials of smallest and largest f_div are evolved
-    too and must match their mapped value to MAP_RTOL. Every trial starts
-    from rest, so the closed-form box and momentum bounds are affine in F
-    and peak at those two rows: their pre-flights and guards cover the block.
+    moves the two-branch state rigidly: a trial under f_div moves d_ref +
+    (f_div - f_ref) tau^2 / 2 (Avron-Herbst). The ends of the drawable
+    range, f_div = -f_meas and +f_meas, are evolved in the same block and
+    must match their mapped value to MAP_RTOL. Every trial starts from rest,
+    so the closed-form box and momentum bounds are affine in F and peak at
+    the ends: their pre-flights and guards cover every force an ensemble
+    can draw, whatever its seed and trial count.
     """
-    lo, hi = int(np.argmin(f_div)), int(np.argmax(f_div))
-    trials = (0, first + lo, first + hi)
-    evolved = _evolve_trials(p, f_meas, np.array([f_ref, f_div[lo], f_div[hi]]),
-                             tau, grid_spec, trials)
+    f_ref = _sample_fdiv_block(master_seed, 0, 1, f_meas)[0]
+    ends = (-f_meas, f_meas)
+    labels = ("trial 0", f"f_div {-f_meas:+g} (lower end of the range)",
+              f"f_div {f_meas:+g} (upper end of the range)")
+    evolved = _evolve_trials(p, f_meas, np.array([f_ref, *ends]), tau,
+                             grid_spec, labels)
     half_tau2 = 0.5 * tau * tau
-    mapped = evolved[0] + (f_div - f_ref) * half_tau2
-    for row, b in ((1, lo), (2, hi)):
-        reach = abs(analytic.total_force(p, f_meas, f_div[b])) * half_tau2
-        residual = abs(evolved[row] - mapped[b])
+    for row, f_div in enumerate(ends, 1):
+        mapped = evolved[0] + (f_div - f_ref) * half_tau2
+        reach = abs(analytic.total_force(p, f_meas, f_div)) * half_tau2
+        residual = abs(evolved[row] - mapped)
         bound = MAP_RTOL * max(1.0, reach)
         if not residual <= bound:
             raise NumericalError(
-                f"trial {trials[row]}: evolved displacement {evolved[row]!r} "
-                f"differs from its mapped value {mapped[b]!r} by more than "
+                f"{labels[row]}: evolved displacement {evolved[row]!r} "
+                f"differs from its mapped value {mapped!r} by more than "
                 f"{MAP_RTOL:g} x max(1, |F tau^2/2|)", row, quantity="map",
                 value=residual, limit=bound)
-    return mapped
+    return f_ref, evolved[0]
 
 
 def run_trial(cfg: MeasurementConfig, engine: str, seed: int, *,
@@ -230,7 +230,7 @@ def run_trial(cfg: MeasurementConfig, engine: str, seed: int, *,
     f_div = _sample_fdiv_block(seed, index, index + 1, f_meas)
     if engine == "grid":
         return float(_evolve_trials(cfg.p, f_meas, f_div, tau, MC_GRID,
-                                    (index,))[0])
+                                    (f"trial {index}",))[0])
     force = analytic.total_force(cfg.p, f_meas, float(f_div[0]))
     return 0.5 * force * tau * tau
 
@@ -238,19 +238,19 @@ def run_trial(cfg: MeasurementConfig, engine: str, seed: int, *,
 def _chunk_counts(args) -> tuple[int, int, int]:
     """(right, left, undecided) over one contiguous index range, walked in
     blocks of BLOCK trials so that memory does not grow with the range.
-    p, f_meas and tau are in packet units."""
-    p, f_meas, tau, engine, master_seed, start, stop, grid_spec = args
-    f_ref = _sample_fdiv_block(master_seed, 0, 1, f_meas)[0]
-    tol = 0.0 if engine == "analytic" else MAP_RTOL
+    p, f_meas and tau are in packet units. reference is None on the
+    analytic engine, which tallies each trial's total force, and (f_ref,
+    d_ref) on the grid engine, which maps each trial from trial 0
+    (_grid_reference) and runs no grid core."""
+    p, f_meas, tau, reference, master_seed, start, stop = args
     counts = (0, 0, 0)
     for lo in range(start, stop, BLOCK):
-        hi = min(lo + BLOCK, stop)
-        f_div = _sample_fdiv_block(master_seed, lo, hi, f_meas)
-        if engine == "analytic":
-            values = analytic.total_force(p, f_meas, f_div)
+        f_div = _sample_fdiv_block(master_seed, lo, min(lo + BLOCK, stop), f_meas)
+        if reference is None:
+            values, tol = analytic.total_force(p, f_meas, f_div), 0.0
         else:
-            values = _mapped_displacements(p, f_meas, f_div, tau,
-                                           grid_spec, lo, f_ref)
+            f_ref, d_ref = reference
+            values, tol = d_ref + (f_div - f_ref) * (0.5 * tau * tau), MAP_RTOL
         counts = tuple(a + b for a, b in zip(counts, _tally(values, tol)))
     return counts
 
@@ -261,9 +261,9 @@ def _job_bounds(n_trials: int, workers: int,
     blocks: at most one job per worker, per CPU and per block, and each job
     but the last holds ceil(blocks / jobs) blocks.
 
-    A grid block costs three evolved rows whatever its size, so a block
-    split between two jobs, or a job per worker on a one-block ensemble,
-    only evolves the same rows again.
+    Every trial costs the same few array operations on its force, so
+    smaller jobs would not balance the load better, and a job of less than
+    a block costs less than the worker process that would run it.
     """
     blocks = math.ceil(n_trials / BLOCK)
     jobs = min(workers, cpus, blocks)
@@ -279,10 +279,13 @@ def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
 
     Counts are a pure function of (cfg, engine, n_trials, master_seed):
     trial i always draws its force from trial_seed(master_seed, i), and its
-    value depends on that force alone (on the grid, through the map from
-    trial 0 of _mapped_displacements), so worker count, chunking and
-    blocking cannot change the result. Undecided trials stay in the tally;
-    the frequency denominator excludes them. workers is a cap: the jobs are
+    value depends on that force alone, so worker count, chunking and
+    blocking cannot change the result. The grid engine runs the grid core
+    once, here, before any job: trial 0 and the two ends of the force range
+    (_grid_reference), whose pre-flights and guards refuse or accept
+    the run on cfg and grid alone. Every job then maps its trials from
+    trial 0's (f_ref, d_ref). Undecided trials stay in the tally; the
+    frequency denominator excludes them. workers is a cap: the jobs are
     planned in whole blocks (_job_bounds), and a single job runs in this
     process.
 
@@ -301,9 +304,10 @@ def run_ensemble(cfg: MeasurementConfig, engine: str, n_trials: int,
                          'the fixed kind is for deterministic evolution')
 
     f_meas, tau = cfg.f_meas / scales.force, cfg.tau_meas / scales.time
-    jobs = [(cfg.p, f_meas, tau, engine, master_seed, start, stop, grid)
-            for start, stop in _job_bounds(n_trials, workers,
-                                           os.cpu_count() or 1)]
+    reference = (_grid_reference(cfg.p, f_meas, tau, grid, master_seed)
+                 if engine == "grid" else None)
+    jobs = [(cfg.p, f_meas, tau, reference, master_seed, *bounds) for bounds
+            in _job_bounds(n_trials, workers, os.cpu_count() or 1)]
     if len(jobs) == 1:
         parts = [_chunk_counts(jobs[0])]
     else:

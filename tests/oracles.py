@@ -6,8 +6,8 @@ acts on the velocity relative to the weighted mean, which leaves the mean
 motion undamped.
 
 Direct evolution of every trial of an ensemble block on the grid: the
-reference that the Avron-Herbst map of montecarlo._mapped_displacements,
-which evolves three rows per block, is compared against.
+reference that the Avron-Herbst map of an ensemble, from the three rows of
+montecarlo._grid_reference, is compared against.
 
 The split-step core as a plain step loop: every product, phase and guard
 on whole arrays, nothing carried from one step to the next but the block,
@@ -125,8 +125,9 @@ def grid_displacements(p: float, f_meas: float, f_div: np.ndarray, tau: float,
                        grid_spec, first: int) -> np.ndarray:
     """Mean displacement of each trial of one block, trial first + b under
     f_div[b], every trial evolved directly in one block."""
-    return montecarlo._evolve_trials(p, f_meas, f_div, tau, grid_spec,
-                                     range(first, first + len(f_div)))
+    return montecarlo._evolve_trials(
+        p, f_meas, f_div, tau, grid_spec,
+        [f"trial {i}" for i in range(first, first + len(f_div))])
 
 
 def _guard(values: np.ndarray, limit: float, quantity: str, step_no: int,

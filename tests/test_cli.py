@@ -161,6 +161,26 @@ class TestConfigValidation:
         assert main(["criteria", "--config", str(path)]) == 1
         assert "JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["top", "nested"])
+    def test_duplicate_key_refused(self, tmp_path, capsys, where):
+        # json keeps the last value: "p": 0.5, "p": 0.9 used to run at 0.9
+        cfg = Path(write_cfg(tmp_path, F_div={"kind": "uniform"}))
+        old, new = (('"p": 0.5', '"p": 0.5, "p": 0.9') if where == "top"
+                    else ('"kind": "uniform"',
+                          '"kind": "uniform", "kind": "fixed"'))
+        cfg.write_text(cfg.read_text().replace(old, new))
+        assert main(["born-mc", "--config", str(cfg), "--trials", "10"]) == 1
+        key = "p" if where == "top" else "kind"
+        assert capsys.readouterr() == ("", f"error: duplicate key: {key}\n")
+
+    def test_deep_nesting_is_invalid_json(self, tmp_path, capsys):
+        # 2000 nested arrays used to end criteria in a RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 2000)
+        assert main(["criteria", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: config is not valid JSON: ")
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf"), 10**400],
                              ids=["nan", "inf", "-inf", "int-1e400"])
@@ -651,6 +671,14 @@ class TestVerifyManifest:
     def test_not_json(self, tmp_path):
         path = tmp_path / "out.csv.manifest.json"
         path.write_text("{not json")
+        problems = verify_manifest(path)
+        assert len(problems) == 1
+        assert problems[0].startswith("manifest is not JSON: ")
+
+    def test_deep_nesting_is_not_json(self, tmp_path):
+        # 2000 nested arrays used to raise RecursionError
+        path = tmp_path / "out.csv.manifest.json"
+        path.write_text("[" * 2000)
         problems = verify_manifest(path)
         assert len(problems) == 1
         assert problems[0].startswith("manifest is not JSON: ")
@@ -1215,7 +1243,8 @@ class TestBornMc:
         assert "need n of at least 256" in capsys.readouterr().err
 
     def test_grid_map_miss_exits_3(self, tmp_path, capsys, monkeypatch):
-        # an evolved extreme trial 1e-9 off its mapped displacement
+        # the evolved upper end of the force range 1e-9 off its mapped
+        # displacement
         real = gridmod.evolve_block
 
         def offset(*args, **kw):
@@ -1229,9 +1258,9 @@ class TestBornMc:
                         grid={"n": 256, "l": 12.0, "dt": 4e-3})
         assert main(["born-mc", "--config", cfg, "--engine", "grid",
                      "--trials", "6", "--seed", "3"]) == 3
-        # trial 4 has the largest force of the six
-        assert "error: trial 4: evolved displacement " in (
-            capsys.readouterr().err)
+        # f_meas is 1: row 2 is f_div = +1
+        assert ("error: f_div +1 (upper end of the range): evolved "
+                "displacement ") in capsys.readouterr().err
 
     def test_grid_manifest_records_mc_grid(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, p=0.8, F_div={"kind": "uniform"},

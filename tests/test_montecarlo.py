@@ -10,6 +10,7 @@ quadrature.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -294,8 +295,27 @@ class TestEnsembles:
         check_job_plan(monkeypatch, 10**6, 10**6, 2,
                        [(0, 8 * BLOCK), (8 * BLOCK, 10**6)])
 
-    def test_grid_rows_evolved_once_per_block(self, monkeypatch):
-        check_grid_rows_once_per_block(monkeypatch)
+    def test_grid_core_runs_once_per_ensemble(self, monkeypatch):
+        check_grid_core_once_per_ensemble(monkeypatch)
+
+    @pytest.mark.parametrize("half_length", [12.0, 12.2])
+    def test_refusal_reads_the_config_alone(self, half_length):
+        # p = 0.5, f_meas = 1, tau = 1.5: a force at either end of the range
+        # needs a box of 12.1. The pre-flight used to read only the forces a
+        # block drew, so at l = 12 seeds 0-5 gave ok ok ok ok ok refused at
+        # 3 trials and ok refused ok ok refused refused at 16
+        cfg = dimensionless_cfg(0.5, f_meas=1.0, tau=1.5)
+        grid = GridSpec(half_length, 256, 0.1)
+        for seed in range(6):
+            for n_trials in (3, 16, 70_000):
+                if half_length < 12.1:
+                    with pytest.raises(ValueError, match=(
+                            r"^half_length 12\.0 too small for this run; "
+                            r"need at least 12\.1$")):
+                        run_ensemble(cfg, "grid", n_trials, seed, grid=grid)
+                else:
+                    s = run_ensemble(cfg, "grid", n_trials, seed, grid=grid)
+                    assert s.n_right + s.n_left + s.n_undecided == n_trials
 
     def test_trials_cap(self, monkeypatch):
         # nothing runs: each job's counts come from a stub
@@ -402,33 +422,47 @@ def check_job_plan(monkeypatch, n_trials, workers, cpus, bounds):
         assert pool.max_workers == len(bounds)
 
 
-def check_grid_rows_once_per_block(monkeypatch):
-    """25 grid trials in blocks of 8 call evolve_block once per block, four
-    times, and give the same counts, whatever the worker count."""
+def check_grid_core_once_per_ensemble(monkeypatch):
+    """25 grid trials in blocks of 8 or 3 call evolve_block once, on three
+    rows, in the calling process before any job: no job calls it, and the
+    counts are the same, whatever the worker count."""
     calls = []
-    real = gridmod.evolve_block
+    real_core, real_job = gridmod.evolve_block, montecarlo._chunk_counts
 
     def counting(psi, *rest, **kw):
         calls.append(len(psi))
-        return real(psi, *rest, **kw)
+        return real_core(psi, *rest, **kw)
+
+    def job(args):
+        before = len(calls)
+        counts = real_job(args)
+        assert len(calls) == before, "a job ran the grid core"
+        return counts
 
     install_stub_pool(monkeypatch, 64)
-    monkeypatch.setattr(montecarlo, "BLOCK", 8)
     monkeypatch.setattr(gridmod, "evolve_block", counting)
+    monkeypatch.setattr(montecarlo, "_chunk_counts", job)
     counts = set()
-    for workers in (1, 2, 4, 8):
-        calls.clear()
-        counts.add(counts_at(workers, 25, "grid"))
-        assert calls == [3] * 4, f"workers={workers}"
+    for block in (8, 3):
+        monkeypatch.setattr(montecarlo, "BLOCK", block)
+        for workers in (1, 2, 4, 8):
+            calls.clear()
+            counts.add(counts_at(workers, 25, "grid"))
+            assert calls == [3], f"BLOCK={block}, workers={workers}"
     assert len(counts) == 1
 
 
-def chunk_counts(engine, seed, start, stop, p=0.6, grid=SMALL_GRID):
-    return montecarlo._chunk_counts((p, 1.0, 0.5, engine, seed, start, stop,
-                                     grid))
+def chunk_counts(engine, seed, start, stop, p=0.6, f_meas=1.0, tau=0.5,
+                 grid=SMALL_GRID):
+    """The counts of one job over [start, stop), with the grid reference
+    run_ensemble hands it."""
+    reference = (montecarlo._grid_reference(p, f_meas, tau, grid, seed)
+                 if engine == "grid" else None)
+    return montecarlo._chunk_counts((p, f_meas, tau, reference, seed, start,
+                                     stop))
 
 
-def grid_chunk(monkeypatch, seed, start, stop):
+def grid_chunk(monkeypatch, seed, start, stop, **kwargs):
     """The grid counts over [start, stop) and the values _chunk_counts
     tallied for them, in trial order."""
     values = []
@@ -439,7 +473,7 @@ def grid_chunk(monkeypatch, seed, start, stop):
         return real(block_values, *rest)
 
     monkeypatch.setattr(montecarlo, "_tally", recording)
-    counts = chunk_counts("grid", seed, start, stop)
+    counts = chunk_counts("grid", seed, start, stop, **kwargs)
     monkeypatch.setattr(montecarlo, "_tally", real)
     return counts, np.concatenate(values)
 
@@ -491,8 +525,8 @@ class TestBlocks:
         n = 3 * BLOCK + 5
         summary = run_ensemble(dimensionless_cfg(0.4), "analytic", n,
                                master_seed=8)
-        # trial 0's reference force first, then the blocks
-        assert sizes == [1] + [BLOCK] * 3 + [5]
+        # the blocks alone: the analytic engine draws no reference force
+        assert sizes == [BLOCK] * 3 + [5]
         assert summary.n_right + summary.n_left + summary.n_undecided == n
 
     @pytest.mark.parametrize("block, sizes", [(None, [200]),
@@ -501,8 +535,8 @@ class TestBlocks:
     @pytest.mark.parametrize("n_points", [MC_GRID.n, 8 * MC_GRID.n])
     def test_grid_blocks_evolve_three_rows(self, monkeypatch, n_points, block,
                                            sizes):
-        # however many trials a block holds and however fine the grid, the
-        # core evolves three rows per block
+        # however many blocks the ensemble holds and however fine the grid,
+        # the core evolves three rows, once, after trial 0's force is drawn
         if block is not None:
             monkeypatch.setattr(montecarlo, "BLOCK", block)
         recorded = self.record_blocks(monkeypatch)
@@ -518,7 +552,7 @@ class TestBlocks:
         summary = run_ensemble(dimensionless_cfg(0.5), "grid", 200,
                                master_seed=1, grid=grid)
         assert recorded == [1] + sizes
-        assert rows == [3] * len(sizes)
+        assert rows == [3]
         assert summary.n_right + summary.n_left + summary.n_undecided == 200
 
     @settings(max_examples=30, deadline=None)
@@ -537,7 +571,8 @@ class TestBlocks:
     @given(seed=st.integers(0, 3), block=st.integers(1, 8), data=st.data())
     def test_grid_counts_independent_of_partition(self, seed, block, data):
         # every trial's mapped value, not only the counts, is the same bit
-        # for bit however the range is cut into chunks and blocks
+        # for bit however the range is cut into chunks and blocks, each
+        # chunk mapped from its own evolution of the reference
         n = 12
         parts = data.draw(partitions(n))
         with pytest.MonkeyPatch.context() as mp:
@@ -574,23 +609,25 @@ class TestBlocks:
 
     @settings(max_examples=10, deadline=None)
     @given(p=st.floats(0.05, 0.95), f_meas=st.floats(0.1, 2.0),
-           u_ref=st.floats(-1.0, 1.0),
-           u=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
-    def test_mapped_match_evolved(self, p, f_meas, u_ref, u):
-        # the map from the reference trial gives what evolving every trial
-        # directly gives
-        f_div = f_meas * np.array(u)
+           seed=st.integers(0, 2**64 - 1), n=st.integers(1, 8))
+    def test_mapped_match_evolved(self, p, f_meas, seed, n):
+        # the values a job tallies, mapped from trial 0, are what evolving
+        # every trial directly gives
         tau = 1.0
-        mapped = montecarlo._mapped_displacements(p, f_meas, f_div, tau,
-                                                  MC_GRID, 5, f_meas * u_ref)
-        evolved = grid_displacements(p, f_meas, f_div, tau, MC_GRID, 5)
+        with pytest.MonkeyPatch.context() as mp:
+            _, mapped = grid_chunk(mp, seed, 0, n, p=p, f_meas=f_meas,
+                                   tau=tau, grid=MC_GRID)
+        f_div = montecarlo._sample_fdiv_block(seed, 0, n, f_meas)
+        evolved = grid_displacements(p, f_meas, f_div, tau, MC_GRID, 0)
         assert np.all(np.abs(mapped - evolved)
                       <= map_tolerance(p, f_meas, f_div, tau))
 
-    @pytest.mark.parametrize("row, trial", [(1, 7), (2, 5)])
-    def test_map_miss_names_trial(self, monkeypatch, row, trial):
-        # an extreme row (1 the smallest f_div, 2 the largest) 1e-9 off its
-        # mapped value is a numerical failure of that trial
+    @pytest.mark.parametrize("row, label", [
+        (1, "f_div -1 (lower end of the range)"),
+        (2, "f_div +1 (upper end of the range)")], ids=["lower", "upper"])
+    def test_map_miss_names_range_end(self, monkeypatch, row, label):
+        # an end of the force range (row 1 the lower, 2 the upper) 1e-9 off
+        # its mapped value is a numerical failure named by its force
         real = gridmod.evolve_block
 
         def offset(*args, **kw):
@@ -599,13 +636,11 @@ class TestBlocks:
             return traj, psi, phase
 
         monkeypatch.setattr(gridmod, "evolve_block", offset)
-        f_div = np.array([0.2, -0.1, 0.6, 0.0, -0.3, 0.1])
         with pytest.raises(NumericalError,
-                           match=rf"^trial {trial}: evolved displacement "
+                           match=rf"^{re.escape(label)}: evolved displacement "
                            ) as failure:
-            montecarlo._mapped_displacements(0.6, 1.0, f_div, 0.5,
-                                             SMALL_GRID, 3, 0.25)
-        # both rows travel less than 1, so the bound is MAP_RTOL itself
+            montecarlo._grid_reference(0.6, 1.0, 0.5, SMALL_GRID, 3)
+        # both ends travel less than 1, so the bound is MAP_RTOL itself
         error = failure.value
         assert (error.row, error.quantity, error.limit) == (row, "map",
                                                             MAP_RTOL)
@@ -624,8 +659,8 @@ class TestBlocks:
         assert np.max(np.abs(got - 0.5 * force * tau * tau)) <= 1e-12
 
     def test_core_error_reaches_caller_as_raised(self, monkeypatch):
-        # the trial's re-raise is the core's own error, every field kept,
-        # with the trial of its row leading the message
+        # the re-raise is the core's own error, every field kept, with the
+        # label of its row leading the message
         raised = NumericalError("plus branch edge", 1, branch="plus", step=3,
                                 t=0.25, quantity="edge", value=2e-8,
                                 limit=1e-8)
@@ -636,7 +671,7 @@ class TestBlocks:
         monkeypatch.setattr(gridmod, "evolve_block", failing)
         with pytest.raises(NumericalError) as failure:
             montecarlo._evolve_trials(0.5, 1.0, np.array([0.0, 0.1]), 1.0,
-                                      SMALL_GRID, (0, 7))
+                                      SMALL_GRID, ("trial 0", "trial 7"))
         assert failure.value is raised
         assert str(raised) == "trial 7: plus branch edge"
         assert (raised.row, raised.branch, raised.step, raised.t,
@@ -665,24 +700,24 @@ class TestBlocks:
                                    grid, 10)
         assert clear[1] == pytest.approx(-2.0, abs=1e-9)
 
-    def test_ensemble_edge_hit_names_trial(self, monkeypatch):
-        # test_edge_hit_names_trial through an ensemble chunk: trial 11 is
-        # the largest force of the block [10, 13), one of its three evolved
-        # rows, and the edge guard on that row names it
-        forces = np.zeros(13)
-        forces[11:] = (4.4, -1.0)
-        # the one sampler also draws the reference force, trial 0's
-        monkeypatch.setattr(montecarlo, "_sample_fdiv_block",
-                            lambda seed, start, stop, f_meas: forces[start:stop])
-        grid = GridSpec(half_length=20.0, n=256, dt=4e-3)
+    def test_ensemble_edge_hit_names_range_end(self):
+        # p = 0.5, f_meas = 7, tau = 1: the pre-flight admits l = 15, but
+        # the lower end of the force range carries its minus branch into
+        # the outer 5%; row 1 is the first row the edge guard reads. At
+        # l = 16 both ends stay clear
+        cfg = dimensionless_cfg(0.5, f_meas=7.0, tau=1.0)
         with pytest.raises(NumericalError,
-                           match=r"^trial 11: plus branch density .* outer 5%"
-                           ) as failure:
-            montecarlo._chunk_counts((0.5, 7.0, 2.0, "grid", 0, 10, 13, grid))
-        # row 2 of the three evolved rows: the block's largest force
-        self.assert_edge_fields(failure.value, 2)
-        assert montecarlo._chunk_counts((0.5, 7.0, 2.0, "grid", 0, 12, 13,
-                                         grid)) == (0, 1, 0)
+                           match=r"^f_div -7 \(lower end of the range\): "
+                           r"minus branch density .* outer 5%") as failure:
+            run_ensemble(cfg, "grid", 3, master_seed=0,
+                         grid=GridSpec(15.0, 256, 4e-3))
+        error = failure.value
+        assert (error.row, error.branch, error.step, error.t, error.quantity,
+                error.limit) == (1, "minus", 243, 243 * 4e-3, "edge", 1e-8)
+        assert 1e-8 < error.value < 1.2e-8
+        clear = run_ensemble(cfg, "grid", 3, master_seed=0,
+                             grid=GridSpec(16.0, 256, 4e-3))
+        assert clear.n_right + clear.n_left + clear.n_undecided == 3
 
     def test_aliasing_trial_refused(self):
         # the trial's mean momentum reaches F tau = 14.4, beyond

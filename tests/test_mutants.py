@@ -26,7 +26,7 @@ from test_grid import (check_aliasing_mid_run, check_block_product_per_row,
                        check_drift_checked_between_samples, check_edge_hit,
                        check_ehrenfest, check_second_order_in_dt,
                        check_smooth_closed_form)
-from test_montecarlo import check_grid_rows_once_per_block, check_job_plan
+from test_montecarlo import check_job_plan
 
 # what a failing check raises: a failed assert, or pytest.raises that saw
 # nothing
@@ -269,11 +269,8 @@ def one_chunk_per_worker(n_trials, workers, cpus):
 
 def test_job_plan_ignores_blocks(monkeypatch):
     monkeypatch.setattr(montecarlo, "_job_bounds", one_chunk_per_worker)
-    # the job plan first: the grid check leaves BLOCK patched to 8
     with pytest.raises(CHECK_FAILED):
         check_job_plan(monkeypatch, 16, 2, 64, [(0, 16)])
-    with pytest.raises(CHECK_FAILED):
-        check_grid_rows_once_per_block(monkeypatch)
 
 
 def test_cpu_cap_dropped(monkeypatch):

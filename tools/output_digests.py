@@ -132,6 +132,19 @@ def matrix() -> list:
     runs.append(("born-mc-grid-block-2^16", "born-block",
                  ["born-mc", "--engine", "grid", "--trials", str(BLOCK),
                   "--seed", "7"], "born-block.json"))
+    # 16 blocks, in one process and on two workers
+    for workers in ("1", "2"):
+        runs.append((f"born-mc-grid-1e6-w{workers}", "born",
+                     ["born-mc", "--engine", "grid", "--trials", "1000000",
+                      "--workers", workers], f"born-1e6-{workers}.json"))
+    # a force at either end of the range needs a box of 12.1: l 12 is
+    # refused and l 12.2 accepted, whatever the seed draws
+    for length in ("12", "12.2"):
+        for seed in ("0", "5"):
+            runs.append((f"born-mc-grid-l{length}-seed{seed}",
+                         f"born-l{length}",
+                         ["born-mc", "--engine", "grid", "--trials", "16",
+                          "--seed", seed], f"born-l{length}-{seed}.json"))
     runs.append(("born-mc-fixed-force", "evolve",
                  ["born-mc", "--trials", "4"], "born-fixed.json"))
     runs.append(("criteria", "evolve", ["criteria"], None))
@@ -224,6 +237,9 @@ def main(argv: list) -> int:
             "born": si_config(scales, 0.6, 1.0, 1.0),
             "born-block": si_config(scales, 0.6, 1.0, 1.0,
                                     grid={"n": 256, "sample_every": 7}),
+            **{f"born-l{length}": si_config(scales, 0.5, 1.0, 1.5, grid={
+                "n": 256, "l": float(length), "dt": 0.1})
+               for length in ("12", "12.2")},
             "tiny-tau": si_config(scales, 0.6, 1.0, 1.0, tau_meas_s=5e-324),
             "born-engine": si_config(scales, 0.6, 1.0, 1.0, engine="grid"),
             **{name: [1] if extra is None else
